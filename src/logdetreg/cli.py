@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -238,7 +237,6 @@ def cmd_test(args) -> int:
             args.seed + 1,
             opts,
             statistic="tn" if args.cost == "logdet" else "sn",
-            threads=args.threads,
         )
         observed = doc["statistic"]
         doc["mc_p_value"] = calib.p_value(observed)
@@ -291,7 +289,7 @@ def cmd_mc(args) -> int:
     with open(args.recipe, encoding="utf-8") as fh:
         recipe = sim.recipe_from_dict(json.load(fh))
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    report = sim.run_mc(recipe, estimators, args.reps, args.seed, opts, threads=args.threads)
+    report = sim.run_mc(recipe, estimators, args.reps, args.seed, opts)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "mc",
@@ -344,8 +342,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         n=n,
     )
     calib = inference.mc_null_calibrate(
-        restricted, full, recipe, n, args.reps, args.seed, opts, statistic="tn",
-        threads=args.threads,
+        restricted, full, recipe, n, args.reps, args.seed, opts, statistic="tn"
     )
     alpha = args.alpha
     rate = float(np.mean([inference.chi2_sf(s, 2) < alpha for s in calib.samples]))
@@ -378,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--starts", type=int, default=starts_default)
         p.add_argument("--max-iters", type=int, default=500)
         p.add_argument("--grad-tol", type=float, default=1e-6)
-        p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
 
     p = sub.add_parser("simulate", help="generate a dataset CSV plus replay recipe")
     p.add_argument("--mode", choices=["nar", "iid"], required=True)

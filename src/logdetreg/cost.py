@@ -2,7 +2,9 @@
 
 Three costs: the mean squared error, generalized least squares with a
 fixed weighting matrix, and the log-determinant of the empirical residual
-covariance, together with the analytic gradient and Hessian of the latter.
+covariance, each with its analytic gradient, plus the Hessian of the
+log-determinant.  All three gradients are ``-(2/n) sum_t J_t^T v_t``, with
+``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -24,7 +26,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,16 +97,36 @@ def empirical_covariance(rs: ResidualSet) -> SpdMatrix:
     return spd_from_symmetric(r.T @ r / rs.n)
 
 
+def _chain(rs: ResidualSet, v: np.ndarray) -> np.ndarray:
+    """-(2/n) sum_t J_t^T v_t: the gradient of every cost here, given the
+    per-row weighted residuals v_t."""
+    return -2.0 / rs.n * np.einsum("tik,ti->k", rs.jacobians, v)
+
+
 def mse_cost(rs: ResidualSet) -> float:
     return float(np.sum(rs.residuals**2) / rs.n)
 
 
-def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
-    """(1/n) sum_t r_t^T weight^{-1} r_t."""
+def mse_gradient(rs: ResidualSet) -> CostReport:
+    return CostReport(value=mse_cost(rs), gradient=_chain(rs, rs.residuals))
+
+
+def _gls_terms(rs: ResidualSet, weight: SpdMatrix) -> tuple[float, np.ndarray]:
+    """(1/n) sum_t r_t^T weight^{-1} r_t, and the rows weight^{-1} r_t."""
     r = rs.residuals
     if weight.dim != rs.d:
         raise DimensionMismatch(f"weight dim {weight.dim} != residual dim {rs.d}")
-    return float(np.sum(r * weight.solve(r.T).T) / rs.n)
+    wr = weight.solve(r.T).T
+    return float(np.sum(r * wr) / rs.n), wr
+
+
+def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
+    return _gls_terms(rs, weight)[0]
+
+
+def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
+    value, wr = _gls_terms(rs, weight)
+    return CostReport(value=value, gradient=_chain(rs, wr))
 
 
 def logdet_cost(rs: ResidualSet) -> CostReport:
@@ -120,8 +142,7 @@ def _a_tensor(rs: ResidualSet) -> np.ndarray:
 def logdet_gradient(rs: ResidualSet) -> CostReport:
     gamma = empirical_covariance(rs)
     gr = gamma.solve(rs.residuals.T).T  # G r_t, (n, d)
-    grad = -2.0 / rs.n * np.einsum("tik,ti->k", rs.jacobians, gr)
-    return CostReport(value=logdet(gamma), gradient=grad, gamma_n=gamma)
+    return CostReport(value=logdet(gamma), gradient=_chain(rs, gr), gamma_n=gamma)
 
 
 def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
@@ -138,8 +159,8 @@ def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
 
 
 def logdet_hessian(rs: ResidualSet) -> CostReport:
-    gamma = empirical_covariance(rs)
-    g = gamma.solve(np.eye(gamma.dim))
+    report = logdet_gradient(rs)
+    g = report.gamma_n.solve(np.eye(report.gamma_n.dim))
     jac = rs.jacobians
     n = rs.n
 
@@ -164,7 +185,4 @@ def logdet_hessian(rs: ResidualSet) -> CostReport:
         term3 *= -2.0 / n
 
     hess = term1 + term2 + term3
-    hess = 0.5 * (hess + hess.T)
-    gr = gamma.solve(rs.residuals.T).T
-    grad = -2.0 / n * np.einsum("tik,ti->k", jac, gr)
-    return CostReport(value=logdet(gamma), gradient=grad, hessian=hess, gamma_n=gamma)
+    return replace(report, hessian=0.5 * (hess + hess.T))

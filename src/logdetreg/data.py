@@ -1,12 +1,14 @@
 """Dataset container and CSV round trip.
 
 The on-disk format is a plain comma-separated file with a mandatory header
-``z1..z{d'},y1..y{d}``, dot decimals, UTF-8, numeric-only fields.
+``z1..z{d'},y1..y{d}`` (in that order), dot decimals, UTF-8, finite
+numeric fields only.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +65,11 @@ def load_csv(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError("line 1: empty file, header required") from None
-        din = sum(1 for name in header if name.strip().startswith("z"))
-        dout = sum(1 for name in header if name.strip().startswith("y"))
-        if din < 1 or dout < 1 or din + dout != len(header):
+        names = [name.strip() for name in header]
+        din = sum(1 for name in names if name.startswith("z"))
+        dout = len(names) - din
+        expected = [f"z{i + 1}" for i in range(din)] + [f"y{i + 1}" for i in range(dout)]
+        if din < 1 or dout < 1 or names != expected:
             raise CsvFormatError(f"line 1: header must be z1..z{{d'}},y1..y{{d}}, got {header}")
         zs, ys = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -77,6 +81,8 @@ def load_csv(path) -> Dataset:
                 vals = [float(v) for v in row]
             except ValueError:
                 raise CsvFormatError(f"line {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, vals)):
+                raise CsvFormatError(f"line {lineno}: non-finite field")
             zs.append(vals[:din])
             ys.append(vals[din:])
     if not zs:

@@ -16,14 +16,13 @@ from . import cost as cst
 from . import model as mdl
 from .data import Dataset
 from .errors import (
-    NonFiniteAtStart,
     NonIdentifiable,
     NotPositiveDefinite,
     SingularDesign,
     UnderDetermined,
 )
 from .linalg import RidgePolicy, SpdMatrix, logdet, spd_from_symmetric
-from .optimize import OptimOptions, OptimOutcome, StartRecord, bfgs_minimize, multi_start
+from .optimize import OptimOptions, OptimOutcome, StartRecord, multi_start
 
 
 class CostKind(str, enum.Enum):
@@ -64,7 +63,7 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
 
 def _residuals_at(spec, data, x, jac=None) -> cst.ResidualSet | None:
     """Residuals at x, or None when the prediction overflowed (treated as
-    an infinite-cost trial point by the objectives)."""
+    an infinite-cost trial point by the objective)."""
     pred = mdl.eval_batch(spec, mdl.ParamVector(x, spec), data.inputs)
     if not np.all(np.isfinite(pred)):
         return None
@@ -85,34 +84,13 @@ def _constant_jacobian(spec, data):
     return mdl.jacobian_batch(spec, zero, data.inputs)
 
 
-def _mse_objective(spec, data):
-    jac = _constant_jacobian(spec, data)
+def _objective(spec, data, cost):
+    """BFGS objective x -> (value, gradient) of ``cost(ResidualSet)``.
 
-    def objective(x):
-        rs = _residuals_at(spec, data, x, jac)
-        if rs is None:
-            return np.inf, None
-        grad = -2.0 / rs.n * np.einsum("tik,ti->k", rs.jacobians, rs.residuals)
-        return cst.mse_cost(rs), grad
-
-    return objective
-
-
-def _gls_objective(spec, data, weight: SpdMatrix):
-    jac = _constant_jacobian(spec, data)
-
-    def objective(x):
-        rs = _residuals_at(spec, data, x, jac)
-        if rs is None:
-            return np.inf, None
-        wr = weight.solve(rs.residuals.T).T
-        grad = -2.0 / rs.n * np.einsum("tik,ti->k", rs.jacobians, wr)
-        return float(np.sum(rs.residuals * wr) / rs.n), grad
-
-    return objective
-
-
-def _logdet_objective(spec, data):
+    Trial points where the prediction overflows or the cost hits a
+    degenerate residual covariance are worth +inf; the line search
+    backtracks away from them.
+    """
     jac = _constant_jacobian(spec, data)
 
     def objective(x):
@@ -120,9 +98,8 @@ def _logdet_objective(spec, data):
         if rs is None:
             return np.inf, None
         try:
-            report = cst.logdet_gradient(rs)
+            report = cost(rs)
         except NotPositiveDefinite:
-            # degenerate trial point; the line search backtracks away
             return np.inf, None
         return report.value, report.gradient
 
@@ -167,7 +144,7 @@ def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult
         rs = _residuals_at(spec, data, x)
         outcome = _closed_form_outcome(x, cst.mse_cost(rs), spec)
     else:
-        outcome = multi_start(_mse_objective(spec, data), spec, opts)
+        outcome = multi_start(_objective(spec, data, cst.mse_gradient), spec, opts)
         rs = _residuals_at(spec, data, outcome.w_best.values)
     return FitResult(
         w_hat=outcome.w_best,
@@ -179,10 +156,18 @@ def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult
     )
 
 
-def fit_gls(spec: mdl.ModelSpec, data: Dataset, weight: SpdMatrix, opts: OptimOptions) -> FitResult:
-    """Minimize the GLS cost with a fixed weighting matrix."""
+def fit_gls(
+    spec: mdl.ModelSpec,
+    data: Dataset,
+    weight: SpdMatrix,
+    opts: OptimOptions,
+    x0: np.ndarray | None = None,
+) -> FitResult:
+    """Minimize the GLS cost with a fixed weighting matrix; one BFGS run
+    from ``x0`` when given, else the multi-start."""
     _check_size(spec, data)
-    outcome = multi_start(_gls_objective(spec, data, weight), spec, opts)
+    objective = _objective(spec, data, lambda rs: cst.gls_gradient(rs, weight))
+    outcome = multi_start(objective, spec, opts, x0=x0)
     rs = _residuals_at(spec, data, outcome.w_best.values)
     return FitResult(
         w_hat=outcome.w_best,
@@ -204,45 +189,29 @@ def fit_fgls(
     """Iterated feasible GLS: OLS, then GLS rounds with the previous round's
     residual covariance, until the log-det value stabilizes.
 
-    Rounds after the first warm-start from the previous estimate (single
-    start).  The returned cost is the final log-det value; ``rounds``
-    records the value per round.
+    The first GLS round explores the same multi-start set as the direct
+    log-det estimator (shared seed), so both pipelines select the same
+    basin; later rounds warm-start from the previous estimate.  The
+    returned cost is the final log-det value and ``rounds`` records the
+    value per round; ``optim`` is the last GLS round's optimizer outcome.
     """
     fit = fit_ols(spec, data, opts)
-    x = fit.w_hat.values
-    gamma = fit.gamma_hat
-    rounds = [logdet(gamma)]
-    outcome = fit.optim
+    rounds = [logdet(fit.gamma_hat)]
     for round_index in range(max_rounds):
-        objective = _gls_objective(spec, data, gamma)
-        if round_index == 0:
-            # first GLS round explores the same multi-start set as the
-            # direct log-det estimator (shared seed), so both pipelines
-            # select the same basin; later rounds warm-start from it
-            ms = multi_start(objective, spec, opts)
-            x_new = ms.w_best.values
-            reason = "grad_tol" if ms.converged else "max_iters"
-            iters = sum(r.iterations for r in ms.per_start)
-        else:
-            x_new, _, reason, iters = bfgs_minimize(objective, x, opts)
-        rs = _residuals_at(spec, data, x_new)
-        gamma = cst.empirical_covariance(rs)
-        u = logdet(gamma)
-        x = x_new
-        converged = reason in ("grad_tol", "stalled")
-        record = StartRecord(0, u, iters, reason)
-        outcome = OptimOutcome(mdl.ParamVector(x, spec), u, (record,), converged)
-        if abs(u - rounds[-1]) < round_tol:
-            rounds.append(u)
+        x0 = None if round_index == 0 else fit.w_hat.values
+        fit = fit_gls(spec, data, fit.gamma_hat, opts, x0=x0)
+        if fit.gamma_hat.regularized:
+            raise NotPositiveDefinite("GLS residual covariance is singular")
+        rounds.append(logdet(fit.gamma_hat))
+        if abs(rounds[-1] - rounds[-2]) < round_tol:
             break
-        rounds.append(u)
     return FitResult(
-        w_hat=mdl.ParamVector(x, spec),
+        w_hat=fit.w_hat,
         cost_kind=CostKind.LOGDET,
         cost_value=rounds[-1],
-        gamma_hat=gamma,
+        gamma_hat=fit.gamma_hat,
         n=data.n,
-        optim=outcome,
+        optim=fit.optim,
         rounds=tuple(rounds),
     )
 
@@ -276,15 +245,18 @@ def fisher_info(
     return info_spd, cov
 
 
-def fit_logdet(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult:
-    """Minimize U_n = log det Gamma_n(w) directly, with analytic gradients.
+def fit_logdet(
+    spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions, x0: np.ndarray | None = None
+) -> FitResult:
+    """Minimize U_n = log det Gamma_n(w) directly, with analytic gradients;
+    one BFGS run from ``x0`` when given, else the multi-start.
 
     Populates the plug-in information matrix and asymptotic covariance; a
     singular information matrix flags the fit as non-identifiable instead
     of failing.
     """
     _check_size(spec, data)
-    outcome = multi_start(_logdet_objective(spec, data), spec, opts)
+    outcome = multi_start(_objective(spec, data, cst.logdet_gradient), spec, opts, x0=x0)
     rs = _residuals_at(spec, data, outcome.w_best.values)
     gamma = cst.empirical_covariance(rs)
     info_hat, cov, identifiable = None, None, True

@@ -9,17 +9,16 @@ come from Monte Carlo null calibration only.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaincc
 
 from . import model as mdl
-from .errors import EmptyCalibration, McFailure, NegativeStatistic, NotNested
+from .errors import EmptyCalibration, NegativeStatistic, NotNested
 from .estimate import CostKind, FitResult, fit_logdet, fit_ols
 from .optimize import OptimOptions
-from .simulate import SimRecipe, gen_series, sub_rng
+from .simulate import gen_series, replicate
 
 CLAMP_PER_N = 1e-6
 
@@ -131,7 +130,6 @@ def mc_null_calibrate(
     seed: int,
     opts: OptimOptions,
     statistic: str = "tn",
-    threads: int = 1,
 ) -> CalibrationResult:
     """Empirical null distribution of T_n or S_n by simulation.
 
@@ -147,33 +145,21 @@ def mc_null_calibrate(
     if statistic not in ("tn", "sn"):
         raise ValueError(f"unknown statistic {statistic!r}")
     fitter = fit_logdet if statistic == "tn" else fit_ols
-
-    def one(r: int):
-        data_seed = int(
-            np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0] >> 1
-        )
-        if callable(generator):
-            data = generator(data_seed)
-        else:
-            data = gen_series(replace(generator, seed=data_seed, n=n))
-        fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r)
-        try:
-            fr = fitter(spec_restricted, data, fit_opts)
-            ff = fitter(spec_full, data, fit_opts)
-            if statistic == "tn":
-                return _difference_statistic(fr, ff)
-            return sn_statistic(fr, ff)
-        except Exception:
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(one, range(replications)))
+    if callable(generator):
+        generate = generator
     else:
-        raw = [one(r) for r in range(replications)]
+        def generate(data_seed: int):
+            return gen_series(replace(generator, seed=data_seed, n=n))
 
-    samples = [s for s in raw if s is not None]
-    failures = replications - len(samples)
-    if failures > 0.05 * replications:
-        raise McFailure(f"{failures}/{replications} calibration replications failed")
-    return CalibrationResult(samples=np.sort(np.asarray(samples)), failures=failures)
+    def one(data, r: int) -> float:
+        fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r)
+        fr = fitter(spec_restricted, data, fit_opts)
+        ff = fitter(spec_full, data, fit_opts)
+        if statistic == "tn":
+            return _difference_statistic(fr, ff)
+        return sn_statistic(fr, ff)
+
+    samples = replicate(generate, {statistic: one}, replications, seed)[statistic]
+    return CalibrationResult(
+        samples=np.sort(np.asarray(samples)), failures=replications - len(samples)
+    )

@@ -196,18 +196,25 @@ def initial_point(spec: ModelSpec, opts: OptimOptions, start_index: int) -> np.n
     return rng.uniform(opts.init_low, opts.init_high, size=spec.param_count)
 
 
-def multi_start(objective, spec: ModelSpec, opts: OptimOptions) -> OptimOutcome:
-    """Best of ``n_starts`` independent BFGS runs from uniform random starts.
+def multi_start(
+    objective, spec: ModelSpec, opts: OptimOptions, x0: np.ndarray | None = None
+) -> OptimOutcome:
+    """Best of ``n_starts`` independent BFGS runs from uniform random starts,
+    or of the single run from ``x0`` when given (a warm start).
 
     Deterministic for a fixed seed; ties within 1e-12 break toward the
-    lower start index.
+    lower start index.  The outcome is converged when the best run ended
+    on ``grad_tol`` or ``stalled``.
     """
+    if x0 is not None:
+        starts = [x0]
+    else:
+        starts = [initial_point(spec, opts, i) for i in range(opts.n_starts)]
     records = []
     best = None  # (cost, index, x, converged)
-    for i in range(opts.n_starts):
-        x0 = initial_point(spec, opts, i)
+    for i, start in enumerate(starts):
         try:
-            x, f, reason, iters = bfgs_minimize(objective, x0, opts)
+            x, f, reason, iters = bfgs_minimize(objective, start, opts)
         except NonFiniteAtStart:
             records.append(StartRecord(i, np.inf, 0, "nonfinite_at_start"))
             continue

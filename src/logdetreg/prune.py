@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cost as cst
 from . import model as mdl
 from .data import Dataset
 from .errors import InitialFitFailed, LogDetRegError
-from .estimate import CostKind, FitResult, fisher_info, fit_logdet
+from .estimate import FitResult, fit_logdet
 from .inference import tn_test
-from .optimize import OptimOptions, OptimOutcome, StartRecord, bfgs_minimize
-from .errors import NonIdentifiable, NotPositiveDefinite
+from .optimize import OptimOptions
 
 log = logging.getLogger(__name__)
 
@@ -50,33 +48,8 @@ def _refit_frozen(
     spec: mdl.ModelSpec, data: Dataset, w: mdl.ParamVector, grid_index: int, opts: OptimOptions
 ) -> FitResult:
     """Single warm-started log-det refit with one more entry frozen."""
-    from .estimate import _logdet_objective, _residuals_at  # local: internal helpers
-
     sub = spec.with_frozen(grid_index)
-    grid = w.full_grid()
-    x0 = grid[sub.effective_mask]
-    x, value, reason, iters = bfgs_minimize(_logdet_objective(sub, data), x0, opts)
-    rs = _residuals_at(sub, data, x)
-    record = StartRecord(0, value, iters, reason)
-    outcome = OptimOutcome(
-        mdl.ParamVector(x, sub), value, (record,), reason in ("grad_tol", "stalled")
-    )
-    info_hat, cov, identifiable = None, None, True
-    try:
-        info_hat, cov = fisher_info(sub, outcome.w_best, data)
-    except NonIdentifiable:
-        identifiable = False
-    return FitResult(
-        w_hat=outcome.w_best,
-        cost_kind=CostKind.LOGDET,
-        cost_value=value,
-        gamma_hat=cst.empirical_covariance(rs),
-        n=data.n,
-        optim=outcome,
-        info_hat=info_hat,
-        asymptotic_cov=cov,
-        identifiable=identifiable,
-    )
+    return fit_logdet(sub, data, opts, x0=w.full_grid()[sub.effective_mask])
 
 
 def ssm_prune(
@@ -106,7 +79,7 @@ def ssm_prune(
         for grid_index in active:
             try:
                 fit = _refit_frozen(cspec, data, current.w_hat, int(grid_index), opts)
-            except (LogDetRegError, NotPositiveDefinite) as exc:
+            except LogDetRegError as exc:
                 log.warning("candidate freeze of grid entry %d failed: %s", grid_index, exc)
                 continue
             cand = fit.cost_value + bic_penalty(q - 1, data.n)

@@ -15,15 +15,15 @@ generator name is recorded in Monte Carlo report metadata.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import estimate as est
 from . import model as mdl
 from .data import Dataset
-from .errors import DimensionMismatch, McFailure, NonFiniteState
+from .errors import DimensionMismatch, LogDetRegError, McFailure, NonFiniteState
 from .linalg import SpdMatrix, logdet, spd_from_symmetric
 from .optimize import OptimOptions
 
@@ -130,6 +130,35 @@ _ESTIMATORS = {
 }
 
 
+def replicate(generate, tasks: dict, replications: int, seed: int) -> dict[str, list]:
+    """Run every task on each of ``replications`` generated datasets.
+
+    Replication r generates its data with ``generate(data_seed)``, the
+    data seed derived from the counter-based sub-seed (seed, r), then calls
+    ``task(data, r)`` for every named task.  A task that raises a package
+    error or a linear-algebra failure counts as one failed replication of
+    that task; any other exception propagates.  Returns, per task, the
+    results of its successful replications in replication order; raises
+    McFailure when more than 5% of one task's replications failed.
+    """
+    results = {name: [] for name in tasks}
+    for r in range(replications):
+        data_seed = int(
+            np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0] >> 1
+        )
+        data = generate(data_seed)
+        for name, task in tasks.items():
+            try:
+                results[name].append(task(data, r))
+            except (LogDetRegError, np.linalg.LinAlgError):
+                pass
+    for name, values in results.items():
+        failures = replications - len(values)
+        if failures > 0.05 * replications:
+            raise McFailure(f"{failures}/{replications} replications failed for {name!r}")
+    return results
+
+
 def run_mc(
     recipe: SimRecipe,
     estimators: list[str],
@@ -137,7 +166,6 @@ def run_mc(
     seed: int,
     opts: OptimOptions,
     fit_spec: mdl.ModelSpec | None = None,
-    threads: int = 1,
 ) -> McReport:
     """Replicated simulation + estimation.
 
@@ -153,33 +181,21 @@ def run_mc(
             raise McFailure(f"unknown estimator {name!r}")
     spec = fit_spec if fit_spec is not None else recipe.spec
 
-    def one(r: int):
-        data_seed = int(
-            np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0] >> 1
-        )
-        data = gen_series(replace(recipe, seed=data_seed))
-        out = {}
-        for j, name in enumerate(estimators):
-            fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
-            try:
-                fit = _ESTIMATORS[name](spec, data, fit_opts)
-                out[name] = fit.gamma_hat.entries
-            except Exception:
-                out[name] = None
-        return out
+    def estimate(j: int, name: str, data: Dataset, r: int) -> np.ndarray:
+        fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
+        return _ESTIMATORS[name](spec, data, fit_opts).gamma_hat.entries
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(replications)))
-    else:
-        results = [one(r) for r in range(replications)]
+    results = replicate(
+        lambda data_seed: gen_series(replace(recipe, seed=data_seed)),
+        {name: partial(estimate, j, name) for j, name in enumerate(estimators)},
+        replications,
+        seed,
+    )
 
     summaries = []
     for name in estimators:
-        gammas = [res[name] for res in results if res[name] is not None]
+        gammas = results[name]
         failures = replications - len(gammas)
-        if failures > 0.05 * replications:
-            raise McFailure(f"{failures}/{replications} replications failed for {name!r}")
         stack = np.stack(gammas)
         mean = stack.mean(axis=0)
         stderr = stack.std(axis=0, ddof=1) / np.sqrt(len(gammas))

@@ -7,6 +7,7 @@ the full preset (R=100, 20 starts, all three assertions).
 
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -282,24 +283,25 @@ def test_10_determinism(tmp_path, capsys):
     recipe = bivariate_nar_recipe(seed=5, n=200)
     a, b = gen_series(recipe), gen_series(recipe)
     ok &= np.array_equal(a.inputs, b.inputs) and np.array_equal(a.outputs, b.outputs)
-    # replication harness across repeat runs and thread counts
+    # replication harness: counter-based seeds make replication r the same
+    # in every run, so a shorter run reproduces the start of a longer one
     spec = ModelSpec(ModelKind.LINEAR, 2, 2)
     w = ParamVector(np.array([0.5, -0.3, 0.2, 0.8]), spec)
     small = SimRecipe(SimMode.IID_REGRESSION, spec, w, GAMMA0, n=120, seed=0)
     opts = OptimOptions(n_starts=2, seed=5)
-    r1 = run_mc(small, ["logdet"], 4, 7, opts, threads=1)
-    r2 = run_mc(small, ["logdet"], 4, 7, opts, threads=2)
-    ok &= bool(np.array_equal(r1.summary("logdet").mean_gamma, r2.summary("logdet").mean_gamma))
-    # null calibration across repeat runs and thread counts
+    g2 = run_mc(small, ["logdet"], 2, 7, opts).summary("logdet").gammas
+    g4 = run_mc(small, ["logdet"], 4, 7, opts).summary("logdet").gammas
+    ok &= len(g2) == 2 and all(np.array_equal(a, b) for a, b in zip(g2, g4[:2]))
+    # null calibration: the R=3 samples are a sub-multiset of the R=5 ones
     mask = np.ones(6, dtype=bool)
     mask[[2, 5]] = False
     restricted = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask)
     full = ModelSpec(ModelKind.LINEAR, 3, 2)
     wr = ParamVector(np.array([1.0, -0.5, 0.8, 0.6]), restricted)
     null_recipe = SimRecipe(SimMode.IID_REGRESSION, restricted, wr, GAMMA0, n=80, seed=0)
-    c1 = mc_null_calibrate(restricted, full, null_recipe, 80, 5, 9, opts, threads=1)
-    c2 = mc_null_calibrate(restricted, full, null_recipe, 80, 5, 9, opts, threads=2)
-    ok &= bool(np.array_equal(c1.samples, c2.samples))
+    c3 = mc_null_calibrate(restricted, full, null_recipe, 80, 3, 9, opts)
+    c5 = mc_null_calibrate(restricted, full, null_recipe, 80, 5, 9, opts)
+    ok &= c3.samples.size == 3 and not Counter(c3.samples.tolist()) - Counter(c5.samples.tolist())
     # CLI pipeline byte-for-byte
     from logdetreg import save_model
 
@@ -322,5 +324,6 @@ def test_10_determinism(tmp_path, capsys):
         outs.append((csv_path.read_bytes(), fit_path.read_bytes()))
     capsys.readouterr()
     ok &= outs[0] == outs[1]
-    check(10, "seeded data generation, MC harness (thread counts 1 vs 2), null calibration "
-              "and CLI pipeline are bitwise reproducible", bool(ok))
+    check(10, "seeded data generation, MC harness (R=2 equals the first 2 of R=4), null "
+              "calibration (R=3 samples within R=5) and CLI pipeline are bitwise "
+              "reproducible", bool(ok))

@@ -205,6 +205,13 @@ class TestFit:
         )
         assert code == 2
 
+    def test_swapped_header_usage_error(self, tmp_path, linear22, capsys):
+        bad = tmp_path / "swapped.csv"
+        bad.write_text("y1,y2,z1,z2\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n")
+        code, _, err = run(["fit", "--model", linear22, "--data", str(bad)], capsys)
+        assert code == 2
+        assert "line 1" in err
+
     def test_malformed_csv_names_line(self, tmp_path, linear22, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("z1,z2,y1,y2\n1.0,2.0,3.0,4.0\n1.0,oops,3.0,4.0\n")
@@ -269,7 +276,7 @@ class TestTest:
         code, out, _ = run(
             [
                 "test", "--cost", "mse", "--restricted", restricted, "--full", full,
-                "--data", data, "--starts", "2", "--calibrate", "9", "--threads", "1",
+                "--data", data, "--starts", "2", "--calibrate", "9",
             ],
             capsys,
         )

@@ -7,11 +7,13 @@ from logdetreg.cost import (
     ResidualSet,
     empirical_covariance,
     gls_cost,
+    gls_gradient,
     logdet_cost,
     logdet_gradient,
     logdet_gradient_entrywise,
     logdet_hessian,
     mse_cost,
+    mse_gradient,
 )
 from logdetreg.errors import DimensionMismatch, NotPositiveDefinite
 from logdetreg.linalg import spd_inverse, trace_product
@@ -68,6 +70,33 @@ class TestGlsCost:
         rs = ResidualSet(np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             gls_cost(rs, spd_from_symmetric(np.eye(3)))
+
+
+class TestQuadraticGradients:
+    @pytest.mark.parametrize("index", range(6))
+    def test_mse_matches_finite_differences(self, index):
+        spec, w, data = make_instance(index, n=60)
+
+        def v_of(x):
+            return mse_cost(residual_set(spec, ParamVector(x, spec), data))
+
+        rep = mse_gradient(residual_set(spec, w, data))
+        assert rep.value == v_of(w.values)
+        fd = fd_gradient(v_of, w.values)
+        assert np.max(np.abs(rep.gradient - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_gls_matches_finite_differences(self, index):
+        spec, w, data = make_instance(index, n=60)
+        weight = spd_from_symmetric([[2.0, 0.6], [0.6, 0.5]])
+
+        def v_of(x):
+            return gls_cost(residual_set(spec, ParamVector(x, spec), data), weight)
+
+        rep = gls_gradient(residual_set(spec, w, data), weight)
+        assert rep.value == v_of(w.values)
+        fd = fd_gradient(v_of, w.values)
+        assert np.max(np.abs(rep.gradient - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
 
 class TestLogdetCost:

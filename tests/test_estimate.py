@@ -18,9 +18,10 @@ from logdetreg import (
     gen_series,
     spd_from_symmetric,
 )
-from logdetreg.cost import empirical_covariance
+from logdetreg.cost import empirical_covariance, logdet_gradient
 from logdetreg.errors import NonIdentifiable, UnderDetermined
-from logdetreg.estimate import _ols_closed_form
+from logdetreg.estimate import _objective, _ols_closed_form
+from logdetreg.optimize import bfgs_minimize
 from logdetreg.model import eval_batch
 from conftest import residual_set
 
@@ -131,6 +132,20 @@ class TestFitFgls:
         fgls = fit_fgls(spec, data, opts)
         assert abs(direct.cost_value - fgls.cost_value) < 1e-4
 
+    def test_round_zero_reports_optimizer_terminations(self):
+        # with this seed the single GLS start of round 0 ends "stalled"
+        spec = ModelSpec(ModelKind.MLP, 1, 2, hidden_units=1)
+        w = ParamVector(np.array([1.2, 0.0, 0.9, -0.7, 0.1, -0.2]), spec)
+        gamma = spd_from_symmetric([[1.0, 0.7], [0.7, 1.0]])
+        data = gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=200, seed=9))
+        opts = OptimOptions(n_starts=1, seed=9)
+        fit = fit_fgls(spec, data, opts, max_rounds=1)
+        gls = fit_gls(spec, data, fit_ols(spec, data, opts).gamma_hat, opts)
+        assert fit.optim.per_start == gls.optim.per_start
+        assert [r.termination for r in fit.optim.per_start] == ["stalled"]
+        assert fit.optim.converged
+        assert fit.cost_value == fit.rounds[-1]
+
     def test_round_sequence_improves(self):
         mask = np.ones(6, dtype=bool)
         mask[[2, 5]] = False
@@ -140,6 +155,28 @@ class TestFitFgls:
         data = gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=500, seed=4))
         fit = fit_fgls(spec, data, OptimOptions(n_starts=4, seed=17))
         assert fit.rounds[-1] <= fit.rounds[0] + 1e-12
+
+
+class TestWarmStart:
+    def test_logdet_runs_once_from_x0(self):
+        spec, w, data = linear_dataset()
+        x0 = w.values + 0.1
+        fit = fit_logdet(spec, data, OPTS, x0=x0)
+        x, f, reason, iters = bfgs_minimize(_objective(spec, data, logdet_gradient), x0, OPTS)
+        np.testing.assert_array_equal(fit.w_hat.values, x)
+        assert fit.cost_value == f
+        assert [(r.start_index, r.iterations, r.termination) for r in fit.optim.per_start] == [
+            (0, iters, reason)
+        ]
+        assert fit.asymptotic_cov is not None
+
+    def test_gls_runs_once_from_x0(self):
+        spec, w, data = linear_dataset()
+        weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
+        warm = fit_gls(spec, data, weight, OPTS, x0=w.values)
+        cold = fit_gls(spec, data, weight, OPTS)
+        assert len(warm.optim.per_start) == 1
+        assert np.max(np.abs(warm.w_hat.values - cold.w_hat.values)) < 1e-6
 
 
 class TestFitLogdet:

@@ -264,6 +264,29 @@ class TestMcNullCalibrate:
         with pytest.raises(McFailure):
             mc_null_calibrate(restricted, full, generator, 2, 4, 1, self.OPTS)
 
+    def test_generator_type_error_propagates(self):
+        restricted, full, _ = calibration_setup()
+
+        def generator(data_seed):
+            raise TypeError("bug in the generator")
+
+        with pytest.raises(TypeError, match="bug in the generator"):
+            mc_null_calibrate(restricted, full, generator, 100, 4, 1, self.OPTS)
+
+    def test_fit_type_error_is_not_a_failed_replication(self, monkeypatch):
+        # only package and linear-algebra errors count as failed
+        # replications; a programming error must surface, not become McFailure
+        import logdetreg.inference as inf
+
+        restricted, full, recipe = calibration_setup()
+
+        def broken(spec, data, opts):
+            raise TypeError("bug in the estimator")
+
+        monkeypatch.setattr(inf, "fit_logdet", broken)
+        with pytest.raises(TypeError, match="bug in the estimator"):
+            mc_null_calibrate(restricted, full, recipe, recipe.n, 4, 1, self.OPTS)
+
     def test_quantile(self):
         restricted, full, recipe = calibration_setup()
         res = mc_null_calibrate(restricted, full, recipe, recipe.n, 5, 31, self.OPTS)

@@ -3,7 +3,8 @@ import pytest
 
 from logdetreg import ModelKind, ModelSpec, OptimOptions, bfgs_minimize, multi_start
 from logdetreg.errors import AllStartsFailed, NonFiniteAtStart
-from logdetreg.estimate import _logdet_objective, _ols_closed_form
+from logdetreg.cost import logdet_gradient
+from logdetreg.estimate import _objective, _ols_closed_form
 from logdetreg.optimize import initial_point
 
 
@@ -81,7 +82,7 @@ class TestBfgs:
         w0 = ParamVector(np.array([0.5, -0.3, 0.2, 0.8]), spec)
         gamma = spd_from_symmetric([[1.0, 0.4], [0.4, 1.0]])
         data = gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w0, gamma, n=500, seed=12))
-        objective = _logdet_objective(spec, data)
+        objective = _objective(spec, data, logdet_gradient)
         x, _, _, _ = bfgs_minimize(objective, np.zeros(4), OptimOptions(grad_tol=1e-9))
         ols = _ols_closed_form(spec, data)
         assert np.max(np.abs(x - ols)) < 1e-6
@@ -97,6 +98,16 @@ class TestMultiStart:
         assert out.cost_best == f
         np.testing.assert_array_equal(out.w_best.values, x)
         assert out.per_start[0].termination == reason
+
+    def test_warm_start_is_one_run_from_x0(self):
+        spec = ModelSpec(ModelKind.LINEAR, 1, 1)
+        opts = OptimOptions(n_starts=5, seed=3)
+        out = multi_start(double_well, spec, opts, x0=np.array([-0.3]))
+        x, f, reason, iters = bfgs_minimize(double_well, np.array([-0.3]), opts)
+        assert out.cost_best == f
+        np.testing.assert_array_equal(out.w_best.values, x)
+        assert [(r.start_index, r.termination) for r in out.per_start] == [(0, reason)]
+        assert out.converged == (reason in ("grad_tol", "stalled"))
 
     def test_double_well_global(self):
         spec = ModelSpec(ModelKind.LINEAR, 1, 1)
