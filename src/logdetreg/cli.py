@@ -17,44 +17,26 @@ import numpy as np
 
 from . import inference, model as mdl, prune as prn, simulate as sim
 from .data import CsvFormatError, Dataset, load_csv, save_csv
-from .errors import (
-    AllStartsFailed,
-    DimensionMismatch,
-    InitialFitFailed,
-    LogDetRegError,
-    McFailure,
-    NegativeStatistic,
-    NotNested,
-    NotPositiveDefinite,
-    UnderDetermined,
-)
+from .errors import DimensionMismatch, LogDetRegError, NotNested, UnderDetermined
 from .estimate import FitResult, fit_fgls, fit_gls, fit_logdet, fit_ols
-from .linalg import SpdMatrix, spd_from_symmetric
+from .linalg import spd_from_symmetric
 from .optimize import OptimOptions
 
 SCHEMA_VERSION = "1"
 
+
+class UsageError(Exception):
+    pass
+
+
 USAGE_ERRORS = (
+    UsageError,
     CsvFormatError,
     DimensionMismatch,
     NotNested,
     UnderDetermined,
     FileNotFoundError,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
 )
-NUMERIC_ERRORS = (
-    AllStartsFailed,
-    InitialFitFailed,
-    McFailure,
-    NegativeStatistic,
-    NotPositiveDefinite,
-)
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -76,17 +58,31 @@ def _emit(doc: dict, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _read_json(path: str, parse):
+    """``parse`` applied to the JSON document in ``path`` (a model or a
+    recipe); a malformed document is a usage error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _optim_options(args, n_starts_default: int = 20) -> OptimOptions:
+    if args.starts is not None and args.starts < 1:
+        raise UsageError("--starts must be >= 1")
+    if args.max_iters < 1:
+        raise UsageError("--max-iters must be >= 1")
+    if not args.grad_tol > 0:
+        raise UsageError("--grad-tol must be > 0")
     return OptimOptions(
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         n_starts=args.starts if args.starts is not None else n_starts_default,
         seed=args.seed,
     )
-
-
-def _spd(entries: np.ndarray) -> SpdMatrix:
-    return spd_from_symmetric(entries)
 
 
 def _fit_report(fit: FitResult, extra: dict | None = None) -> dict:
@@ -137,7 +133,7 @@ def _standardize(data: Dataset) -> tuple[Dataset, dict]:
 # --- subcommands -----------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    spec, w_true = mdl.load_model(args.model)
+    spec, w_true = _read_json(args.model, mdl.spec_from_dict)
     if w_true is None:
         raise UsageError("model file must carry params (the true weights)")
     if args.n < 1:
@@ -147,7 +143,7 @@ def cmd_simulate(args) -> int:
         mode=mode,
         spec=spec,
         w_true=w_true,
-        gamma0=_spd(parse_matrix(args.gamma)),
+        gamma0=spd_from_symmetric(parse_matrix(args.gamma)),
         n=args.n,
         burn_in=args.burn_in,
         y0=None,
@@ -163,7 +159,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    spec, _ = mdl.load_model(args.model)
+    spec, _ = _read_json(args.model, mdl.spec_from_dict)
     data = load_csv(args.data)
     extra = {}
     if args.standardize:
@@ -174,9 +170,9 @@ def cmd_fit(args) -> int:
         fit = fit_ols(spec, data, opts)
     elif args.cost == "gls":
         if args.weight == "identity":
-            weight = _spd(np.eye(spec.output_dim))
+            weight = spd_from_symmetric(np.eye(spec.output_dim))
         else:
-            weight = _spd(parse_matrix(args.weight))
+            weight = spd_from_symmetric(parse_matrix(args.weight))
         fit = fit_gls(spec, data, weight, opts)
     elif args.cost == "fgls":
         fit = fit_fgls(spec, data, opts)
@@ -187,8 +183,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    spec_r, _ = mdl.load_model(args.restricted)
-    spec_f, _ = mdl.load_model(args.full)
+    spec_r, _ = _read_json(args.restricted, mdl.spec_from_dict)
+    spec_f, _ = _read_json(args.full, mdl.spec_from_dict)
     data = load_csv(args.data)
     opts = _optim_options(args)
     doc = {
@@ -232,7 +228,6 @@ def cmd_test(args) -> int:
             spec_r,
             spec_f,
             generator,
-            data.n,
             args.calibrate,
             args.seed + 1,
             opts,
@@ -251,7 +246,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    spec, _ = mdl.load_model(args.model)
+    spec, _ = _read_json(args.model, mdl.spec_from_dict)
     data = load_csv(args.data)
     opts = _optim_options(args)
     trace = prn.ssm_prune(spec, data, opts, gate=args.gate)
@@ -286,8 +281,7 @@ def cmd_mc(args) -> int:
         return _mc_test_size(args, opts)
     if not args.recipe:
         raise UsageError("mc requires --recipe (or --experiment test-size)")
-    with open(args.recipe, encoding="utf-8") as fh:
-        recipe = sim.recipe_from_dict(json.load(fh))
+    recipe = _read_json(args.recipe, sim.recipe_from_dict)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     report = sim.run_mc(recipe, estimators, args.reps, args.seed, opts)
     doc = {
@@ -333,7 +327,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
     mask[[2, 5]] = False  # third regressor irrelevant in both equations
     restricted = mdl.ModelSpec(mdl.ModelKind.MASKED_LINEAR, din, d, mask=mask)
     w_true = mdl.ParamVector(np.array([1.0, -0.5, 0.8, 0.6]), restricted)
-    gamma0 = _spd(np.array([[1.81, 1.8], [1.8, 1.81]]))
+    gamma0 = spd_from_symmetric(np.array([[1.81, 1.8], [1.8, 1.81]]))
     recipe = sim.SimRecipe(
         mode=sim.SimMode.IID_REGRESSION,
         spec=restricted,
@@ -342,7 +336,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         n=n,
     )
     calib = inference.mc_null_calibrate(
-        restricted, full, recipe, n, args.reps, args.seed, opts, statistic="tn"
+        restricted, full, recipe, args.reps, args.seed, opts, statistic="tn"
     )
     alpha = args.alpha
     rate = float(np.mean([inference.chi2_sf(s, 2) < alpha for s in calib.samples]))
@@ -369,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, starts_default=None):
+    def common(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--starts", type=int, default=starts_default)
+        p.add_argument("--starts", type=int)
         p.add_argument("--max-iters", type=int, default=500)
         p.add_argument("--grad-tol", type=float, default=1e-6)
 
@@ -420,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=["covariance", "test-size"], default="covariance")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--n", type=int, default=None)
-    common(p, starts_default=None)
+    common(p)
     p.set_defaults(func=cmd_mc)
 
     return parser
@@ -431,15 +425,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LogDetRegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

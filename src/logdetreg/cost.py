@@ -20,8 +20,13 @@ Gradient: ``2 tr(G A_k)`` with ``G = Gamma_n^{-1}``, which collapses to
 
 ``H[k, l] = -2 tr(G (A_l + A_l^T) G A_k) + 2 tr(G B_kl) + 2 tr(G C_kl)``,
 
-symmetrized as ``(H + H^T) / 2``.  Both forms are validated against finite
-differences in the test suite.
+symmetrized as ``(H + H^T) / 2``.  The second term is twice the
+information matrix ``(1/n) sum_t J_t^T G J_t`` (:func:`information`, shared
+with the plug-in Fisher information).  The third is never built from
+``S_t``: ``tr(G C_kl) = -(1/n) sum_t (G r_t)^T S_t[k, l]`` is the model's
+second-derivative contraction against the rows ``G r_t``
+(:func:`logdetreg.model.second_derivs_vdot`).  Both forms are validated
+against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from . import model as mdl
 from .data import Dataset
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .linalg import SpdMatrix, logdet, spd_from_symmetric
-
-_SECOND_DERIV_CHUNK = 256
 
 
 @dataclass
@@ -158,31 +161,25 @@ def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
     return np.einsum("ij,kij->k", g, dgamma)
 
 
+def information(rs: ResidualSet, gamma: SpdMatrix) -> np.ndarray:
+    """(1/n) sum_t J_t^T gamma^{-1} J_t, the (K, K) information matrix
+    ``tr(gamma^{-1} B_kl)``."""
+    g = gamma.solve(np.eye(gamma.dim))
+    jac = rs.jacobians
+    gj = np.einsum("ij,tjk->tik", g, jac)
+    return np.einsum("tik,til->kl", jac, gj) / rs.n
+
+
 def logdet_hessian(rs: ResidualSet) -> CostReport:
     report = logdet_gradient(rs)
     g = report.gamma_n.solve(np.eye(report.gamma_n.dim))
-    jac = rs.jacobians
-    n = rs.n
-
     a = _a_tensor(rs)
     asym = a + a.transpose(0, 2, 1)
     # term 1: derivative of G, -2 tr(G (A_l + A_l^T) G A_k)
     gag = np.einsum("ij,ljm,mn->lin", g, asym, g)  # G (A_l + A_l^T) G
     term1 = -2.0 * np.einsum("lij,kji->kl", gag, a)
-    # term 2: 2 tr(G B_kl) = (2/n) sum_t J_t^T G J_t
-    gj = np.einsum("ij,tjk->tik", g, jac)
-    term2 = 2.0 / n * np.einsum("tik,til->kl", jac, gj)
-    # term 3: 2 tr(G C_kl) = -(2/n) sum_t S_t[k,l] . (G r_t)
-    term3 = 0.0
-    if rs.spec is not None and rs.spec.kind is mdl.ModelKind.MLP:
-        gr = rs.residuals @ g
-        k = jac.shape[2]
-        term3 = np.zeros((k, k))
-        for lo in range(0, n, _SECOND_DERIV_CHUNK):
-            hi = min(lo + _SECOND_DERIV_CHUNK, n)
-            sec = mdl.second_derivs_batch(rs.spec, rs.w, rs.inputs[lo:hi])
-            term3 += np.einsum("tkld,td->kl", sec, gr[lo:hi])
-        term3 *= -2.0 / n
-
+    # term 2: 2 tr(G B_kl); term 3: 2 tr(G C_kl) = -(2/n) sum_t S_t[k,l] . (G r_t)
+    term2 = 2.0 * information(rs, report.gamma_n)
+    term3 = -2.0 / rs.n * mdl.second_derivs_vdot(rs.spec, rs.w, rs.inputs, rs.residuals @ g)
     hess = term1 + term2 + term3
     return replace(report, hessian=0.5 * (hess + hess.T))

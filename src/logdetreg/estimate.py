@@ -228,10 +228,7 @@ def fisher_info(
     """
     rs = cst.ResidualSet.from_model(spec, w, data)
     gamma = cst.empirical_covariance(rs)
-    g = gamma.solve(np.eye(gamma.dim))
-    jac = rs.jacobians
-    gj = np.einsum("ij,tjk->tik", g, jac)
-    info = np.einsum("tik,til->kl", jac, gj) / rs.n
+    info = cst.information(rs, gamma)
     try:
         info_spd = spd_from_symmetric(0.5 * (info + info.T))
     except NotPositiveDefinite:

@@ -125,7 +125,6 @@ def mc_null_calibrate(
     spec_restricted: mdl.ModelSpec,
     spec_full: mdl.ModelSpec,
     generator,
-    n: int,
     replications: int,
     seed: int,
     opts: OptimOptions,
@@ -134,8 +133,9 @@ def mc_null_calibrate(
     """Empirical null distribution of T_n or S_n by simulation.
 
     ``generator`` is either a :class:`SimRecipe` satisfying H0 (its true
-    parameters live inside the restricted mask) or a callable
-    ``data_seed -> Dataset`` (e.g. a fixed-design parametric bootstrap).
+    parameters live inside the restricted mask), regenerated at its own
+    ``n``, or a callable ``data_seed -> Dataset`` (e.g. a fixed-design
+    parametric bootstrap).
     Deterministic for a fixed seed; replication r uses sub-seed (seed, r).
     Aborts when more than 5% of replications fail.
     """
@@ -149,7 +149,7 @@ def mc_null_calibrate(
         generate = generator
     else:
         def generate(data_seed: int):
-            return gen_series(replace(generator, seed=data_seed, n=n))
+            return gen_series(replace(generator, seed=data_seed))
 
     def one(data, r: int) -> float:
         fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r)

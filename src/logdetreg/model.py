@@ -188,71 +188,44 @@ def jacobian_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.nd
     return jac[:, :, spec.effective_mask]
 
 
-def jacobian_params(spec: ModelSpec, w: ParamVector, z: np.ndarray) -> np.ndarray:
-    """d x K Jacobian at a single input."""
-    return jacobian_batch(spec, w, np.asarray(z, dtype=float)[None, :])[0]
+def second_derivs_vdot(
+    spec: ModelSpec, w: ParamVector, inputs: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Second-derivative contraction sum_t sum_i v[t, i] d2F_i(z_t)/dw_k dw_l.
 
+    Returns the (K, K) matrix for an (n, d) weight array ``v``: the
+    vector-Hessian product of the model, without forming per-row second
+    derivatives.  Linear families give exact zeros.  For the MLP only the
+    blocks within one hidden unit are nonzero; with ``zt = [z, 1]`` (the
+    ``a_h`` entries and ``c_h``) and ``beta = v b^T``,
 
-def second_derivs_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Per-row second parameter derivatives, shape (n, K, K, d).
-
-    Entry (t, k, l) is the d-vector of second partials of F_w(z_t); it is
-    symmetric in (k, l).  Linear families return all zeros.
+    * ``(a|c, a|c)``: ``sum_t tanh''(u_th) beta_th zt_t zt_t^T``,
+    * ``(a|c, b_h)``: ``sum_t tanh'(u_th) zt_t v_t^T``.
     """
     z = _check_inputs(spec, inputs)
-    n = z.shape[0]
-    d = spec.output_dim
-    grid_k = spec.full_param_count
-    mask = spec.effective_mask
-
     if spec.kind is not ModelKind.MLP:
-        k = int(mask.sum())
-        return np.zeros((n, k, k, d))
+        return np.zeros((spec.param_count, spec.param_count))
 
     a, c, b, bias = _mlp_blocks(spec, w.full_grid())
     h, din = a.shape
     t = np.tanh(z @ a.T + c)
     dt = 1.0 - t * t
     ddt = -2.0 * t * dt  # tanh'' reusing the forward value
+    zt = np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
+    acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
+    acb = np.einsum("th,tj,ti->hji", dt, zt, v)
 
-    sec = np.zeros((n, grid_k, grid_k, d))
-    oa = 0
-    oc = h * din
-    ob = oc + h
-    # (a, a) within a unit: b_h * ddt * z_j * z_j'
-    saa = np.einsum("th,hi,tj,tk->thjki", ddt, b, z, z)  # (n,h,din,din,d)
-    for u in range(h):
-        ra = slice(oa + u * din, oa + (u + 1) * din)
-        sec[:, ra, ra, :] = saa[:, u]
-        # (a, c): b_h * ddt * z_j
-        sac = np.einsum("t,i,tj->tji", ddt[:, u], b[u], z)
-        sec[:, ra, oc + u, :] = sac
-        sec[:, oc + u, ra, :] = sac
-        # (c, c): b_h * ddt
-        sec[:, oc + u, oc + u, :] = ddt[:, u, None] * b[u]
-        # (a, b): dF_i/da_{hj} db_{hi} = delta * dt * z_j
-        rb = slice(ob + u * d, ob + (u + 1) * d)
-        sab = np.zeros((n, din, d, d))
-        idx = np.arange(d)
-        sab[:, :, idx, idx] = (dt[:, u, None] * z)[:, :, None]
-        sec[:, ra, rb, :] = sab
-        sec[:, rb, ra, :] = sab.transpose(0, 2, 1, 3)
-        # (c, b): delta * dt
-        scb = np.zeros((n, d, d))
-        scb[:, idx, idx] = dt[:, u, None]
-        sec[:, oc + u, rb, :] = scb
-        sec[:, rb, oc + u, :] = scb
-    # blocks involving the output bias, (b, b) and cross-unit blocks are zero
-
-    # exact Schwarz symmetry: (k, l) and (l, k) must be bitwise equal even
-    # where the contraction order above differs in the last ulp
-    sec = 0.5 * (sec + sec.transpose(0, 2, 1, 3))
-    return sec[:, mask][:, :, mask]
-
-
-def second_derivs_params(spec: ModelSpec, w: ParamVector, z: np.ndarray) -> np.ndarray:
-    """(K, K, d) array of second partials at a single input."""
-    return second_derivs_batch(spec, w, np.asarray(z, dtype=float)[None, :])[0]
+    # grid indices of unit h's [a_h | c_h] and b_h entries
+    ac = np.concatenate(
+        [np.arange(h * din).reshape(h, din), h * din + np.arange(h)[:, None]], axis=1
+    )
+    bh = (h * din + h + np.arange(h * spec.output_dim)).reshape(h, -1)
+    full = np.zeros((spec.full_param_count, spec.full_param_count))
+    full[ac[:, :, None], ac[:, None, :]] = acac
+    full[ac[:, :, None], bh[:, None, :]] = acb
+    full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)
+    mask = spec.effective_mask
+    return full[np.ix_(mask, mask)]
 
 
 # --- model file round trip -------------------------------------------------

@@ -24,7 +24,7 @@ from . import estimate as est
 from . import model as mdl
 from .data import Dataset
 from .errors import DimensionMismatch, LogDetRegError, McFailure, NonFiniteState
-from .linalg import SpdMatrix, logdet, spd_from_symmetric
+from .linalg import SpdMatrix, spd_from_symmetric
 from .optimize import OptimOptions
 
 RNG_KIND = "pcg64-ziggurat"
@@ -48,6 +48,8 @@ class SimRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n < 1 or self.burn_in < 0:
+            raise DimensionMismatch(f"need n >= 1 and burn_in >= 0, got {self.n}, {self.burn_in}")
         if self.gamma0.dim != self.spec.output_dim:
             raise DimensionMismatch("gamma0 dimension must match the output dimension")
         if self.mode is SimMode.NAR_PROCESS and self.spec.input_dim < self.spec.output_dim:
@@ -57,10 +59,6 @@ class SimRecipe:
             if y0.shape != (self.spec.output_dim,):
                 raise DimensionMismatch("y0 must have length d")
             object.__setattr__(self, "y0", y0)
-
-
-def sub_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
 def sample_gaussian(gamma: SpdMatrix, count: int, rng) -> np.ndarray:
@@ -165,7 +163,6 @@ def run_mc(
     replications: int,
     seed: int,
     opts: OptimOptions,
-    fit_spec: mdl.ModelSpec | None = None,
 ) -> McReport:
     """Replicated simulation + estimation.
 
@@ -179,11 +176,10 @@ def run_mc(
     for name in estimators:
         if name not in _ESTIMATORS:
             raise McFailure(f"unknown estimator {name!r}")
-    spec = fit_spec if fit_spec is not None else recipe.spec
 
     def estimate(j: int, name: str, data: Dataset, r: int) -> np.ndarray:
         fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
-        return _ESTIMATORS[name](spec, data, fit_opts).gamma_hat.entries
+        return _ESTIMATORS[name](recipe.spec, data, fit_opts).gamma_hat.entries
 
     results = replicate(
         lambda data_seed: gen_series(replace(recipe, seed=data_seed)),

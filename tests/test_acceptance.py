@@ -37,7 +37,8 @@ from logdetreg import (
 )
 from logdetreg.cli import main as cli_main
 from logdetreg.cost import ResidualSet, logdet_cost, logdet_gradient, logdet_hessian
-from logdetreg.simulate import bivariate_nar_recipe, sub_rng
+from logdetreg.optimize import start_rng
+from logdetreg.simulate import bivariate_nar_recipe
 from conftest import fd_gradient, fd_jacobian, make_instance, residual_set
 
 FULL = os.environ.get("LOGDETREG_ACCEPTANCE_FULL") == "1"
@@ -73,7 +74,7 @@ def correlated_design(master_seed, r, n, w0):
     information-matrix entry is bounded away from zero."""
     m_chol = np.linalg.cholesky(np.array([[2.0, 1.6], [1.6, 2.0]]))
     mu = np.array([1.0, -0.5])
-    rng = sub_rng(master_seed, r)
+    rng = start_rng(master_seed, r)
     z = mu + rng.standard_normal((n, 2)) @ m_chol.T
     eps = sample_gaussian(GAMMA0, n, rng)
     y = z @ w0.reshape(2, 2).T + eps
@@ -299,8 +300,8 @@ def test_10_determinism(tmp_path, capsys):
     full = ModelSpec(ModelKind.LINEAR, 3, 2)
     wr = ParamVector(np.array([1.0, -0.5, 0.8, 0.6]), restricted)
     null_recipe = SimRecipe(SimMode.IID_REGRESSION, restricted, wr, GAMMA0, n=80, seed=0)
-    c3 = mc_null_calibrate(restricted, full, null_recipe, 80, 3, 9, opts)
-    c5 = mc_null_calibrate(restricted, full, null_recipe, 80, 5, 9, opts)
+    c3 = mc_null_calibrate(restricted, full, null_recipe, 3, 9, opts)
+    c5 = mc_null_calibrate(restricted, full, null_recipe, 5, 9, opts)
     ok &= c3.samples.size == 3 and not Counter(c3.samples.tolist()) - Counter(c5.samples.tolist())
     # CLI pipeline byte-for-byte
     from logdetreg import save_model

@@ -369,3 +369,60 @@ class TestMc:
         assert doc["replications"] == 4
         assert 0.0 <= doc["rejection_rate"] <= 1.0
         assert doc["failures"] == 0
+
+
+class TestExitCodes:
+    """Bad input exits 2 and names the file or flag at fault; an internal
+    error is not disguised as a usage error."""
+
+    @pytest.mark.parametrize(
+        "doc, detail",
+        [
+            ({"kind": "linear", "input_dim": 2}, "output_dim"),
+            ({"kind": "cubic", "input_dim": 2, "output_dim": 2}, "cubic"),
+        ],
+        ids=["missing_field", "unknown_kind"],
+    )
+    def test_bad_model_file(self, tmp_path, doc, detail, capsys):
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        data.write_text("z1,z2,y1,y2\n1.0,2.0,3.0,4.0\n")
+        code, _, err = run(["fit", "--model", str(path), "--data", str(data)], capsys)
+        assert code == 2
+        assert str(path) in err and detail in err
+
+    def test_malformed_recipe(self, tmp_path, linear22, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        recipe = tmp_path / "d.recipe.json"
+        doc = json.loads(recipe.read_text())
+        del doc["gamma0"]
+        recipe.write_text(json.dumps(doc))
+        code, _, err = run(["mc", "--recipe", str(recipe), "--reps", "2"], capsys)
+        assert code == 2
+        assert str(recipe) in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--starts", "0"), ("--grad-tol", "0"), ("--max-iters", "0")]
+    )
+    def test_bad_optimizer_flag(self, tmp_path, linear22, flag, value, capsys):
+        data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        code, _, err = run(["fit", "--model", linear22, "--data", data, flag, value], capsys)
+        assert code == 2
+        assert flag in err
+
+    def test_negative_size_usage_error(self, capsys):
+        code, _, err = run(["mc", "--experiment", "test-size", "--reps", "2", "--n", "-3"], capsys)
+        assert code == 2
+        assert "n >= 1" in err
+
+    def test_internal_value_error_propagates(self, tmp_path, linear22, capsys, monkeypatch):
+        import logdetreg.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        monkeypatch.setattr(cli, "fit_logdet", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["fit", "--model", linear22, "--data", data])

@@ -18,12 +18,12 @@ from logdetreg import (
     gen_series,
     spd_from_symmetric,
 )
-from logdetreg.cost import empirical_covariance, logdet_gradient
+from logdetreg.cost import empirical_covariance, information, logdet_gradient
 from logdetreg.errors import NonIdentifiable, UnderDetermined
 from logdetreg.estimate import _objective, _ols_closed_form
 from logdetreg.optimize import bfgs_minimize
 from logdetreg.model import eval_batch
-from conftest import residual_set
+from conftest import make_instance, residual_set
 
 
 OPTS = OptimOptions(n_starts=3, seed=17)
@@ -228,6 +228,15 @@ class TestFisherInfo:
         y = eval_batch(spec, w, z) + rng.standard_normal((100, 1))
         with pytest.raises(NonIdentifiable):
             fisher_info(spec, w, Dataset(z, y))
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 5])
+    def test_information_is_shared(self, index):
+        # fisher_info's matrix is cost.information, symmetrized as every
+        # SpdMatrix is, with no other arithmetic in between
+        spec, w, data = make_instance(index, n=80)
+        rs = residual_set(spec, w, data)
+        info = information(rs, empirical_covariance(rs))
+        np.testing.assert_array_equal(fisher_info(spec, w, data)[0].entries, 0.5 * (info + info.T))
 
     def test_hessian_matches_information_at_truth(self):
         # HU_n(w0)/2 ~= I0_hat at large n

@@ -197,21 +197,21 @@ class TestMcNullCalibrate:
 
     def test_deterministic_per_seed(self):
         restricted, full, recipe = calibration_setup()
-        a = mc_null_calibrate(restricted, full, recipe, recipe.n, 5, 99, self.OPTS)
-        b = mc_null_calibrate(restricted, full, recipe, recipe.n, 5, 99, self.OPTS)
+        a = mc_null_calibrate(restricted, full, recipe, 5, 99, self.OPTS)
+        b = mc_null_calibrate(restricted, full, recipe, 5, 99, self.OPTS)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.failures == 0
 
     def test_samples_sorted_nonnegative(self):
         restricted, full, recipe = calibration_setup()
-        res = mc_null_calibrate(restricted, full, recipe, recipe.n, 6, 7, self.OPTS)
+        res = mc_null_calibrate(restricted, full, recipe, 6, 7, self.OPTS)
         assert res.samples.size == 6
         assert np.all(np.diff(res.samples) >= 0)
         assert np.all(res.samples >= 0)
 
     def test_p_value_bounds(self):
         restricted, full, recipe = calibration_setup()
-        res = mc_null_calibrate(restricted, full, recipe, recipe.n, 5, 11, self.OPTS)
+        res = mc_null_calibrate(restricted, full, recipe, 5, 11, self.OPTS)
         # all draws exceed 0, none exceed +inf: (1 + count) / (R + 1)
         assert res.p_value(0.0) == 1.0
         assert res.p_value(np.inf) == pytest.approx(1.0 / 6.0)
@@ -219,13 +219,13 @@ class TestMcNullCalibrate:
     def test_zero_replications_rejected(self):
         restricted, full, recipe = calibration_setup()
         with pytest.raises(EmptyCalibration):
-            mc_null_calibrate(restricted, full, recipe, recipe.n, 0, 1, self.OPTS)
+            mc_null_calibrate(restricted, full, recipe, 0, 1, self.OPTS)
 
     def test_unknown_statistic_rejected(self):
         restricted, full, recipe = calibration_setup()
         with pytest.raises(ValueError):
             mc_null_calibrate(
-                restricted, full, recipe, recipe.n, 2, 1, self.OPTS, statistic="bogus"
+                restricted, full, recipe, 2, 1, self.OPTS, statistic="bogus"
             )
 
     def test_callable_generator_path(self):
@@ -241,15 +241,15 @@ class TestMcNullCalibrate:
             pred = eval_batch(recipe.spec, recipe.w_true, base.inputs)
             return Dataset(base.inputs, pred + eps)
 
-        a = mc_null_calibrate(restricted, full, generator, base.n, 4, 21, self.OPTS)
-        b = mc_null_calibrate(restricted, full, generator, base.n, 4, 21, self.OPTS)
+        a = mc_null_calibrate(restricted, full, generator, 4, 21, self.OPTS)
+        b = mc_null_calibrate(restricted, full, generator, 4, 21, self.OPTS)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.samples.size == 4
 
     def test_sn_statistic_path(self):
         restricted, full, recipe = calibration_setup()
         res = mc_null_calibrate(
-            restricted, full, recipe, recipe.n, 4, 13, self.OPTS, statistic="sn"
+            restricted, full, recipe, 4, 13, self.OPTS, statistic="sn"
         )
         assert res.samples.size == 4
         assert np.all(res.samples >= 0)
@@ -262,7 +262,7 @@ class TestMcNullCalibrate:
             return Dataset(np.ones((2, 3)), np.ones((2, 2)))
 
         with pytest.raises(McFailure):
-            mc_null_calibrate(restricted, full, generator, 2, 4, 1, self.OPTS)
+            mc_null_calibrate(restricted, full, generator, 4, 1, self.OPTS)
 
     def test_generator_type_error_propagates(self):
         restricted, full, _ = calibration_setup()
@@ -271,7 +271,7 @@ class TestMcNullCalibrate:
             raise TypeError("bug in the generator")
 
         with pytest.raises(TypeError, match="bug in the generator"):
-            mc_null_calibrate(restricted, full, generator, 100, 4, 1, self.OPTS)
+            mc_null_calibrate(restricted, full, generator, 4, 1, self.OPTS)
 
     def test_fit_type_error_is_not_a_failed_replication(self, monkeypatch):
         # only package and linear-algebra errors count as failed
@@ -285,10 +285,10 @@ class TestMcNullCalibrate:
 
         monkeypatch.setattr(inf, "fit_logdet", broken)
         with pytest.raises(TypeError, match="bug in the estimator"):
-            mc_null_calibrate(restricted, full, recipe, recipe.n, 4, 1, self.OPTS)
+            mc_null_calibrate(restricted, full, recipe, 4, 1, self.OPTS)
 
     def test_quantile(self):
         restricted, full, recipe = calibration_setup()
-        res = mc_null_calibrate(restricted, full, recipe, recipe.n, 5, 31, self.OPTS)
+        res = mc_null_calibrate(restricted, full, recipe, 5, 31, self.OPTS)
         assert res.quantile(0.0) == res.samples[0]
         assert res.quantile(1.0) == res.samples[-1]

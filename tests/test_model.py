@@ -5,14 +5,13 @@ import pytest
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from logdetreg.errors import DimensionMismatch
-from logdetreg.model import (
-    eval_batch,
-    evaluate,
-    jacobian_batch,
-    jacobian_params,
-    second_derivs_params,
-)
+from logdetreg.model import eval_batch, evaluate, jacobian_batch, second_derivs_vdot
 from conftest import fd_jacobian, make_instance
+
+
+def jacobian_at(spec, w, z):
+    """d x K Jacobian at a single input."""
+    return jacobian_batch(spec, w, np.asarray(z, dtype=float)[None, :])[0]
 
 
 class TestModelSpec:
@@ -105,13 +104,13 @@ class TestJacobian:
     def test_linear_identity_case(self):
         spec = ModelSpec(ModelKind.LINEAR, 2, 2)
         w = ParamVector(np.eye(2).reshape(-1), spec)
-        jac = jacobian_params(spec, w, np.array([1.0, 2.0]))
+        jac = jacobian_at(spec, w, np.array([1.0, 2.0]))
         np.testing.assert_allclose(jac, [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0]])
 
     def test_mlp_scalar_db(self):
         spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
         w = ParamVector(np.array([1.0, 0.0, 2.0, 0.0]), spec)
-        jac = jacobian_params(spec, w, np.array([0.5]))
+        jac = jacobian_at(spec, w, np.array([0.5]))
         assert jac[0, 2] == pytest.approx(np.tanh(0.5), rel=1e-12)  # 0.46212...
 
     @pytest.mark.parametrize("index", range(18))
@@ -123,7 +122,7 @@ class TestJacobian:
             return evaluate(spec, ParamVector(x, spec), z)
 
         fd = fd_jacobian(f, w.values)
-        jac = jacobian_params(spec, w, z)
+        jac = jacobian_at(spec, w, z)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(jac - fd) / scale) < 1e-6
 
@@ -134,40 +133,55 @@ class TestJacobian:
         spec = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask)
         w = ParamVector(np.array([1.0, 2.0, 3.0, 4.0]), spec)
         z = np.array([0.3, -0.7, 1.1])
-        jac = jacobian_params(spec, w, z)
+        jac = jacobian_at(spec, w, z)
         assert jac.shape == (2, 4)
         full = ModelSpec(ModelKind.LINEAR, 3, 2)
         wf = ParamVector(w.full_grid(), full)
         np.testing.assert_allclose(evaluate(spec, w, z), evaluate(full, wf, z))
 
 
+def vdot_against_fd(spec, w, data):
+    """(contraction, FD Jacobian of the VJP x -> sum_t J_t(x)^T v_t) for a
+    seeded random weight array v."""
+    v = np.random.default_rng(spec.param_count).standard_normal(data.outputs.shape)
+
+    def vjp(x):
+        return np.einsum("tik,ti->k", jacobian_batch(spec, ParamVector(x, spec), data.inputs), v)
+
+    return second_derivs_vdot(spec, w, data.inputs, v), fd_jacobian(vjp, w.values)
+
+
 class TestSecondDerivs:
     def test_linear_all_zero(self):
-        spec = ModelSpec(ModelKind.LINEAR, 3, 2)
-        w = ParamVector(np.arange(6.0), spec)
-        sec = second_derivs_params(spec, w, np.array([1.0, 2.0, 3.0]))
-        assert sec.shape == (6, 6, 2)
-        assert np.all(sec == 0.0)
+        z = np.array([[1.0, 2.0, 3.0], [-0.5, 0.1, 0.7]])
+        v = np.array([[0.3, -1.2], [2.0, 0.4]])
+        mask = np.array([True, False, True, True, True, False])
+        for spec in (
+            ModelSpec(ModelKind.LINEAR, 3, 2),
+            ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask),
+        ):
+            w = ParamVector(np.arange(float(spec.param_count)), spec)
+            sec = second_derivs_vdot(spec, w, z, v)
+            assert sec.shape == (spec.param_count, spec.param_count)
+            assert np.all(sec == 0.0)
 
     @pytest.mark.parametrize("index", [2, 5, 8, 11, 14])
     def test_schwarz_symmetry(self, index):
         spec, w, data = make_instance(index, n=3)
-        sec = second_derivs_params(spec, w, data.inputs[0])
-        np.testing.assert_array_equal(sec, sec.transpose(1, 0, 2))
+        sec, _ = vdot_against_fd(spec, w, data)
+        assert np.max(np.abs(sec - sec.T)) <= 1e-14 * max(1.0, np.max(np.abs(sec)))
 
     @pytest.mark.parametrize("index", [2, 5, 8, 11, 14, 17])
     def test_matches_fd_of_jacobian(self, index):
-        spec, w, data = make_instance(index, n=3)
-        z = data.inputs[0]
+        sec, fd = vdot_against_fd(*make_instance(index, n=3))
+        scale = np.maximum(np.abs(fd), 1.0)
+        assert np.max(np.abs(sec - fd) / scale) < 1e-5
 
-        def jac_at(x):
-            return jacobian_params(spec, ParamVector(x, spec), z)
-
-        fd = fd_jacobian(jac_at, w.values)  # (d, K, K)
-        sec = second_derivs_params(spec, w, z)  # (K, K, d)
-        fd_aligned = fd.transpose(1, 2, 0)
-        scale = np.maximum(np.abs(fd_aligned), 1.0)
-        assert np.max(np.abs(sec - fd_aligned) / scale) < 1e-5
+    @pytest.mark.parametrize("index", [2, 11, 17])
+    def test_single_output_matches_fd(self, index):
+        sec, fd = vdot_against_fd(*make_instance(index, n=3, d=1))
+        scale = np.maximum(np.abs(fd), 1.0)
+        assert np.max(np.abs(sec - fd) / scale) < 1e-5
 
 
 class TestModelFile:

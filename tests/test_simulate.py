@@ -15,12 +15,12 @@ from logdetreg import (
 )
 from logdetreg.errors import DimensionMismatch, McFailure, NonFiniteState
 from logdetreg.model import eval_batch
+from logdetreg.optimize import start_rng
 from logdetreg.simulate import (
     RNG_KIND,
     bivariate_nar_recipe,
     recipe_from_dict,
     recipe_to_dict,
-    sub_rng,
 )
 
 
@@ -63,6 +63,11 @@ def linear_nar_recipe(coef=0.5, n=50, seed=0, burn_in=10, y0=None):
 
 
 class TestGenSeries:
+    @pytest.mark.parametrize("n, burn_in", [(0, 10), (-3, 10), (50, -1)])
+    def test_recipe_sizes_checked(self, n, burn_in):
+        with pytest.raises(DimensionMismatch):
+            linear_nar_recipe(n=n, burn_in=burn_in)
+
     def test_iid_shapes_and_determinism(self, gamma_strong):
         spec = ModelSpec(ModelKind.LINEAR, 3, 2)
         w = ParamVector(np.arange(6, dtype=float) / 6.0, spec)
@@ -170,9 +175,9 @@ class TestRecipeRoundTrip:
 
 class TestSubRng:
     def test_counter_based_streams(self):
-        a = sub_rng(5, 0).standard_normal(4)
-        b = sub_rng(5, 0).standard_normal(4)
-        c = sub_rng(5, 1).standard_normal(4)
+        a = start_rng(5, 0).standard_normal(4)
+        b = start_rng(5, 0).standard_normal(4)
+        c = start_rng(5, 1).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
