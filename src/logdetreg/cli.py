@@ -85,6 +85,11 @@ def _optim_options(args, n_starts_default: int = 20) -> OptimOptions:
     )
 
 
+def _check_alpha(args) -> None:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError("--alpha must be in (0, 1)")
+
+
 def _fit_report(fit: FitResult, extra: dict | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -187,6 +192,9 @@ def cmd_test(args) -> int:
     spec_f, _ = _read_json(args.full, mdl.spec_from_dict)
     data = load_csv(args.data)
     opts = _optim_options(args)
+    _check_alpha(args)
+    if args.calibrate < 0:
+        raise UsageError("--calibrate must be >= 0")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "test",
@@ -277,12 +285,15 @@ def cmd_mc(args) -> int:
     if args.reps < 2:
         raise UsageError("--reps must be >= 2")
     opts = _optim_options(args, n_starts_default=5)
+    _check_alpha(args)
     if args.experiment == "test-size":
         return _mc_test_size(args, opts)
     if not args.recipe:
         raise UsageError("mc requires --recipe (or --experiment test-size)")
     recipe = _read_json(args.recipe, sim.recipe_from_dict)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
+    if not 0 < len(sim.ESTIMATORS.keys() & set(estimators)) == len(estimators):
+        raise UsageError(f"--estimators must list distinct names from {', '.join(sim.ESTIMATORS)}")
     report = sim.run_mc(recipe, estimators, args.reps, args.seed, opts)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -320,7 +331,8 @@ def cmd_mc(args) -> int:
 
 def _mc_test_size(args, opts: OptimOptions) -> int:
     """Empirical size of the nested log-det test on an H0-true linear pair."""
-    n = args.n or 1000
+    if args.n < 1:
+        raise UsageError(f"--n must satisfy n >= 1, got {args.n}")
     d, din = 2, 3
     full = mdl.ModelSpec(mdl.ModelKind.LINEAR, input_dim=din, output_dim=d)
     mask = np.ones(d * din, dtype=bool)
@@ -333,7 +345,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         spec=restricted,
         w_true=w_true,
         gamma0=gamma0,
-        n=n,
+        n=args.n,
     )
     calib = inference.mc_null_calibrate(
         restricted, full, recipe, args.reps, args.seed, opts, statistic="tn"
@@ -345,7 +357,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         "command": "mc",
         "experiment": "test-size",
         "replications": args.reps,
-        "n": n,
+        "n": args.n,
         "alpha": alpha,
         "rejection_rate": rate,
         "failures": calib.failures,
@@ -413,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--experiment", choices=["covariance", "test-size"], default="covariance")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=1000, help="sample size of --experiment test-size")
     common(p)
     p.set_defaults(func=cmd_mc)
 

@@ -123,18 +123,9 @@ def _gls_terms(rs: ResidualSet, weight: SpdMatrix) -> tuple[float, np.ndarray]:
     return float(np.sum(r * wr) / rs.n), wr
 
 
-def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
-    return _gls_terms(rs, weight)[0]
-
-
 def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
     value, wr = _gls_terms(rs, weight)
     return CostReport(value=value, gradient=_chain(rs, wr))
-
-
-def logdet_cost(rs: ResidualSet) -> CostReport:
-    gamma = empirical_covariance(rs)
-    return CostReport(value=logdet(gamma), gamma_n=gamma)
 
 
 def _a_tensor(rs: ResidualSet) -> np.ndarray:
@@ -146,19 +137,6 @@ def logdet_gradient(rs: ResidualSet) -> CostReport:
     gamma = empirical_covariance(rs)
     gr = gamma.solve(rs.residuals.T).T  # G r_t, (n, d)
     return CostReport(value=logdet(gamma), gradient=_chain(rs, gr), gamma_n=gamma)
-
-
-def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
-    """Per-entry route: grad_k = vec(G)^T vec(dGamma/dw_k).
-
-    Redundant with :func:`logdet_gradient`; kept as an independent
-    cross-check of the trace form.
-    """
-    gamma = empirical_covariance(rs)
-    g = gamma.solve(np.eye(gamma.dim))
-    a = _a_tensor(rs)
-    dgamma = a + a.transpose(0, 2, 1)
-    return np.einsum("ij,kij->k", g, dgamma)
 
 
 def information(rs: ResidualSet, gamma: SpdMatrix) -> np.ndarray:

@@ -64,13 +64,14 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
 def _residuals_at(spec, data, x, jac=None) -> cst.ResidualSet | None:
     """Residuals at x, or None when the prediction overflowed (treated as
     an infinite-cost trial point by the objective)."""
-    pred = mdl.eval_batch(spec, mdl.ParamVector(x, spec), data.inputs)
+    w = mdl.ParamVector(x, spec)
+    pred = mdl.eval_batch(spec, w, data.inputs)
     if not np.all(np.isfinite(pred)):
         return None
     return cst.ResidualSet(
         residuals=data.outputs - pred,
         spec=spec,
-        w=mdl.ParamVector(x, spec),
+        w=w,
         inputs=data.inputs,
         _jacobians=jac,
     )

@@ -117,9 +117,6 @@ class CalibrationResult:
         count = int(np.sum(self.samples >= observed))
         return (1 + count) / (r + 1)
 
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.samples, q))
-
 
 def mc_null_calibrate(
     spec_restricted: mdl.ModelSpec,

@@ -1,9 +1,9 @@
 """Small dense symmetric-matrix kernel.
 
 Everything the cost and inference layers need from linear algebra:
-Cholesky-backed SPD matrices, log-determinants, inverses and
-trace-of-product contractions. Matrices here are tiny (the output
-dimension of the regression, typically 2), so everything is dense.
+Cholesky-backed SPD matrices, their solves and log-determinants.
+Matrices here are tiny (the output dimension of the regression,
+typically 2), so everything is dense.
 """
 
 from __future__ import annotations
@@ -87,17 +87,3 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
 def logdet(g: SpdMatrix) -> float:
     """log det of an SPD matrix, via the cached Cholesky diagonal."""
     return 2.0 * float(np.sum(np.log(np.diag(g.chol))))
-
-
-def spd_inverse(g: SpdMatrix) -> SpdMatrix:
-    """Inverse of an SPD matrix, returned as a valid :class:`SpdMatrix`."""
-    inv = cho_solve((g.chol, True), np.eye(g.dim))
-    return spd_from_symmetric(0.5 * (inv + inv.T))
-
-
-def trace_product(g_inv: SpdMatrix, a: np.ndarray) -> float:
-    """``tr(g_inv @ a)`` without materializing the product."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != g_inv.entries.shape:
-        raise DimensionMismatch(f"trace_product: {g_inv.entries.shape} vs {a.shape}")
-    return float(np.sum(g_inv.entries * a.T))

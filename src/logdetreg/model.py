@@ -13,6 +13,9 @@ Flattening order (stable contract for JSON round trips and pruning masks):
   block shaped ``(H, d')`` row-major, ``c`` shaped ``(H,)``, the ``b``
   block shaped ``(H, d)`` row-major, and the bias shaped ``(d,)``, for
   ``F_w(z) = sum_h b_h tanh(a_h . z + c_h) + bias``.
+
+:func:`predictor` is the one forward map (``w`` unpacked once), and
+``_mlp_blocks`` the one statement of the MLP grid layout.
 """
 
 from __future__ import annotations
@@ -111,17 +114,16 @@ class ParamVector:
         return grid
 
 
-def _mlp_blocks(spec: ModelSpec, grid: np.ndarray):
+def _mlp_blocks(spec: ModelSpec, arr: np.ndarray):
+    """The MLP grid layout: views of the a, c, b and bias blocks on the last
+    axis of ``arr`` (a grid, a Jacobian, or an array of grid indices), with
+    the a and b blocks split into ``(H, d')`` and ``(H, d)``."""
     h, din, dout = spec.hidden_units, spec.input_dim, spec.output_dim
-    i = 0
-    a = grid[i : i + h * din].reshape(h, din)
-    i += h * din
-    c = grid[i : i + h]
-    i += h
-    b = grid[i : i + h * dout].reshape(h, dout)
-    i += h * dout
-    bias = grid[i : i + dout]
-    return a, c, b, bias
+    lead = arr.shape[:-1]
+    i_c, i_b, i_bias = h * din, h * din + h, h * din + h + h * dout
+    a = arr[..., :i_c].reshape(*lead, h, din)
+    b = arr[..., i_b:i_bias].reshape(*lead, h, dout)
+    return a, arr[..., i_c:i_b], b, arr[..., i_bias:]
 
 
 def _check_inputs(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
@@ -131,21 +133,20 @@ def _check_inputs(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the model on an (n, d') input batch; returns (n, d)."""
-    z = _check_inputs(spec, inputs)
+def predictor(spec: ModelSpec, w: ParamVector):
+    """The batch map ``z -> F_w(z)`` from (n, d') inputs to (n, d) outputs,
+    with ``w`` unpacked once; the map does not check its input."""
     grid = w.full_grid()
     if spec.kind is ModelKind.MLP:
         a, c, b, bias = _mlp_blocks(spec, grid)
-        t = np.tanh(z @ a.T + c)
-        return t @ b + bias
+        return lambda z: np.tanh(z @ a.T + c) @ b + bias
     wmat = grid.reshape(spec.output_dim, spec.input_dim)
-    return z @ wmat.T
+    return lambda z: z @ wmat.T
 
 
-def evaluate(spec: ModelSpec, w: ParamVector, z: np.ndarray) -> np.ndarray:
-    """F_w(z) for a single input vector."""
-    return eval_batch(spec, w, np.asarray(z, dtype=float)[None, :])[0]
+def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
+    """Evaluate the model on an (n, d') input batch; returns (n, d)."""
+    return predictor(spec, w)(_check_inputs(spec, inputs))
 
 
 def jacobian_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
@@ -158,32 +159,24 @@ def jacobian_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.nd
     z = _check_inputs(spec, inputs)
     n = z.shape[0]
     d = spec.output_dim
-    grid_k = spec.full_param_count
+    idx = np.arange(d)
+    jac = np.zeros((n, d, spec.full_param_count))
 
     if spec.kind is ModelKind.MLP:
-        a, c, b, bias = _mlp_blocks(spec, w.full_grid())
-        h, din = a.shape
+        a, c, b, _ = _mlp_blocks(spec, w.full_grid())
         t = np.tanh(z @ a.T + c)  # (n, h)
         dt = 1.0 - t * t
-        jac = np.empty((n, d, grid_k))
+        ja, jc, jb, jbias = _mlp_blocks(spec, jac)
         # a block: dF_i/da_{hj} = b[h,i] * dt[t,h] * z[t,j]
-        ja = np.einsum("hi,th,tj->tihj", b, dt, z)
-        jac[:, :, : h * din] = ja.reshape(n, d, h * din)
+        ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
         # c block: dF_i/dc_h = b[h,i] * dt[t,h]
-        jac[:, :, h * din : h * din + h] = np.einsum("hi,th->tih", b, dt)
+        jc[...] = np.einsum("hi,th->tih", b, dt)
         # b block: dF_i/db_{hi'} = delta_{ii'} * t[t,h]
-        jb = np.zeros((n, d, h, d))
-        idx = np.arange(d)
-        jb[:, idx, :, idx] = t[:, None, :].transpose(1, 0, 2)
-        jac[:, :, h * din + h : h * din + h + h * d] = jb.reshape(n, d, h * d)
+        jb[:, idx, :, idx] = t
         # output bias: identity
-        jac[:, :, h * din + h + h * d :] = np.eye(d)
+        jbias[...] = np.eye(d)
     else:
-        din = spec.input_dim
-        jac = np.zeros((n, d, d, din))
-        idx = np.arange(d)
-        jac[:, idx, idx, :] = z[:, None, :]
-        jac = jac.reshape(n, d, grid_k)
+        jac.reshape(n, d, d, spec.input_dim)[:, idx, idx, :] = z[:, None, :]
 
     return jac[:, :, spec.effective_mask]
 
@@ -206,8 +199,7 @@ def second_derivs_vdot(
     if spec.kind is not ModelKind.MLP:
         return np.zeros((spec.param_count, spec.param_count))
 
-    a, c, b, bias = _mlp_blocks(spec, w.full_grid())
-    h, din = a.shape
+    a, c, b, _ = _mlp_blocks(spec, w.full_grid())
     t = np.tanh(z @ a.T + c)
     dt = 1.0 - t * t
     ddt = -2.0 * t * dt  # tanh'' reusing the forward value
@@ -216,11 +208,10 @@ def second_derivs_vdot(
     acb = np.einsum("th,tj,ti->hji", dt, zt, v)
 
     # grid indices of unit h's [a_h | c_h] and b_h entries
-    ac = np.concatenate(
-        [np.arange(h * din).reshape(h, din), h * din + np.arange(h)[:, None]], axis=1
-    )
-    bh = (h * din + h + np.arange(h * spec.output_dim)).reshape(h, -1)
-    full = np.zeros((spec.full_param_count, spec.full_param_count))
+    grid_k = spec.full_param_count
+    ia, ic, bh, _ = _mlp_blocks(spec, np.arange(grid_k))
+    ac = np.concatenate([ia, ic[:, None]], axis=1)
+    full = np.zeros((grid_k, grid_k))
     full[ac[:, :, None], ac[:, None, :]] = acac
     full[ac[:, :, None], bh[:, None, :]] = acb
     full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)

@@ -22,6 +22,7 @@ TIE_TOL = 1e-12
 _MAX_LS = 60
 _SLACK = 4.0 * np.finfo(float).eps
 _STALL_LIMIT = 5
+INIT_LOW, INIT_HIGH = -2.0, 2.0  # box of the uniform random starts
 
 
 @dataclass(frozen=True)
@@ -29,15 +30,11 @@ class OptimOptions:
     max_iters: int = 500
     grad_tol: float = 1e-6
     n_starts: int = 20
-    init_low: float = -2.0
-    init_high: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1 or self.grad_tol <= 0 or self.n_starts < 1:
             raise ValueError("invalid optimizer options")
-        if self.init_low >= self.init_high:
-            raise ValueError("init_low must be below init_high")
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,7 @@ def start_rng(seed: int, start_index: int) -> np.random.Generator:
 
 def initial_point(spec: ModelSpec, opts: OptimOptions, start_index: int) -> np.ndarray:
     rng = start_rng(opts.seed, start_index)
-    return rng.uniform(opts.init_low, opts.init_high, size=spec.param_count)
+    return rng.uniform(INIT_LOW, INIT_HIGH, size=spec.param_count)
 
 
 def multi_start(

@@ -61,15 +61,14 @@ class SimRecipe:
             object.__setattr__(self, "y0", y0)
 
 
-def sample_gaussian(gamma: SpdMatrix, count: int, rng) -> np.ndarray:
+def sample_gaussian(gamma: SpdMatrix, count: int, rng: np.random.Generator) -> np.ndarray:
     """count i.i.d. draws from N(0, gamma), as chol @ standard normals."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     return rng.standard_normal((count, gamma.dim)) @ gamma.chol.T
 
 
 def gen_series(recipe: SimRecipe) -> Dataset:
-    """Generate a dataset from a recipe; deterministic per seed."""
+    """Generate a dataset from a recipe; deterministic per seed.  The NAR
+    recursion draws all its noise first, then the exogenous uniforms."""
     rng = np.random.default_rng(np.random.SeedSequence([int(recipe.seed)]))
     spec, w, n = recipe.spec, recipe.w_true, recipe.n
 
@@ -80,19 +79,18 @@ def gen_series(recipe: SimRecipe) -> Dataset:
         return Dataset(z, y)
 
     d = spec.output_dim
-    n_exo = spec.input_dim - d
     total = recipe.burn_in + n
     eps = sample_gaussian(recipe.gamma0, total, rng)
-    exo = rng.uniform(-1.0, 1.0, size=(total, n_exo)) if n_exo else None
-    state = recipe.y0 if recipe.y0 is not None else np.zeros(d)
     zs = np.empty((total, spec.input_dim))
+    zs[:, d:] = rng.uniform(-1.0, 1.0, size=(total, spec.input_dim - d))
     ys = np.empty((total, d))
+    step = mdl.predictor(spec, w)
+    state = recipe.y0 if recipe.y0 is not None else np.zeros(d)
     for t in range(total):
-        z_t = state if exo is None else np.concatenate([state, exo[t]])
-        state = mdl.evaluate(spec, w, z_t) + eps[t]
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > _STATE_CAP:
+        zs[t, :d] = state
+        state = step(zs[t : t + 1])[0] + eps[t]
+        if not np.max(np.abs(state)) <= _STATE_CAP:
             raise NonFiniteState(f"recursion diverged at step {t}")
-        zs[t] = z_t
         ys[t] = state
     return Dataset(zs[recipe.burn_in :], ys[recipe.burn_in :])
 
@@ -122,7 +120,7 @@ class McReport:
         raise KeyError(name)
 
 
-_ESTIMATORS = {
+ESTIMATORS = {
     "logdet": est.fit_logdet,
     "mse": est.fit_ols,
 }
@@ -174,12 +172,12 @@ def run_mc(
     if replications < 2:
         raise McFailure("at least 2 replications are required")
     for name in estimators:
-        if name not in _ESTIMATORS:
+        if name not in ESTIMATORS:
             raise McFailure(f"unknown estimator {name!r}")
 
     def estimate(j: int, name: str, data: Dataset, r: int) -> np.ndarray:
         fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
-        return _ESTIMATORS[name](recipe.spec, data, fit_opts).gamma_hat.entries
+        return ESTIMATORS[name](recipe.spec, data, fit_opts).gamma_hat.entries
 
     results = replicate(
         lambda data_seed: gen_series(replace(recipe, seed=data_seed)),

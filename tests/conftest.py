@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
-from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, spd_from_symmetric
-from logdetreg.cost import ResidualSet
+from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, logdet, spd_from_symmetric
+from logdetreg.cost import CostReport, ResidualSet, _a_tensor, _gls_terms, empirical_covariance
+from logdetreg.errors import DimensionMismatch
+from logdetreg.linalg import SpdMatrix
 
 
 def fd_gradient(func, x, h_scale=1e-6):
@@ -62,6 +65,47 @@ def make_instance(index, n=200, d=2):
 
 def residual_set(spec, w, data):
     return ResidualSet.from_model(spec, w, data)
+
+
+# --- oracles: independent routes to values the library computes otherwise ---
+
+def spd_inverse(g: SpdMatrix) -> SpdMatrix:
+    """Inverse of an SPD matrix, returned as a valid :class:`SpdMatrix`."""
+    inv = cho_solve((g.chol, True), np.eye(g.dim))
+    return spd_from_symmetric(0.5 * (inv + inv.T))
+
+
+def trace_product(g_inv: SpdMatrix, a: np.ndarray) -> float:
+    """``tr(g_inv @ a)`` without materializing the product."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != g_inv.entries.shape:
+        raise DimensionMismatch(f"trace_product: {g_inv.entries.shape} vs {a.shape}")
+    return float(np.sum(g_inv.entries * a.T))
+
+
+def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
+    return _gls_terms(rs, weight)[0]
+
+
+def logdet_cost(rs: ResidualSet) -> CostReport:
+    """U_n alone, without the gradient (needs no Jacobians)."""
+    gamma = empirical_covariance(rs)
+    return CostReport(value=logdet(gamma), gamma_n=gamma)
+
+
+def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
+    """Per-entry route: grad_k = vec(G)^T vec(dGamma/dw_k), an independent
+    cross-check of the trace form in ``logdet_gradient``."""
+    gamma = empirical_covariance(rs)
+    g = gamma.solve(np.eye(gamma.dim))
+    a = _a_tensor(rs)
+    dgamma = a + a.transpose(0, 2, 1)
+    return np.einsum("ij,kij->k", g, dgamma)
+
+
+def calibration_quantile(result, q: float) -> float:
+    """Empirical q-quantile of a CalibrationResult's null samples."""
+    return float(np.quantile(result.samples, q))
 
 
 @pytest.fixture

@@ -36,10 +36,10 @@ from logdetreg import (
     tn_test,
 )
 from logdetreg.cli import main as cli_main
-from logdetreg.cost import ResidualSet, logdet_cost, logdet_gradient, logdet_hessian
+from logdetreg.cost import ResidualSet, logdet_gradient, logdet_hessian
 from logdetreg.optimize import start_rng
 from logdetreg.simulate import bivariate_nar_recipe
-from conftest import fd_gradient, fd_jacobian, make_instance, residual_set
+from conftest import fd_gradient, fd_jacobian, logdet_cost, make_instance, residual_set
 
 FULL = os.environ.get("LOGDETREG_ACCEPTANCE_FULL") == "1"
 

@@ -416,6 +416,41 @@ class TestExitCodes:
         assert code == 2
         assert "n >= 1" in err
 
+    @pytest.mark.parametrize(
+        "value", ["bogus", "", "logdet,logdet"], ids=["unknown", "empty", "repeated"]
+    )
+    def test_bad_estimators(self, tmp_path, linear22, value, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        recipe = str(tmp_path / "d.recipe.json")
+        code, out, err = run(
+            ["mc", "--recipe", recipe, "--reps", "2", "--estimators", value], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "--estimators" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--calibrate", "-2"), ("--alpha", "1.5"), ("--alpha", "0")]
+    )
+    def test_bad_test_flag(self, tmp_path, nested_files, flag, value, capsys):
+        restricted, full = nested_files
+        data = simulate(capsys, restricted, str(tmp_path / "d.csv"), n=50)
+        code, out, err = run(
+            ["test", "--restricted", restricted, "--full", full, "--data", data, flag, value],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "0"), ("--alpha", "1.5"), ("--alpha", "-0.1")]
+    )
+    def test_bad_test_size_flag(self, flag, value, capsys):
+        code, out, err = run(
+            ["mc", "--experiment", "test-size", "--reps", "2", flag, value], capsys
+        )
+        assert (code, out) == (2, "")
+        assert flag in err
+
     def test_internal_value_error_propagates(self, tmp_path, linear22, capsys, monkeypatch):
         import logdetreg.cli as cli
 

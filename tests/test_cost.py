@@ -6,18 +6,24 @@ from logdetreg.cost import (
     CostReport,
     ResidualSet,
     empirical_covariance,
-    gls_cost,
     gls_gradient,
-    logdet_cost,
     logdet_gradient,
-    logdet_gradient_entrywise,
     logdet_hessian,
     mse_cost,
     mse_gradient,
 )
 from logdetreg.errors import DimensionMismatch, NotPositiveDefinite
-from logdetreg.linalg import spd_inverse, trace_product
-from conftest import fd_gradient, fd_jacobian, make_instance, residual_set
+from conftest import (
+    fd_gradient,
+    fd_jacobian,
+    gls_cost,
+    logdet_cost,
+    logdet_gradient_entrywise,
+    make_instance,
+    residual_set,
+    spd_inverse,
+    trace_product,
+)
 
 
 class TestEmpiricalCovariance:

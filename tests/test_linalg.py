@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
-from logdetreg.linalg import (
-    RidgePolicy,
-    logdet,
-    spd_from_symmetric,
-    spd_inverse,
-    trace_product,
-)
+from logdetreg.linalg import RidgePolicy, logdet, spd_from_symmetric
+from conftest import spd_inverse, trace_product
 
 
 class TestSpdFromSymmetric:

@@ -5,8 +5,13 @@ import pytest
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from logdetreg.errors import DimensionMismatch
-from logdetreg.model import eval_batch, evaluate, jacobian_batch, second_derivs_vdot
+from logdetreg.model import eval_batch, jacobian_batch, second_derivs_vdot
 from conftest import fd_jacobian, make_instance
+
+
+def evaluate(spec, w, z):
+    """F_w(z) at a single input."""
+    return eval_batch(spec, w, np.asarray(z, dtype=float)[None, :])[0]
 
 
 def jacobian_at(spec, w, z):

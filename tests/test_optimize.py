@@ -29,11 +29,10 @@ class TestOptimOptions:
         assert opts.max_iters == 500
         assert opts.grad_tol == 1e-6
         assert opts.n_starts == 20
-        assert (opts.init_low, opts.init_high) == (-2.0, 2.0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_iters": 0}, {"grad_tol": 0.0}, {"n_starts": 0}, {"init_low": 2.0, "init_high": -2.0}],
+        [{"max_iters": 0}, {"grad_tol": 0.0}, {"n_starts": 0}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -26,24 +26,24 @@ from logdetreg.simulate import (
 
 class TestSampleGaussian:
     def test_identity_covariance_large_sample(self):
-        draws = sample_gaussian(spd_from_symmetric(np.eye(2)), 100_000, 1)
+        draws = sample_gaussian(spd_from_symmetric(np.eye(2)), 100_000, np.random.default_rng(1))
         cov = draws.T @ draws / draws.shape[0]
         assert np.max(np.abs(cov - np.eye(2))) < 0.02
 
     def test_correlated_covariance_large_sample(self, gamma_strong):
-        draws = sample_gaussian(gamma_strong, 100_000, 2)
+        draws = sample_gaussian(gamma_strong, 100_000, np.random.default_rng(2))
         cov = draws.T @ draws / draws.shape[0]
         assert 1.76 < cov[0, 1] < 1.84
         assert 1.77 < cov[0, 0] < 1.85
         assert np.max(np.abs(cov - gamma_strong.entries)) < 0.05
 
     def test_mean_near_zero(self, gamma_strong):
-        draws = sample_gaussian(gamma_strong, 100_000, 3)
+        draws = sample_gaussian(gamma_strong, 100_000, np.random.default_rng(3))
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
 
     def test_int_seed_deterministic(self, gamma_strong):
-        a = sample_gaussian(gamma_strong, 5, 42)
-        b = sample_gaussian(gamma_strong, 5, 42)
+        a = sample_gaussian(gamma_strong, 5, np.random.default_rng(42))
+        b = sample_gaussian(gamma_strong, 5, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_generator_argument(self, gamma_strong):
@@ -115,6 +115,25 @@ class TestGenSeries:
         data = gen_series(recipe)
         np.testing.assert_array_equal(data.inputs[1:, :2], data.outputs[:-1])
         assert np.all(np.abs(data.inputs[:, 2]) <= 1.0)
+
+    def test_nar_recursion_by_hand(self, gamma_strong):
+        # from the recipe's seed stream: all noise (through chol), then the
+        # exogenous uniforms, then z_t = [y_{t-1}, u_t] and y_t = F(z_t) + eps_t;
+        # the burn-in rows are generated and dropped
+        spec = ModelSpec(ModelKind.MLP, 3, 2, hidden_units=2)
+        w = ParamVector(np.random.default_rng(5).uniform(-1.5, 1.5, spec.param_count), spec)
+        recipe = SimRecipe(SimMode.NAR_PROCESS, spec, w, gamma_strong, n=12, burn_in=4, seed=21)
+        rng = np.random.default_rng(np.random.SeedSequence([21]))
+        eps = rng.standard_normal((16, 2)) @ gamma_strong.chol.T
+        exo = rng.uniform(-1.0, 1.0, size=(16, 1))
+        state, zs, ys = np.zeros(2), [], []
+        for t in range(16):
+            zs.append(np.concatenate([state, exo[t]]))
+            state = eval_batch(spec, w, zs[-1][None, :])[0] + eps[t]
+            ys.append(state)
+        data = gen_series(recipe)
+        np.testing.assert_allclose(data.inputs, np.array(zs)[4:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(data.outputs, np.array(ys)[4:], rtol=0, atol=1e-12)
 
     def test_nar_requires_enough_inputs(self, gamma_strong):
         spec = ModelSpec(ModelKind.LINEAR, 1, 2)
