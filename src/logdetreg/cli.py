@@ -108,6 +108,7 @@ def _fit_report(fit: FitResult, extra: dict | None = None) -> dict:
                 "start_index": r.start_index,
                 "final_cost": r.final_cost,
                 "iterations": r.iterations,
+                "grad_norm": r.grad_norm,
                 "termination": r.termination,
             }
             for r in fit.optim.per_start
@@ -143,14 +144,19 @@ def cmd_simulate(args) -> int:
         raise UsageError("model file must carry params (the true weights)")
     if args.n < 1:
         raise UsageError("--n must be >= 1")
+    if args.mode == "iid" and args.burn_in is not None:
+        raise UsageError("--burn-in applies to --mode nar only")
     mode = sim.SimMode.NAR_PROCESS if args.mode == "nar" else sim.SimMode.IID_REGRESSION
+    burn_in = args.burn_in
+    if burn_in is None:
+        burn_in = 100 if args.mode == "nar" else 0
     recipe = sim.SimRecipe(
         mode=mode,
         spec=spec,
         w_true=w_true,
         gamma0=spd_from_symmetric(parse_matrix(args.gamma)),
         n=args.n,
-        burn_in=args.burn_in,
+        burn_in=burn_in,
         y0=None,
         seed=args.seed,
     )
@@ -309,11 +315,11 @@ def cmd_mc(args) -> int:
                 "mean_det": s.mean_det,
                 "failures": s.failures,
             }
-            for s in report.estimators
+            for s in report.estimators.values()
         },
     }
     if len(report.estimators) == 2:
-        a, b = report.estimators
+        a, b = report.estimators.values()
         diffs = np.array(
             [np.linalg.det(x) - np.linalg.det(y) for x, y in zip(a.gammas, b.gammas)]
         )
@@ -387,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON carrying the true params")
     p.add_argument("--gamma", required=True, help="noise covariance, e.g. '1.81,1.8;1.8,1.81'")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=100)
+    p.add_argument("--burn-in", type=int, default=None,
+                   help="discarded leading NAR steps (--mode nar only; default 100)")
     common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -107,10 +107,18 @@ def _objective(spec, data, cost):
     return objective
 
 
-def _closed_form_outcome(x: np.ndarray, value: float, spec: mdl.ModelSpec) -> OptimOutcome:
-    record = StartRecord(start_index=0, final_cost=value, iterations=0, termination="closed_form")
+def _closed_form_outcome(
+    x: np.ndarray, report: cst.CostReport, spec: mdl.ModelSpec
+) -> OptimOutcome:
+    record = StartRecord(
+        start_index=0,
+        final_cost=report.value,
+        iterations=0,
+        grad_norm=float(np.max(np.abs(report.gradient))),
+        termination="closed_form",
+    )
     return OptimOutcome(
-        w_best=mdl.ParamVector(x, spec), cost_best=value, per_start=(record,), converged=True
+        w_best=mdl.ParamVector(x, spec), cost_best=report.value, per_start=(record,), converged=True
     )
 
 
@@ -143,7 +151,7 @@ def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult
     if spec.kind is mdl.ModelKind.LINEAR and spec.mask is None:
         x = _ols_closed_form(spec, data)
         rs = _residuals_at(spec, data, x)
-        outcome = _closed_form_outcome(x, cst.mse_cost(rs), spec)
+        outcome = _closed_form_outcome(x, cst.mse_gradient(rs), spec)
     else:
         outcome = multi_start(_objective(spec, data, cst.mse_gradient), spec, opts)
         rs = _residuals_at(spec, data, outcome.w_best.values)

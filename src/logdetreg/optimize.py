@@ -42,6 +42,7 @@ class StartRecord:
     start_index: int
     final_cost: float
     iterations: int
+    grad_norm: float  # max |gradient| at the returned point
     termination: str
 
 
@@ -93,94 +94,51 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
     ``(x, value, termination reason, iterations)`` with termination one of
     ``grad_tol``, ``stalled`` (several consecutive steps without a
     representable decrease: a numerical minimizer), ``max_iters`` or
-    ``line_search_failed``.  The inverse-Hessian approximation resets to
-    the identity when the curvature condition ``y.s > 1e-10`` fails.
-    Always returns the best point visited.
+    ``line_search_failed``.  ``x`` is the last accepted iterate; the line
+    search accepts no increase, so no point visited has a lower value.
+
+    ``hinv is None`` stands for the identity inverse-Hessian, replaced by
+    ``(y.s / y.y) I`` at the next update (Nocedal & Wright 6.1).  The run
+    starts there and returns there when the curvature condition
+    ``y.s > 1e-10`` fails or a failed search falls back to steepest descent.
     """
     x = np.asarray(w0, dtype=float).copy()
     f, g = objective(x)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NonFiniteAtStart("objective not finite at the starting point")
     k = x.size
-    hinv = np.eye(k)
-    iters = 0
-    best = (f, x.copy(), g.copy())
-    stall = 0
-    scaled = False
-    reason = "max_iters"
-    while iters < opts.max_iters:
-        if np.max(np.abs(g)) <= opts.grad_tol:
-            return x, f, "grad_tol", iters
-        direction = -hinv @ g
+    hinv = None
+    iters = stall = 0
+    while np.max(np.abs(g)) > opts.grad_tol:
+        if iters >= opts.max_iters:
+            return x, f, "max_iters", iters
+        direction = -g if hinv is None else -hinv @ g
         step = _line_search(objective, x, f, g, direction)
+        if step is None and hinv is not None:
+            direction, hinv = -g, None  # steepest-descent rescue
+            step = _line_search(objective, x, f, g, direction)
         if step is None:
-            step = _line_search(objective, x, f, g, -g)  # steepest-descent rescue
-            if step is None:
-                reason = "line_search_failed"
-                break
-            direction = -g
-            hinv = np.eye(k)
+            return x, f, "line_search_failed", iters
         alpha, f_new, g_new = step
         s = alpha * direction
-        if f - f_new <= _SLACK * max(1.0, abs(f)):
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                # no representable progress left; numerical minimizer reached
-                reason = "stalled"
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if f - f_new <= _SLACK * max(1.0, abs(f)) else 0
+        if stall >= _STALL_LIMIT:
+            # no representable progress left; numerical minimizer reached
+            return x, f, "stalled", iters
         y = g_new - g
         ys = float(y @ s)
         if ys <= CURVATURE_EPS:
-            hinv = np.eye(k)
-            scaled = False
+            hinv = None
         else:
-            if not scaled:
-                # standard initial scaling: H0 = (y.s / y.y) I before the
-                # first update after any reset
+            if hinv is None:
                 hinv = (ys / float(y @ y)) * np.eye(k)
-                scaled = True
             rho = 1.0 / ys
             v = np.eye(k) - rho * np.outer(s, y)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         x = x + s
         f, g = f_new, g_new
-        if f < best[0]:
-            best = (f, x.copy(), g.copy())
         iters += 1
-    if reason == "stalled":
-        # cost changes are below float resolution here, but the analytic
-        # gradient still resolves the minimizer: polish by accepting steps
-        # that strictly shrink the gradient norm (f moves by sub-ulp amounts)
-        slack = _SLACK * max(1.0, abs(f))
-        for _ in range(50):
-            gnorm = np.max(np.abs(g))
-            if gnorm <= opts.grad_tol:
-                break
-            direction = -hinv @ g
-            alpha, accepted = 1.0, False
-            for _ in range(20):
-                f_new, g_new = objective(x + alpha * direction)
-                if (
-                    np.isfinite(f_new)
-                    and f_new <= f + slack
-                    and np.all(np.isfinite(g_new))
-                    and np.max(np.abs(g_new)) < gnorm
-                ):
-                    x = x + alpha * direction
-                    f, g = f_new, g_new
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-        if f <= best[0] + slack:
-            best = (f, x, g)
-    f, x, g = best[0], best[1], best[2]
-    if np.max(np.abs(g)) <= opts.grad_tol:
-        return x, f, "grad_tol", iters
-    return x, f, reason, iters
+    return x, f, "grad_tol", iters
 
 
 def start_rng(seed: int, start_index: int) -> np.random.Generator:
@@ -200,8 +158,11 @@ def multi_start(
     or of the single run from ``x0`` when given (a warm start).
 
     Deterministic for a fixed seed; ties within 1e-12 break toward the
-    lower start index.  The outcome is converged when the best run ended
-    on ``grad_tol`` or ``stalled``.
+    lower start index.  Each start's record carries the max |gradient| at
+    its returned point (``inf`` for a start that was not finite).  The
+    outcome is converged when the best run ended on ``grad_tol``, or on
+    ``stalled`` (5 consecutive steps with no representable decrease)
+    whatever its gradient.
     """
     if x0 is not None:
         starts = [x0]
@@ -213,9 +174,11 @@ def multi_start(
         try:
             x, f, reason, iters = bfgs_minimize(objective, start, opts)
         except NonFiniteAtStart:
-            records.append(StartRecord(i, np.inf, 0, "nonfinite_at_start"))
+            records.append(StartRecord(i, np.inf, 0, np.inf, "nonfinite_at_start"))
             continue
-        records.append(StartRecord(i, f, iters, reason))
+        # bfgs_minimize returns no gradient: one more evaluation reads it
+        grad_norm = float(np.max(np.abs(objective(x)[1])))
+        records.append(StartRecord(i, f, iters, grad_norm, reason))
         if best is None or f < best[0] - TIE_TOL:
             best = (f, i, x, reason in ("grad_tol", "stalled"))
     if best is None:

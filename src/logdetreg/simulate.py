@@ -111,13 +111,7 @@ class McReport:
     replications: int
     seed: int
     rng_kind: str
-    estimators: tuple[EstimatorSummary, ...]
-
-    def summary(self, name: str) -> EstimatorSummary:
-        for s in self.estimators:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+    estimators: dict[str, EstimatorSummary]  # in the requested order
 
 
 ESTIMATORS = {
@@ -186,26 +180,24 @@ def run_mc(
         seed,
     )
 
-    summaries = []
+    summaries = {}
     for name in estimators:
         gammas = results[name]
         failures = replications - len(gammas)
         stack = np.stack(gammas)
         mean = stack.mean(axis=0)
         stderr = stack.std(axis=0, ddof=1) / np.sqrt(len(gammas))
-        summaries.append(
-            EstimatorSummary(
-                name=name,
-                mean_gamma=mean,
-                stderr_gamma=stderr,
-                det_mean_gamma=float(np.linalg.det(mean)),
-                mean_det=float(np.mean([np.linalg.det(g) for g in stack])),
-                failures=failures,
-                gammas=tuple(gammas),
-            )
+        summaries[name] = EstimatorSummary(
+            name=name,
+            mean_gamma=mean,
+            stderr_gamma=stderr,
+            det_mean_gamma=float(np.linalg.det(mean)),
+            mean_det=float(np.mean([np.linalg.det(g) for g in stack])),
+            failures=failures,
+            gammas=tuple(gammas),
         )
     return McReport(
-        replications=replications, seed=seed, rng_kind=RNG_KIND, estimators=tuple(summaries)
+        replications=replications, seed=seed, rng_kind=RNG_KIND, estimators=summaries
     )
 
 

@@ -212,7 +212,7 @@ def test_07_covariance_replication():
     report = run_mc(
         recipe, ["logdet", "mse"], reps, 77, OptimOptions(n_starts=starts, seed=1)
     )
-    ld, ms = report.summary("logdet"), report.summary("mse")
+    ld, ms = report.estimators["logdet"], report.estimators["mse"]
     ok = ld.det_mean_gamma <= ms.det_mean_gamma
     desc = (f"R={reps}: det(mean Gamma_logdet) {ld.det_mean_gamma:.4f} <= "
             f"det(mean Gamma_mse) {ms.det_mean_gamma:.4f}")
@@ -290,8 +290,8 @@ def test_10_determinism(tmp_path, capsys):
     w = ParamVector(np.array([0.5, -0.3, 0.2, 0.8]), spec)
     small = SimRecipe(SimMode.IID_REGRESSION, spec, w, GAMMA0, n=120, seed=0)
     opts = OptimOptions(n_starts=2, seed=5)
-    g2 = run_mc(small, ["logdet"], 2, 7, opts).summary("logdet").gammas
-    g4 = run_mc(small, ["logdet"], 4, 7, opts).summary("logdet").gammas
+    g2 = run_mc(small, ["logdet"], 2, 7, opts).estimators["logdet"].gammas
+    g4 = run_mc(small, ["logdet"], 4, 7, opts).estimators["logdet"].gammas
     ok &= len(g2) == 2 and all(np.array_equal(a, b) for a, b in zip(g2, g4[:2]))
     # null calibration: the R=3 samples are a sub-multiset of the R=5 ones
     mask = np.ones(6, dtype=bool)

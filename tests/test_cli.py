@@ -124,6 +124,34 @@ class TestSimulate:
         # state feedback: next input row equals previous output
         np.testing.assert_array_equal(data.inputs[1:], data.outputs[:-1])
 
+    def test_burn_in_recorded_per_mode(self, tmp_path, linear22, capsys):
+        simulate(capsys, linear22, str(tmp_path / "iid.csv"), n=30)
+        simulate(capsys, linear22, str(tmp_path / "nar.csv"), n=30, mode="nar")
+        iid = json.loads((tmp_path / "iid.recipe.json").read_text())
+        nar = json.loads((tmp_path / "nar.recipe.json").read_text())
+        assert (iid["burn_in"], nar["burn_in"]) == (0, 100)
+        code, _, err = run(
+            [
+                "simulate", "--mode", "nar", "--model", linear22, "--gamma", "1,0;0,1",
+                "--n", "30", "--burn-in", "7", "--out", str(tmp_path / "b.csv"),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads((tmp_path / "b.recipe.json").read_text())["burn_in"] == 7
+
+    def test_burn_in_with_iid_usage_error(self, tmp_path, linear22, capsys):
+        code, _, err = run(
+            [
+                "simulate", "--mode", "iid", "--model", linear22, "--gamma", "1,0;0,1",
+                "--n", "30", "--burn-in", "100", "--out", str(tmp_path / "x.csv"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "--burn-in" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFit:
     def test_logdet_fit_report(self, tmp_path, linear22, capsys):
@@ -143,6 +171,9 @@ class TestFit:
         assert np.asarray(doc["info_hat"]).shape == (4, 4)
         assert np.asarray(doc["asymptotic_cov"]).shape == (4, 4)
         assert len(doc["per_start"]) == 3
+        assert [list(r) for r in doc["per_start"]] == 3 * [
+            ["start_index", "final_cost", "iterations", "grad_norm", "termination"]
+        ]
         # estimate close to the generating coefficients at n = 300
         assert np.max(np.abs(np.array(doc["model"]["params"]) - [0.5, -0.3, 0.2, 0.8])) < 0.2
 

@@ -22,6 +22,7 @@ from logdetreg.cost import empirical_covariance, information, logdet_gradient
 from logdetreg.errors import NonIdentifiable, UnderDetermined
 from logdetreg.estimate import _objective, _ols_closed_form
 from logdetreg.optimize import bfgs_minimize
+from logdetreg.simulate import bivariate_nar_recipe
 from logdetreg.model import eval_batch
 from conftest import make_instance, residual_set
 
@@ -53,6 +54,8 @@ class TestFitOls:
         )
         iterated = fit_ols(masked, data, OptimOptions(n_starts=3, seed=17, grad_tol=1e-10))
         assert np.max(np.abs(closed.w_hat.values - iterated.w_hat.values)) < 1e-6
+        (record,) = closed.optim.per_start
+        assert record.termination == "closed_form" and record.grad_norm < 1e-12
 
     def test_noiseless_mlp_zero_floor(self):
         spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
@@ -180,6 +183,19 @@ class TestWarmStart:
 
 
 class TestFitLogdet:
+    def test_grad_norm_recomputed_at_best_start(self):
+        # the reported |grad| is the gradient at the returned weights; with
+        # this seed the best start ends "stalled" above grad_tol and the fit
+        # still counts as converged
+        recipe = bivariate_nar_recipe(seed=100, n=200)
+        spec, data = recipe.spec, gen_series(recipe)
+        fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=200))
+        best = next(r for r in fit.optim.per_start if r.final_cost == fit.cost_value)
+        _, grad = _objective(spec, data, logdet_gradient)(fit.w_hat.values)
+        assert best.grad_norm == np.max(np.abs(grad))
+        assert best.termination == "stalled" and best.grad_norm > 1e-6
+        assert fit.optim.converged
+
     def test_d1_matches_ols(self):
         spec = ModelSpec(ModelKind.LINEAR, 3, 1)
         w = ParamVector(np.array([2.0, -1.0, 0.5]), spec)

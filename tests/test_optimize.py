@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from logdetreg import ModelKind, ModelSpec, OptimOptions, bfgs_minimize, multi_start
+from logdetreg import optimize
 from logdetreg.errors import AllStartsFailed, NonFiniteAtStart
 from logdetreg.cost import logdet_gradient
 from logdetreg.estimate import _objective, _ols_closed_form
@@ -87,6 +88,54 @@ class TestBfgs:
         assert np.max(np.abs(x - ols)) < 1e-6
 
 
+def _recorded_line_search(monkeypatch, fail_calls):
+    """Patch the line search to log (grad, direction, result) per call and
+    to report failure on the calls numbered in ``fail_calls``."""
+    calls = []
+    real = optimize._line_search
+
+    def logged(objective, x, f, grad, direction):
+        step = None if len(calls) in fail_calls else real(objective, x, f, grad, direction)
+        calls.append((grad, direction, step))
+        return step
+
+    monkeypatch.setattr(optimize, "_line_search", logged)
+    return calls
+
+
+class TestRescue:
+    A = np.array([1.0, 10.0, 100.0])
+
+    def ill_conditioned(self, x):
+        return 0.5 * float(x @ (self.A * x)), self.A * x
+
+    def test_rescue_rescales_the_identity(self, monkeypatch):
+        # the BFGS search of iteration 1 fails, so iteration 1 falls back
+        # to steepest descent; the update after it must start again from
+        # (y.s / y.y) I (Nocedal & Wright 6.1), not the unscaled identity
+        calls = _recorded_line_search(monkeypatch, fail_calls={1})
+        bfgs_minimize(self.ill_conditioned, np.ones(3), OptimOptions(max_iters=3))
+        g, rescue, (alpha, _, g_new) = calls[2]
+        np.testing.assert_array_equal(rescue, -g)
+        s, y = alpha * rescue, g_new - g
+        rho = 1.0 / (y @ s)
+        v = np.eye(3) - rho * np.outer(s, y)
+
+        def updated(h0):
+            return v @ h0 @ v.T + rho * np.outer(s, s)
+
+        scaled = -updated((y @ s) / (y @ y) * np.eye(3)) @ g_new
+        unscaled = -updated(np.eye(3)) @ g_new
+        assert np.max(np.abs(scaled - unscaled)) > 0.1 * np.max(np.abs(scaled))
+        np.testing.assert_allclose(calls[3][1], scaled, rtol=1e-12, atol=0)
+
+    def test_failed_steepest_descent_is_not_repeated(self, monkeypatch):
+        calls = _recorded_line_search(monkeypatch, fail_calls={0, 1})
+        x, f, reason, iters = bfgs_minimize(self.ill_conditioned, np.ones(3), OptimOptions())
+        assert (reason, iters, len(calls)) == ("line_search_failed", 0, 1)
+        np.testing.assert_array_equal(x, np.ones(3))
+
+
 class TestMultiStart:
     def test_single_start_matches_bfgs(self):
         spec = ModelSpec(ModelKind.LINEAR, 1, 1)
@@ -141,6 +190,21 @@ class TestMultiStart:
         spec = ModelSpec(ModelKind.LINEAR, 1, 1)
         with pytest.raises(AllStartsFailed):
             multi_start(always_bad, spec, OptimOptions(n_starts=3, seed=0))
+
+    def test_grad_norm_per_start(self):
+        # undefined for x < 0: those starts are recorded with |grad| = inf
+        def half_well(x):
+            return (np.inf, None) if x[0] < 0 else double_well(x)
+
+        spec = ModelSpec(ModelKind.LINEAR, 1, 1)
+        out = multi_start(half_well, spec, OptimOptions(n_starts=8, seed=2))
+        failed = [r for r in out.per_start if r.termination == "nonfinite_at_start"]
+        ran = [r for r in out.per_start if r.termination != "nonfinite_at_start"]
+        assert failed and ran
+        assert all(r.grad_norm == np.inf for r in failed)
+        assert all(r.grad_norm <= 1e-6 for r in ran if r.termination == "grad_tol")
+        best = next(r for r in out.per_start if r.final_cost == out.cost_best)
+        assert best.grad_norm == np.max(np.abs(half_well(out.w_best.values)[1]))
 
     def test_initial_points_counter_based(self):
         spec = ModelSpec(ModelKind.LINEAR, 3, 1)

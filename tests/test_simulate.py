@@ -211,11 +211,12 @@ class TestRunMc:
         return SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=120, seed=0)
 
     def test_two_replications(self):
-        report = run_mc(self.recipe(), ["logdet", "mse"], 2, 7, self.OPTS)
+        report = run_mc(self.recipe(), ["mse", "logdet"], 2, 7, self.OPTS)
+        assert list(report.estimators) == ["mse", "logdet"]  # requested order
         assert report.replications == 2
         assert report.rng_kind == RNG_KIND
         for name in ("logdet", "mse"):
-            s = report.summary(name)
+            s = report.estimators[name]
             assert s.mean_gamma.shape == (2, 2)
             assert s.failures == 0
             assert len(s.gammas) == 2
@@ -225,13 +226,15 @@ class TestRunMc:
         a = run_mc(self.recipe(), ["logdet"], 3, 7, self.OPTS)
         b = run_mc(self.recipe(), ["logdet"], 3, 7, self.OPTS)
         np.testing.assert_array_equal(
-            a.summary("logdet").mean_gamma, b.summary("logdet").mean_gamma
+            a.estimators["logdet"].mean_gamma, b.estimators["logdet"].mean_gamma
         )
 
     def test_shorter_run_is_prefix(self):
         # counter-based seeds: replication r does not depend on R
-        short = run_mc(self.recipe(), ["logdet"], 2, 7, self.OPTS).summary("logdet").gammas
-        long = run_mc(self.recipe(), ["logdet"], 4, 7, self.OPTS).summary("logdet").gammas
+        short, long = (
+            run_mc(self.recipe(), ["logdet"], reps, 7, self.OPTS).estimators["logdet"].gammas
+            for reps in (2, 4)
+        )
         assert len(short) == 2
         for a, b in zip(short, long[:2]):
             np.testing.assert_array_equal(a, b)
@@ -247,4 +250,4 @@ class TestRunMc:
     def test_unknown_summary_name(self):
         report = run_mc(self.recipe(), ["mse"], 2, 7, self.OPTS)
         with pytest.raises(KeyError):
-            report.summary("logdet")
+            report.estimators["logdet"]
