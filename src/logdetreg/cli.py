@@ -85,9 +85,17 @@ def _optim_options(args, n_starts_default: int = 20) -> OptimOptions:
     )
 
 
-def _check_alpha(args) -> None:
-    if not 0.0 < args.alpha < 1.0:
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
         raise UsageError("--alpha must be in (0, 1)")
+
+
+def _only_for(args, mode: str, *flags: str) -> None:
+    """Reject the first of ``flags`` that was given: it applies to ``mode``
+    only, and a flag that is silently ignored is a usage error."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} applies to {mode} only")
 
 
 def _fit_report(fit: FitResult, extra: dict | None = None) -> dict:
@@ -144,8 +152,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("model file must carry params (the true weights)")
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    if args.mode == "iid" and args.burn_in is not None:
-        raise UsageError("--burn-in applies to --mode nar only")
+    if args.mode == "iid":
+        _only_for(args, "--mode nar", "--burn-in")
     mode = sim.SimMode.NAR_PROCESS if args.mode == "nar" else sim.SimMode.IID_REGRESSION
     burn_in = args.burn_in
     if burn_in is None:
@@ -170,6 +178,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.cost != "gls":
+        _only_for(args, "--cost gls", "--weight")
     spec, _ = _read_json(args.model, mdl.spec_from_dict)
     data = load_csv(args.data)
     extra = {}
@@ -180,7 +190,7 @@ def cmd_fit(args) -> int:
     if args.cost == "mse":
         fit = fit_ols(spec, data, opts)
     elif args.cost == "gls":
-        if args.weight == "identity":
+        if args.weight in (None, "identity"):
             weight = spd_from_symmetric(np.eye(spec.output_dim))
         else:
             weight = spd_from_symmetric(parse_matrix(args.weight))
@@ -198,7 +208,7 @@ def cmd_test(args) -> int:
     spec_f, _ = _read_json(args.full, mdl.spec_from_dict)
     data = load_csv(args.data)
     opts = _optim_options(args)
-    _check_alpha(args)
+    _check_alpha(args.alpha)
     if args.calibrate < 0:
         raise UsageError("--calibrate must be >= 0")
     doc = {
@@ -291,13 +301,15 @@ def cmd_mc(args) -> int:
     if args.reps < 2:
         raise UsageError("--reps must be >= 2")
     opts = _optim_options(args, n_starts_default=5)
-    _check_alpha(args)
     if args.experiment == "test-size":
+        _only_for(args, "--experiment covariance", "--estimators", "--recipe")
         return _mc_test_size(args, opts)
+    _only_for(args, "--experiment test-size", "--n", "--alpha")
     if not args.recipe:
         raise UsageError("mc requires --recipe (or --experiment test-size)")
     recipe = _read_json(args.recipe, sim.recipe_from_dict)
-    estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
+    names = "logdet,mse" if args.estimators is None else args.estimators
+    estimators = [e.strip() for e in names.split(",") if e.strip()]
     if not 0 < len(sim.ESTIMATORS.keys() & set(estimators)) == len(estimators):
         raise UsageError(f"--estimators must list distinct names from {', '.join(sim.ESTIMATORS)}")
     report = sim.run_mc(recipe, estimators, args.reps, args.seed, opts)
@@ -337,8 +349,11 @@ def cmd_mc(args) -> int:
 
 def _mc_test_size(args, opts: OptimOptions) -> int:
     """Empirical size of the nested log-det test on an H0-true linear pair."""
-    if args.n < 1:
-        raise UsageError(f"--n must satisfy n >= 1, got {args.n}")
+    n = 1000 if args.n is None else args.n
+    alpha = 0.05 if args.alpha is None else args.alpha
+    if n < 1:
+        raise UsageError(f"--n must satisfy n >= 1, got {n}")
+    _check_alpha(alpha)
     d, din = 2, 3
     full = mdl.ModelSpec(mdl.ModelKind.LINEAR, input_dim=din, output_dim=d)
     mask = np.ones(d * din, dtype=bool)
@@ -351,19 +366,18 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         spec=restricted,
         w_true=w_true,
         gamma0=gamma0,
-        n=args.n,
+        n=n,
     )
     calib = inference.mc_null_calibrate(
         restricted, full, recipe, args.reps, args.seed, opts, statistic="tn"
     )
-    alpha = args.alpha
     rate = float(np.mean([inference.chi2_sf(s, 2) < alpha for s in calib.samples]))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "mc",
         "experiment": "test-size",
         "replications": args.reps,
-        "n": args.n,
+        "n": n,
         "alpha": alpha,
         "rejection_rate": rate,
         "failures": calib.failures,
@@ -384,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--starts", type=int)
+
+    def optimizer(p):
+        common(p)
+        p.add_argument("--starts", type=int, help="MLP starts (linear fits are solved)")
         p.add_argument("--max-iters", type=int, default=500)
         p.add_argument("--grad-tol", type=float, default=1e-6)
 
@@ -402,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", choices=["mse", "gls", "logdet", "fgls"], default="logdet")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--weight", default="identity", help="GLS weight matrix or 'identity'")
+    p.add_argument("--weight", help="GLS weight matrix or 'identity' (default; --cost gls only)")
     p.add_argument("--standardize", action="store_true")
-    common(p)
+    optimizer(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("test", help="nested model comparison")
@@ -415,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--calibrate", type=int, default=0, metavar="R",
                    help="Monte Carlo null replications (required for --cost mse)")
-    common(p)
+    optimizer(p)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("prune", help="stepwise weight elimination (BIC-like criterion)")
@@ -423,17 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--gate", type=float, default=None,
                    help="optional test level gating each elimination")
-    common(p)
+    optimizer(p)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("mc", help="Monte Carlo replication experiments")
     p.add_argument("--recipe", default=None, help="recipe JSON from `simulate`")
-    p.add_argument("--estimators", default="logdet,mse")
+    p.add_argument("--estimators", help="--experiment covariance only (default logdet,mse)")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--experiment", choices=["covariance", "test-size"], default="covariance")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n", type=int, default=1000, help="sample size of --experiment test-size")
-    common(p)
+    p.add_argument("--alpha", type=float, help="--experiment test-size only (default 0.05)")
+    p.add_argument("--n", type=int, help="--experiment test-size only (default 1000)")
+    optimizer(p)
     p.set_defaults(func=cmd_mc)
 
     return parser

@@ -49,7 +49,7 @@ class ResidualSet:
     spec: mdl.ModelSpec | None = None
     w: mdl.ParamVector | None = None
     inputs: np.ndarray | None = None
-    _jacobians: np.ndarray | None = field(default=None, repr=False)
+    _jacobians: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.residuals = np.asarray(self.residuals, dtype=float)

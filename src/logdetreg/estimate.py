@@ -8,7 +8,7 @@ plug-in information matrix with its asymptotic covariance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,28 +61,14 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
         )
 
 
-def _residuals_at(spec, data, x, jac=None) -> cst.ResidualSet | None:
+def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
     """Residuals at x, or None when the prediction overflowed (treated as
     an infinite-cost trial point by the objective)."""
     w = mdl.ParamVector(x, spec)
     pred = mdl.eval_batch(spec, w, data.inputs)
     if not np.all(np.isfinite(pred)):
         return None
-    return cst.ResidualSet(
-        residuals=data.outputs - pred,
-        spec=spec,
-        w=w,
-        inputs=data.inputs,
-        _jacobians=jac,
-    )
-
-
-def _constant_jacobian(spec, data):
-    """Linear-family Jacobians do not depend on w; compute them once."""
-    if spec.kind is mdl.ModelKind.MLP:
-        return None
-    zero = mdl.ParamVector(np.zeros(spec.param_count), spec)
-    return mdl.jacobian_batch(spec, zero, data.inputs)
+    return cst.ResidualSet(residuals=data.outputs - pred, spec=spec, w=w, inputs=data.inputs)
 
 
 def _objective(spec, data, cost):
@@ -92,10 +78,9 @@ def _objective(spec, data, cost):
     degenerate residual covariance are worth +inf; the line search
     backtracks away from them.
     """
-    jac = _constant_jacobian(spec, data)
 
     def objective(x):
-        rs = _residuals_at(spec, data, x, jac)
+        rs = _residuals_at(spec, data, x)
         if rs is None:
             return np.inf, None
         try:
@@ -107,27 +92,46 @@ def _objective(spec, data, cost):
     return objective
 
 
-def _closed_form_outcome(
-    x: np.ndarray, report: cst.CostReport, spec: mdl.ModelSpec
-) -> OptimOutcome:
-    record = StartRecord(
-        start_index=0,
-        final_cost=report.value,
-        iterations=0,
-        grad_norm=float(np.max(np.abs(report.gradient))),
-        termination="closed_form",
-    )
-    return OptimOutcome(
-        w_best=mdl.ParamVector(x, spec), cost_best=report.value, per_start=(record,), converged=True
-    )
+def _nonsingular(m: np.ndarray, error: type, what: str) -> SpdMatrix:
+    """``m`` as an SpdMatrix, or ``error`` when it is singular: the Cholesky
+    factorization fails, or its smallest pivot is at most 1e-6 of the
+    largest (an exactly duplicated direction can leave a last-ulp positive
+    pivot)."""
+    try:
+        spd = spd_from_symmetric(0.5 * (m + m.T))
+    except NotPositiveDefinite:
+        raise error(f"{what} is singular") from None
+    pivots = np.diag(spd.chol)
+    if np.min(pivots) ** 2 <= 1e-12 * np.max(pivots) ** 2:
+        raise error(f"{what} is numerically singular")
+    return spd
 
 
-def _gamma_for_quadratic_fit(rs: cst.ResidualSet) -> SpdMatrix:
-    """Residual covariance for MSE/GLS fits.
+def _wls(spec: mdl.ModelSpec, data: Dataset, weight: SpdMatrix) -> np.ndarray:
+    """Minimizer of the GLS cost of a linear spec (masked or not).
 
-    Unlike the log-det estimator, these costs stay defined when the model
-    interpolates the data; fall back to the jitter policy (flagging the
-    result as regularized) instead of failing the whole fit.
+    The cost is quadratic in w with Hessian ``2 information(rs, weight)``,
+    so one Newton step from w = 0 lands on its minimizer.  Raises
+    SingularDesign when the weighted design information is singular.
+    """
+    rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
+    info = _nonsingular(cst.information(rs0, weight), SingularDesign, "regressor design")
+    return info.solve(-0.5 * cst.gls_gradient(rs0, weight).gradient)
+
+
+def _outcome(spec, x, report: cst.CostReport, iterations: int, reason: str) -> OptimOutcome:
+    """The one-record outcome of a linear fit, solved without a search."""
+    grad_norm = float(np.max(np.abs(report.gradient)))
+    record = StartRecord(0, report.value, iterations, grad_norm, reason)
+    return OptimOutcome(mdl.ParamVector(x, spec), report.value, (record,), reason != "max_iters")
+
+
+def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
+    """Residual covariance of a fit.
+
+    Unlike the log-det cost, the MSE and GLS costs stay defined when the
+    model interpolates the data; fall back to the jitter policy (flagging
+    the result as regularized) instead of failing the whole fit.
     """
     try:
         return cst.empirical_covariance(rs)
@@ -135,34 +139,37 @@ def _gamma_for_quadratic_fit(rs: cst.ResidualSet) -> SpdMatrix:
         return spd_from_symmetric(rs.residuals.T @ rs.residuals / rs.n, RidgePolicy.JITTER)
 
 
-def _ols_closed_form(spec: mdl.ModelSpec, data: Dataset) -> np.ndarray:
-    z, y = data.inputs, data.outputs
-    gram = z.T @ z
-    if np.linalg.matrix_rank(gram) < spec.input_dim:
-        raise SingularDesign("rank-deficient regressor matrix")
-    wmat = np.linalg.solve(gram, z.T @ y).T  # (d, d')
-    return wmat.reshape(-1)
-
-
-def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult:
-    """Minimize V_n.  Unconstrained linear models use the normal equations
-    directly; everything else goes through the multi-start optimizer."""
+def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
+    """The one fit body: ``linear_fit()``, a solve without a search, for a
+    linear spec; for the MLP, BFGS on ``cost``: one run from ``x0`` when
+    given, else the multi-start."""
     _check_size(spec, data)
-    if spec.kind is mdl.ModelKind.LINEAR and spec.mask is None:
-        x = _ols_closed_form(spec, data)
-        rs = _residuals_at(spec, data, x)
-        outcome = _closed_form_outcome(x, cst.mse_gradient(rs), spec)
+    if spec.kind is mdl.ModelKind.MLP:
+        outcome = multi_start(_objective(spec, data, cost), spec, opts, x0=x0)
     else:
-        outcome = multi_start(_objective(spec, data, cst.mse_gradient), spec, opts)
-        rs = _residuals_at(spec, data, outcome.w_best.values)
+        outcome = linear_fit()
+    rs = _residuals_at(spec, data, outcome.w_best.values)
     return FitResult(
         w_hat=outcome.w_best,
-        cost_kind=CostKind.MSE,
-        cost_value=cst.mse_cost(rs),
-        gamma_hat=_gamma_for_quadratic_fit(rs),
+        cost_kind=kind,
+        cost_value=outcome.cost_best,
+        gamma_hat=_residual_covariance(rs),
         n=data.n,
         optim=outcome,
     )
+
+
+def _solved(spec, data, weight: SpdMatrix, cost) -> OptimOutcome:
+    x = _wls(spec, data, weight)
+    return _outcome(spec, x, cost(_residuals_at(spec, data, x)), 0, "closed_form")
+
+
+def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult:
+    """Minimize V_n: the normal equations for a linear spec, the multi-start
+    for the MLP."""
+    identity = spd_from_symmetric(np.eye(data.output_dim))
+    return _fit(spec, data, opts, CostKind.MSE, cst.mse_gradient, None,
+                lambda: _solved(spec, data, identity, cst.mse_gradient))
 
 
 def fit_gls(
@@ -172,20 +179,14 @@ def fit_gls(
     opts: OptimOptions,
     x0: np.ndarray | None = None,
 ) -> FitResult:
-    """Minimize the GLS cost with a fixed weighting matrix; one BFGS run
-    from ``x0`` when given, else the multi-start."""
-    _check_size(spec, data)
-    objective = _objective(spec, data, lambda rs: cst.gls_gradient(rs, weight))
-    outcome = multi_start(objective, spec, opts, x0=x0)
-    rs = _residuals_at(spec, data, outcome.w_best.values)
-    return FitResult(
-        w_hat=outcome.w_best,
-        cost_kind=CostKind.GLS,
-        cost_value=outcome.cost_best,
-        gamma_hat=_gamma_for_quadratic_fit(rs),
-        n=data.n,
-        optim=outcome,
-    )
+    """Minimize the GLS cost with a fixed weighting matrix: one weighted
+    least-squares solve for a linear spec; for the MLP one BFGS run from
+    ``x0`` when given, else the multi-start."""
+
+    def cost(rs):
+        return cst.gls_gradient(rs, weight)
+
+    return _fit(spec, data, opts, CostKind.GLS, cost, x0, lambda: _solved(spec, data, weight, cost))
 
 
 def fit_fgls(
@@ -198,11 +199,12 @@ def fit_fgls(
     """Iterated feasible GLS: OLS, then GLS rounds with the previous round's
     residual covariance, until the log-det value stabilizes.
 
-    The first GLS round explores the same multi-start set as the direct
-    log-det estimator (shared seed), so both pipelines select the same
-    basin; later rounds warm-start from the previous estimate.  The
+    For a linear spec every round is one weighted least-squares solve.  For
+    the MLP the first GLS round explores the same multi-start set as the
+    direct log-det estimator (shared seed), so both pipelines select the
+    same basin; later rounds warm-start from the previous estimate.  The
     returned cost is the final log-det value and ``rounds`` records the
-    value per round; ``optim`` is the last GLS round's optimizer outcome.
+    value per round; ``optim`` is the last GLS round's outcome.
     """
     fit = fit_ols(spec, data, opts)
     rounds = [logdet(fit.gamma_hat)]
@@ -214,15 +216,7 @@ def fit_fgls(
         rounds.append(logdet(fit.gamma_hat))
         if abs(rounds[-1] - rounds[-2]) < round_tol:
             break
-    return FitResult(
-        w_hat=fit.w_hat,
-        cost_kind=CostKind.LOGDET,
-        cost_value=rounds[-1],
-        gamma_hat=fit.gamma_hat,
-        n=data.n,
-        optim=fit.optim,
-        rounds=tuple(rounds),
-    )
+    return replace(fit, cost_kind=CostKind.LOGDET, cost_value=rounds[-1], rounds=tuple(rounds))
 
 
 def fisher_info(
@@ -236,48 +230,48 @@ def fisher_info(
     information matrix is singular.
     """
     rs = cst.ResidualSet.from_model(spec, w, data)
-    gamma = cst.empirical_covariance(rs)
-    info = cst.information(rs, gamma)
-    try:
-        info_spd = spd_from_symmetric(0.5 * (info + info.T))
-    except NotPositiveDefinite:
-        raise NonIdentifiable("information matrix is singular") from None
-    # an exactly duplicated parameter direction can leave a last-ulp
-    # positive pivot; treat numerically singular information as singular
-    pivots = np.diag(info_spd.chol)
-    if np.min(pivots) ** 2 <= 1e-12 * np.max(pivots) ** 2:
-        raise NonIdentifiable("information matrix is numerically singular")
+    info = cst.information(rs, cst.empirical_covariance(rs))
+    info_spd = _nonsingular(info, NonIdentifiable, "information matrix")
     cov = info_spd.solve(np.eye(info_spd.dim)) / data.n
     return info_spd, cov
+
+
+def _iterated_fgls(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> OptimOutcome:
+    """Log-det minimizer of a linear spec: ``w <- _wls(Gamma_n(w))`` from OLS
+    until max |grad U_n| <= ``grad_tol``, or ``max_iters`` rounds.
+
+    Each round is block-coordinate descent on the Gaussian likelihood, so
+    U_n never rises; the iteration converges to the SUR maximum-likelihood
+    estimate (Oberhofer & Kmenta 1974), which is OLS itself when every
+    equation has the same regressors (Zellner 1962).
+    """
+    x = _wls(spec, data, spd_from_symmetric(np.eye(data.output_dim)))
+    report = cst.logdet_gradient(_residuals_at(spec, data, x))
+    rounds = 0
+    while np.max(np.abs(report.gradient)) > opts.grad_tol:
+        if rounds >= opts.max_iters:
+            return _outcome(spec, x, report, rounds, "max_iters")
+        x = _wls(spec, data, report.gamma_n)
+        report = cst.logdet_gradient(_residuals_at(spec, data, x))
+        rounds += 1
+    return _outcome(spec, x, report, rounds, "grad_tol")
 
 
 def fit_logdet(
     spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions, x0: np.ndarray | None = None
 ) -> FitResult:
-    """Minimize U_n = log det Gamma_n(w) directly, with analytic gradients;
-    one BFGS run from ``x0`` when given, else the multi-start.
+    """Minimize U_n = log det Gamma_n(w) directly: iterated FGLS for a linear
+    spec; for the MLP, BFGS with analytic gradients, one run from ``x0``
+    when given, else the multi-start.
 
     Populates the plug-in information matrix and asymptotic covariance; a
     singular information matrix flags the fit as non-identifiable instead
     of failing.
     """
-    _check_size(spec, data)
-    outcome = multi_start(_objective(spec, data, cst.logdet_gradient), spec, opts, x0=x0)
-    rs = _residuals_at(spec, data, outcome.w_best.values)
-    gamma = cst.empirical_covariance(rs)
-    info_hat, cov, identifiable = None, None, True
+    fit = _fit(spec, data, opts, CostKind.LOGDET, cst.logdet_gradient, x0,
+               lambda: _iterated_fgls(spec, data, opts))
     try:
-        info_hat, cov = fisher_info(spec, outcome.w_best, data)
+        info_hat, cov = fisher_info(spec, fit.w_hat, data)
     except NonIdentifiable:
-        identifiable = False
-    return FitResult(
-        w_hat=outcome.w_best,
-        cost_kind=CostKind.LOGDET,
-        cost_value=outcome.cost_best,
-        gamma_hat=gamma,
-        n=data.n,
-        optim=outcome,
-        info_hat=info_hat,
-        asymptotic_cov=cov,
-        identifiable=identifiable,
-    )
+        return replace(fit, identifiable=False)
+    return replace(fit, info_hat=info_hat, asymptotic_cov=cov)

@@ -27,6 +27,10 @@ INIT_LOW, INIT_HIGH = -2.0, 2.0  # box of the uniform random starts
 
 @dataclass(frozen=True)
 class OptimOptions:
+    """Search settings.  Only MLP fits search, so ``n_starts`` (like a warm
+    start ``x0``) applies to the MLP only; ``max_iters`` and ``grad_tol``
+    also bound the rounds of the linear log-det iteration."""
+
     max_iters: int = 500
     grad_tol: float = 1e-6
     n_starts: int = 20

@@ -170,8 +170,8 @@ class TestFit:
         assert np.asarray(doc["gamma_hat"]).shape == (2, 2)
         assert np.asarray(doc["info_hat"]).shape == (4, 4)
         assert np.asarray(doc["asymptotic_cov"]).shape == (4, 4)
-        assert len(doc["per_start"]) == 3
-        assert [list(r) for r in doc["per_start"]] == 3 * [
+        # a linear log-det fit is solved, not searched: one record
+        assert [list(r) for r in doc["per_start"]] == [
             ["start_index", "final_cost", "iterations", "grad_norm", "termination"]
         ]
         # estimate close to the generating coefficients at n = 300
@@ -481,6 +481,49 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert flag in err
+
+    def test_simulate_has_no_optimizer_flags(self, tmp_path, linear22, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "simulate", "--mode", "iid", "--model", linear22, "--gamma", "1,0;0,1",
+                    "--n", "10", "--out", str(tmp_path / "x.csv"),
+                    "--starts", "-4", "--max-iters", "0", "--grad-tol", "-1",
+                ]
+            )
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert all(flag in err for flag in ("--starts", "--max-iters", "--grad-tol"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_weight_needs_gls(self, tmp_path, linear22, capsys):
+        data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        code, out, err = run(
+            ["fit", "--cost", "logdet", "--model", linear22, "--data", data,
+             "--weight", "not-a-matrix"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "--weight" in err
+
+    @pytest.mark.parametrize("flag, value", [("--n", "7"), ("--alpha", "0.5")])
+    def test_covariance_rejects_test_size_flags(self, tmp_path, linear22, flag, value, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        recipe = str(tmp_path / "d.recipe.json")
+        code, out, err = run(["mc", "--recipe", recipe, "--reps", "2", flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert flag in err
+
+    def test_test_size_rejects_estimators(self, tmp_path, linear22, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        recipe = str(tmp_path / "d.recipe.json")
+        code, out, err = run(
+            ["mc", "--experiment", "test-size", "--recipe", recipe, "--reps", "2",
+             "--estimators", "bogus"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "--estimators" in err
 
     def test_internal_value_error_propagates(self, tmp_path, linear22, capsys, monkeypatch):
         import logdetreg.cli as cli

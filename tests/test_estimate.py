@@ -18,10 +18,18 @@ from logdetreg import (
     gen_series,
     spd_from_symmetric,
 )
-from logdetreg.cost import empirical_covariance, information, logdet_gradient
-from logdetreg.errors import NonIdentifiable, UnderDetermined
-from logdetreg.estimate import _objective, _ols_closed_form
-from logdetreg.optimize import bfgs_minimize
+from logdetreg import cost, estimate, optimize
+from logdetreg.cost import (
+    empirical_covariance,
+    gls_gradient,
+    information,
+    logdet_gradient,
+    mse_gradient,
+)
+from logdetreg.errors import NonIdentifiable, SingularDesign, UnderDetermined
+from logdetreg.estimate import _objective, _wls
+from logdetreg.optimize import bfgs_minimize, multi_start
+from logdetreg.prune import ssm_prune
 from logdetreg.simulate import bivariate_nar_recipe
 from logdetreg.model import eval_batch
 from conftest import make_instance, residual_set
@@ -37,6 +45,31 @@ def linear_dataset(n=400, seed=13, gamma=None, spec=None, w=None):
     return spec, w, gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=n, seed=seed))
 
 
+def mlp_dataset(n=400, seed=9):
+    spec = ModelSpec(ModelKind.MLP, 1, 2, hidden_units=1)
+    w = ParamVector(np.array([1.2, 0.0, 0.9, -0.7, 0.1, -0.2]), spec)
+    gamma = spd_from_symmetric([[1.0, 0.7], [0.7, 1.0]])
+    return spec, w, gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=n, seed=seed))
+
+
+def masked_design(seed, n=600):
+    """A masked linear design drawn like acceptance criterion 8's."""
+    rng = np.random.default_rng(seed)
+    din = int(rng.integers(2, 4))
+    mask = rng.random(2 * din) < 0.7
+    mask[0] = True
+    spec = ModelSpec(ModelKind.MASKED_LINEAR, din, 2, mask=mask)
+    w = ParamVector(rng.uniform(-1.0, 1.0, spec.param_count), spec)
+    a = rng.uniform(-0.95, 0.95)
+    gamma = spd_from_symmetric([[1.0, a], [a, 1.0]])
+    return spec, gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=n, seed=seed + 7))
+
+
+def ols_oracle(data):
+    """Unconstrained OLS by numpy's least squares, row-major vec(W)."""
+    return np.linalg.lstsq(data.inputs, data.outputs, rcond=None)[0].T.reshape(-1)
+
+
 class TestFitOls:
     def test_exact_interpolation(self):
         spec = ModelSpec(ModelKind.LINEAR, 1, 1)
@@ -46,16 +79,23 @@ class TestFitOls:
         assert fit.cost_kind is CostKind.MSE
 
     def test_closed_form_matches_optimizer(self):
-        spec, w, data = linear_dataset()
-        closed = fit_ols(spec, data, OPTS)
-        # force the optimizer route through an all-true masked spec
-        masked = ModelSpec(
-            ModelKind.MASKED_LINEAR, 2, 2, mask=np.ones(4, dtype=bool)
-        )
-        iterated = fit_ols(masked, data, OptimOptions(n_starts=3, seed=17, grad_tol=1e-10))
-        assert np.max(np.abs(closed.w_hat.values - iterated.w_hat.values)) < 1e-6
-        (record,) = closed.optim.per_start
-        assert record.termination == "closed_form" and record.grad_norm < 1e-12
+        # BFGS is the oracle for the weighted least-squares solve, on an
+        # unconstrained and a masked spec, for the MSE and a GLS weight
+        _, _, data = linear_dataset()
+        identity = spd_from_symmetric(np.eye(2))
+        weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
+        opts = OptimOptions(n_starts=3, seed=17, grad_tol=1e-10)
+        masked = ModelSpec(ModelKind.MASKED_LINEAR, 2, 2, mask=[True, False, True, True])
+        costs = ((identity, mse_gradient), (weight, lambda rs: gls_gradient(rs, weight)))
+        for spec in (ModelSpec(ModelKind.LINEAR, 2, 2), masked):
+            for w, objective in costs:
+                searched = multi_start(_objective(spec, data, objective), spec, opts)
+                solved = _wls(spec, data, w)
+                assert np.max(np.abs(solved - searched.w_best.values)) < 1e-6
+                assert _objective(spec, data, objective)(solved)[0] <= searched.cost_best
+        (record,) = fit_ols(spec, data, OPTS).optim.per_start
+        assert (record.termination, record.iterations) == ("closed_form", 0)
+        assert record.grad_norm < 1e-12
 
     def test_noiseless_mlp_zero_floor(self):
         spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
@@ -162,7 +202,7 @@ class TestFitFgls:
 
 class TestWarmStart:
     def test_logdet_runs_once_from_x0(self):
-        spec, w, data = linear_dataset()
+        spec, w, data = mlp_dataset()
         x0 = w.values + 0.1
         fit = fit_logdet(spec, data, OPTS, x0=x0)
         x, f, reason, iters = bfgs_minimize(_objective(spec, data, logdet_gradient), x0, OPTS)
@@ -174,12 +214,16 @@ class TestWarmStart:
         assert fit.asymptotic_cov is not None
 
     def test_gls_runs_once_from_x0(self):
-        spec, w, data = linear_dataset()
+        spec, w, data = mlp_dataset()
         weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
         warm = fit_gls(spec, data, weight, OPTS, x0=w.values)
         cold = fit_gls(spec, data, weight, OPTS)
+        x, f, _, _ = bfgs_minimize(
+            _objective(spec, data, lambda rs: gls_gradient(rs, weight)), w.values, OPTS
+        )
         assert len(warm.optim.per_start) == 1
-        assert np.max(np.abs(warm.w_hat.values - cold.w_hat.values)) < 1e-6
+        np.testing.assert_array_equal(warm.w_hat.values, x)
+        assert abs(warm.cost_value - cold.cost_value) < 1e-8
 
 
 class TestFitLogdet:
@@ -208,7 +252,7 @@ class TestFitLogdet:
     def test_unconstrained_linear_matches_ols(self):
         spec, _, data = linear_dataset(gamma=spd_from_symmetric([[1.81, 1.8], [1.8, 1.81]]))
         ld = fit_logdet(spec, data, OptimOptions(n_starts=3, seed=6, grad_tol=1e-8))
-        assert np.max(np.abs(ld.w_hat.values - _ols_closed_form(spec, data))) < 1e-6
+        assert np.max(np.abs(ld.w_hat.values - ols_oracle(data))) < 1e-6
 
     def test_populates_info(self):
         spec, _, data = linear_dataset()
@@ -266,3 +310,77 @@ class TestFisherInfo:
         info, _ = fisher_info(spec, w0, data)
         scale = np.max(np.abs(info.entries))
         assert np.max(np.abs(rep.hessian / 2.0 - info.entries)) / scale < 0.05
+
+
+class TestSingularDesign:
+    """A third regressor that duplicates the first leaves the least-squares
+    and log-det minimizers on a flat valley: every linear fit refuses it."""
+
+    @staticmethod
+    def duplicated_design():
+        rng = np.random.default_rng(40)
+        z = rng.uniform(-1, 1, (200, 2))
+        z = np.hstack([z, z[:, :1]])
+        y = z[:, :2] @ np.array([[1.0, -0.5], [0.3, 0.8]]) + rng.standard_normal((200, 2))
+        return Dataset(z, y)
+
+    @pytest.mark.parametrize("fitter", ["ols", "gls", "logdet"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unconstrained", "masked"])
+    def test_rank_deficient_design_raises(self, fitter, masked):
+        if masked:  # the first equation keeps both copies free
+            spec = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=[1, 1, 1, 1, 0, 1])
+        else:
+            spec = ModelSpec(ModelKind.LINEAR, 3, 2)
+        data = self.duplicated_design()
+        weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
+        fit = {
+            "ols": lambda: fit_ols(spec, data, OPTS),
+            "gls": lambda: fit_gls(spec, data, weight, OPTS),
+            "logdet": lambda: fit_logdet(spec, data, OPTS),
+        }[fitter]
+        with pytest.raises(SingularDesign):
+            fit()
+
+
+class TestLinearLogdet:
+    @pytest.mark.parametrize("seed", [7000, 7002, 7003, 7004, 7007])
+    def test_matches_bfgs_oracle(self, seed, monkeypatch):
+        # BFGS on U_n is the oracle for the iterated FGLS solution; each
+        # round is block-coordinate descent, so U_n never rises across rounds
+        spec, data = masked_design(seed)
+        values = []
+        real = cost.logdet_gradient
+
+        def recorded(rs):
+            report = real(rs)
+            values.append(report.value)
+            return report
+
+        monkeypatch.setattr(cost, "logdet_gradient", recorded)
+        fit = fit_logdet(spec, data, OPTS)
+        monkeypatch.undo()
+        searched = multi_start(_objective(spec, data, logdet_gradient), spec, OPTS)
+        assert abs(fit.cost_value - searched.cost_best) <= 1e-9
+        (record,) = fit.optim.per_start
+        assert record.termination == "grad_tol" and record.iterations == len(values) - 1
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_max_iters_caps_the_rounds(self):
+        spec, data = masked_design(7000)
+        fit = fit_logdet(spec, data, OptimOptions(max_iters=1, grad_tol=1e-14))
+        (record,) = fit.optim.per_start
+        assert (record.termination, record.iterations) == ("max_iters", 1)
+        assert not fit.optim.converged
+
+    def test_linear_fits_never_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a linear fit reached the optimizer")
+
+        monkeypatch.setattr(estimate, "multi_start", forbidden)
+        monkeypatch.setattr(optimize, "bfgs_minimize", forbidden)
+        spec, data = masked_design(7007)
+        fit_ols(spec, data, OPTS)
+        fit_gls(spec, data, spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]]), OPTS)
+        fit_logdet(spec, data, OPTS, x0=np.zeros(spec.param_count))
+        fit_fgls(spec, data, OPTS)
+        ssm_prune(ModelSpec(ModelKind.LINEAR, spec.input_dim, 2), data, OPTS)
