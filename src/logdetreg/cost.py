@@ -4,7 +4,9 @@ Three costs: the mean squared error, generalized least squares with a
 fixed weighting matrix, and the log-determinant of the empirical residual
 covariance, each with its analytic gradient, plus the Hessian of the
 log-determinant.  All three gradients are ``-(2/n) sum_t J_t^T v_t``, with
-``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``.
+``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``, computed by
+the model's pullback (:func:`logdetreg.model.linearize`); only
+:func:`information` and :func:`logdet_hessian` build the Jacobians.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -31,6 +33,7 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,12 +46,14 @@ from .linalg import SpdMatrix, logdet, spd_from_symmetric
 
 @dataclass
 class ResidualSet:
-    """Residuals of a model on a dataset, with lazily computed Jacobians."""
+    """Residuals of a model on a dataset, with the model's pullback
+    ``v -> sum_t J_t^T v_t`` and lazily computed Jacobians."""
 
     residuals: np.ndarray
     spec: mdl.ModelSpec | None = None
     w: mdl.ParamVector | None = None
     inputs: np.ndarray | None = None
+    pullback: Callable[[np.ndarray], np.ndarray] | None = None
     _jacobians: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -60,8 +65,8 @@ class ResidualSet:
 
     @classmethod
     def from_model(cls, spec: mdl.ModelSpec, w: mdl.ParamVector, data: Dataset) -> "ResidualSet":
-        pred = mdl.eval_batch(spec, w, data.inputs)
-        return cls(residuals=data.outputs - pred, spec=spec, w=w, inputs=data.inputs)
+        pred, pullback = mdl.linearize(spec, w, data.inputs)
+        return cls(data.outputs - pred, spec, w, data.inputs, pullback)
 
     @property
     def n(self) -> int:
@@ -103,7 +108,9 @@ def empirical_covariance(rs: ResidualSet) -> SpdMatrix:
 def _chain(rs: ResidualSet, v: np.ndarray) -> np.ndarray:
     """-(2/n) sum_t J_t^T v_t: the gradient of every cost here, given the
     per-row weighted residuals v_t."""
-    return -2.0 / rs.n * np.einsum("tik,ti->k", rs.jacobians, v)
+    if rs.pullback is None:
+        raise DimensionMismatch("residual set was built without a model")
+    return -2.0 / rs.n * rs.pullback(v)
 
 
 def mse_cost(rs: ResidualSet) -> float:

@@ -65,10 +65,10 @@ def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
     """Residuals at x, or None when the prediction overflowed (treated as
     an infinite-cost trial point by the objective)."""
     w = mdl.ParamVector(x, spec)
-    pred = mdl.eval_batch(spec, w, data.inputs)
+    pred, pullback = mdl.linearize(spec, w, data.inputs)
     if not np.all(np.isfinite(pred)):
         return None
-    return cst.ResidualSet(residuals=data.outputs - pred, spec=spec, w=w, inputs=data.inputs)
+    return cst.ResidualSet(data.outputs - pred, spec, w, data.inputs, pullback)
 
 
 def _objective(spec, data, cost):

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import lapack
 
 from .errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
 
@@ -42,8 +42,10 @@ class SpdMatrix:
         return self.entries.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``self @ x = b`` using the cached factor."""
-        return cho_solve((self.chol, True), b)
+        """Solve ``self @ x = b`` using the cached factor: LAPACK ``potrs``,
+        as ``scipy.linalg.cho_solve`` calls it.  A non-finite ``b`` or a
+        mismatched dimension raises ValueError."""
+        return lapack.dpotrs(self.chol, np.asarray_chkfinite(b), lower=1)[0]
 
 
 def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) -> SpdMatrix:

@@ -14,8 +14,10 @@ Flattening order (stable contract for JSON round trips and pruning masks):
   block shaped ``(H, d)`` row-major, and the bias shaped ``(d,)``, for
   ``F_w(z) = sum_h b_h tanh(a_h . z + c_h) + bias``.
 
-:func:`predictor` is the one forward map (``w`` unpacked once), and
-``_mlp_blocks`` the one statement of the MLP grid layout.
+:func:`predictor` is the forward map (``w`` unpacked once), and
+:func:`linearize` the same map with its pullback ``v -> sum_t J_t^T v_t``
+(one forward and one backward pass per cost gradient); ``_mlp_blocks`` is
+the one statement of the MLP grid layout.
 """
 
 from __future__ import annotations
@@ -147,6 +149,34 @@ def predictor(spec: ModelSpec, w: ParamVector):
 def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the model on an (n, d') input batch; returns (n, d)."""
     return predictor(spec, w)(_check_inputs(spec, inputs))
+
+
+def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray):
+    """``(pred, pullback)``: the (n, d) prediction, bitwise equal to
+    :func:`eval_batch`, and ``v -> sum_t J_t^T v_t`` from (n, d) weights to
+    the K free parameters, without forming the Jacobians.
+
+    For the MLP the pullback back-propagates through the forward pass's
+    hidden values ``t``: with ``delta = (v b^T) * (1 - t^2)`` the a, c, b and
+    bias blocks are ``delta^T z``, ``sum_t delta_t``, ``t^T v`` and
+    ``sum_t v_t``.  For the linear families it is ``v^T z`` on the mask.
+    """
+    z = _check_inputs(spec, inputs)
+    grid, mask = w.full_grid(), spec.effective_mask
+    if spec.kind is ModelKind.MLP:
+        a, c, b, bias = _mlp_blocks(spec, grid)
+        t = np.tanh(z @ a.T + c)
+
+        def pullback(v):
+            delta = (v @ b.T) * (1.0 - t * t)
+            grad = np.empty(grid.size)
+            ga, gc, gb, gbias = _mlp_blocks(spec, grad)
+            ga[...], gc[...], gb[...], gbias[...] = delta.T @ z, delta.sum(0), t.T @ v, v.sum(0)
+            return grad[mask]
+
+        return t @ b + bias, pullback
+    wmat = grid.reshape(spec.output_dim, spec.input_dim)
+    return z @ wmat.T, lambda v: (v.T @ z).ravel()[mask]
 
 
 def jacobian_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:

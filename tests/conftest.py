@@ -69,9 +69,14 @@ def residual_set(spec, w, data):
 
 # --- oracles: independent routes to values the library computes otherwise ---
 
+def cho_solve_oracle(g: SpdMatrix, b) -> np.ndarray:
+    """``g^{-1} b`` by scipy's ``cho_solve`` on the cached factor."""
+    return cho_solve((g.chol, True), b)
+
+
 def spd_inverse(g: SpdMatrix) -> SpdMatrix:
     """Inverse of an SPD matrix, returned as a valid :class:`SpdMatrix`."""
-    inv = cho_solve((g.chol, True), np.eye(g.dim))
+    inv = cho_solve_oracle(g, np.eye(g.dim))
     return spd_from_symmetric(0.5 * (inv + inv.T))
 
 

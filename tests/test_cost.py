@@ -105,6 +105,18 @@ class TestQuadraticGradients:
         assert np.max(np.abs(rep.gradient - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
 
+class TestModelLess:
+    @pytest.mark.parametrize(
+        "gradient",
+        [mse_gradient, lambda rs: gls_gradient(rs, spd_from_symmetric(np.eye(2))), logdet_gradient],
+        ids=["mse", "gls", "logdet"],
+    )
+    def test_gradient_needs_a_model(self, gradient):
+        rs = ResidualSet(np.random.default_rng(12).standard_normal((20, 2)))
+        with pytest.raises(DimensionMismatch, match="built without a model"):
+            gradient(rs)
+
+
 class TestLogdetCost:
     def test_d1_scalar_reduction(self):
         rng = np.random.default_rng(9)

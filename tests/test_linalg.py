@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
 from logdetreg.linalg import RidgePolicy, logdet, spd_from_symmetric
-from conftest import spd_inverse, trace_product
+from conftest import cho_solve_oracle, spd_inverse, trace_product
 
 
 class TestSpdFromSymmetric:
@@ -98,6 +98,39 @@ class TestLogdet:
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             rotated = spd_from_symmetric(q @ g.entries @ q.T, RidgePolicy.REJECT)
             assert logdet(rotated) == pytest.approx(logdet(g), abs=1e-9)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_bitwise_equal_to_cho_solve(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        g = spd_from_symmetric(a @ a.T + np.eye(d))
+        rhs = (
+            rng.standard_normal(d),
+            rng.standard_normal((d, 40)),
+            rng.standard_normal((d, d)),
+            rng.standard_normal((40, d)).T,  # Fortran-ordered view
+            rng.standard_normal((d, 80))[:, ::2],  # strided view
+        )
+        for b in rhs:
+            x = g.solve(b)
+            assert x.shape == b.shape
+            np.testing.assert_array_equal(x, cho_solve_oracle(g, b))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        g = spd_from_symmetric([[2.0, 0.5], [0.5, 1.0]])
+        b = np.ones((2, 3))
+        b[1, 2] = bad
+        with pytest.raises(ValueError):
+            g.solve(b)
+
+    def test_dimension_mismatch_rejected(self):
+        g = spd_from_symmetric(np.eye(2))
+        for b in (np.ones(3), np.ones((3, 2))):
+            with pytest.raises(ValueError):
+                g.solve(b)
 
 
 class TestSpdInverse:

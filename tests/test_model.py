@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from logdetreg.errors import DimensionMismatch
-from logdetreg.model import eval_batch, jacobian_batch, second_derivs_vdot
+from logdetreg.model import eval_batch, jacobian_batch, linearize, second_derivs_vdot
 from conftest import fd_jacobian, make_instance
 
 
@@ -143,6 +145,49 @@ class TestJacobian:
         full = ModelSpec(ModelKind.LINEAR, 3, 2)
         wf = ParamVector(w.full_grid(), full)
         np.testing.assert_allclose(evaluate(spec, w, z), evaluate(full, wf, z))
+
+
+def check_linearize(spec, seed, n=50):
+    """linearize at a seeded random point: the prediction is bitwise
+    eval_batch's, and the pullback matches the Jacobian contraction."""
+    rng = np.random.default_rng(seed)
+    w = ParamVector(rng.uniform(-1.5, 1.5, spec.param_count), spec)
+    z = rng.standard_normal((n, spec.input_dim))
+    v = rng.standard_normal((n, spec.output_dim))
+    pred, pullback = linearize(spec, w, z)
+    np.testing.assert_array_equal(pred, eval_batch(spec, w, z))
+    grad = pullback(v)
+    ref = np.einsum("tik,ti->k", jacobian_batch(spec, w, z), v)
+    assert grad.shape == (spec.param_count,)
+    assert np.max(np.abs(grad - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestLinearize:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(ModelKind.LINEAR, 3, 2),
+            ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=[True, False, True, True, True, False]),
+            ModelSpec(ModelKind.MLP, 2, 2, hidden_units=3),
+            ModelSpec(ModelKind.MLP, 3, 2, hidden_units=4,
+                      mask=np.arange(4 * 3 + 4 + 4 * 2 + 2) % 3 != 1),
+        ],
+        ids=["linear", "masked_linear", "mlp", "masked_mlp"],
+    )
+    def test_matches_jacobian_contraction(self, spec):
+        check_linearize(spec, seed=spec.param_count, n=500)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        din, dout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        kind = ModelKind.MLP if rng.random() < 0.5 else ModelKind.MASKED_LINEAR
+        hidden = int(rng.integers(1, 5)) if kind is ModelKind.MLP else None
+        grid_k = ModelSpec(kind, din, dout, hidden).full_param_count
+        mask = rng.random(grid_k) < 0.6
+        mask[int(rng.integers(grid_k))] = True
+        check_linearize(ModelSpec(kind, din, dout, hidden, mask), seed)
 
 
 def vdot_against_fd(spec, w, data):
