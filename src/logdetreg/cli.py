@@ -39,14 +39,17 @@ USAGE_ERRORS = (
 )
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Inline matrix syntax: rows separated by ';', entries by ','."""
+def parse_matrix(text: str, flag: str) -> np.ndarray:
+    """Inline matrix syntax: rows separated by ';', entries by ','; the
+    entries must be finite."""
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
     except ValueError:
         raise UsageError(f"cannot parse matrix {text!r}") from None
     if len({len(r) for r in rows}) != 1:
         raise UsageError(f"ragged matrix {text!r}")
+    if not np.all(np.isfinite(rows)):
+        raise UsageError(f"{flag} entries must be finite, got {text!r}")
     return np.asarray(rows)
 
 
@@ -75,8 +78,8 @@ def _optim_options(args, n_starts_default: int = 20) -> OptimOptions:
         raise UsageError("--starts must be >= 1")
     if args.max_iters < 1:
         raise UsageError("--max-iters must be >= 1")
-    if not args.grad_tol > 0:
-        raise UsageError("--grad-tol must be > 0")
+    if not 0 < args.grad_tol < np.inf:
+        raise UsageError("--grad-tol must be finite and > 0")
     return OptimOptions(
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
@@ -85,9 +88,9 @@ def _optim_options(args, n_starts_default: int = 20) -> OptimOptions:
     )
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise UsageError("--alpha must be in (0, 1)")
+def _check_level(level: float, flag: str) -> None:
+    if not 0.0 < level < 1.0:
+        raise UsageError(f"{flag} must be in (0, 1)")
 
 
 def _only_for(args, mode: str, *flags: str) -> None:
@@ -162,7 +165,7 @@ def cmd_simulate(args) -> int:
         mode=mode,
         spec=spec,
         w_true=w_true,
-        gamma0=spd_from_symmetric(parse_matrix(args.gamma)),
+        gamma0=spd_from_symmetric(parse_matrix(args.gamma, "--gamma")),
         n=args.n,
         burn_in=burn_in,
         y0=None,
@@ -193,7 +196,7 @@ def cmd_fit(args) -> int:
         if args.weight in (None, "identity"):
             weight = spd_from_symmetric(np.eye(spec.output_dim))
         else:
-            weight = spd_from_symmetric(parse_matrix(args.weight))
+            weight = spd_from_symmetric(parse_matrix(args.weight, "--weight"))
         fit = fit_gls(spec, data, weight, opts)
     elif args.cost == "fgls":
         fit = fit_fgls(spec, data, opts)
@@ -208,7 +211,7 @@ def cmd_test(args) -> int:
     spec_f, _ = _read_json(args.full, mdl.spec_from_dict)
     data = load_csv(args.data)
     opts = _optim_options(args)
-    _check_alpha(args.alpha)
+    _check_level(args.alpha, "--alpha")
     if args.calibrate < 0:
         raise UsageError("--calibrate must be >= 0")
     doc = {
@@ -273,6 +276,8 @@ def cmd_prune(args) -> int:
     spec, _ = _read_json(args.model, mdl.spec_from_dict)
     data = load_csv(args.data)
     opts = _optim_options(args)
+    if args.gate is not None:
+        _check_level(args.gate, "--gate")
     trace = prn.ssm_prune(spec, data, opts, gate=args.gate)
     k_init = spec.param_count
     k_final = trace.final_spec.param_count
@@ -353,7 +358,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
     alpha = 0.05 if args.alpha is None else args.alpha
     if n < 1:
         raise UsageError(f"--n must satisfy n >= 1, got {n}")
-    _check_alpha(alpha)
+    _check_level(alpha, "--alpha")
     d, din = 2, 3
     full = mdl.ModelSpec(mdl.ModelKind.LINEAR, input_dim=din, output_dim=d)
     mask = np.ones(d * din, dtype=bool)

@@ -4,9 +4,11 @@ Three costs: the mean squared error, generalized least squares with a
 fixed weighting matrix, and the log-determinant of the empirical residual
 covariance, each with its analytic gradient, plus the Hessian of the
 log-determinant.  All three gradients are ``-(2/n) sum_t J_t^T v_t``, with
-``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``, computed by
-the model's pullback (:func:`logdetreg.model.linearize`); only
-:func:`information` and :func:`logdet_hessian` build the Jacobians.
+``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``.  Every
+derivative is read from the :class:`~logdetreg.model.Linearization` a
+:class:`ResidualSet` carries: the gradients from its pullback, and only
+:func:`information` and :func:`logdet_hessian` build its Jacobians (once
+per residual set).
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -27,14 +29,14 @@ information matrix ``(1/n) sum_t J_t^T G J_t`` (:func:`information`, shared
 with the plug-in Fisher information).  The third is never built from
 ``S_t``: ``tr(G C_kl) = -(1/n) sum_t (G r_t)^T S_t[k, l]`` is the model's
 second-derivative contraction against the rows ``G r_t``
-(:func:`logdetreg.model.second_derivs_vdot`).  Both forms are validated
+(``Linearization.second_derivs_vdot``).  Both forms are validated
 against finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +48,12 @@ from .linalg import SpdMatrix, logdet, spd_from_symmetric
 
 @dataclass
 class ResidualSet:
-    """Residuals of a model on a dataset, with the model's pullback
-    ``v -> sum_t J_t^T v_t`` and lazily computed Jacobians."""
+    """Residuals of a model on a dataset, with the model's
+    :class:`~logdetreg.model.Linearization` there (``None`` for bare
+    residuals, which support cost values but no derivatives)."""
 
     residuals: np.ndarray
-    spec: mdl.ModelSpec | None = None
-    w: mdl.ParamVector | None = None
-    inputs: np.ndarray | None = None
-    pullback: Callable[[np.ndarray], np.ndarray] | None = None
-    _jacobians: np.ndarray | None = field(default=None, init=False, repr=False)
+    lin: mdl.Linearization | None = None
 
     def __post_init__(self):
         self.residuals = np.asarray(self.residuals, dtype=float)
@@ -65,8 +64,8 @@ class ResidualSet:
 
     @classmethod
     def from_model(cls, spec: mdl.ModelSpec, w: mdl.ParamVector, data: Dataset) -> "ResidualSet":
-        pred, pullback = mdl.linearize(spec, w, data.inputs)
-        return cls(data.outputs - pred, spec, w, data.inputs, pullback)
+        lin = mdl.linearize(spec, w, data.inputs)
+        return cls(data.outputs - lin.pred, lin)
 
     @property
     def n(self) -> int:
@@ -77,12 +76,15 @@ class ResidualSet:
         return self.residuals.shape[1]
 
     @property
+    def model(self) -> mdl.Linearization:
+        """The linearization, which every derivative needs."""
+        if self.lin is None:
+            raise DimensionMismatch("residual set was built without a model")
+        return self.lin
+
+    @cached_property
     def jacobians(self) -> np.ndarray:
-        if self._jacobians is None:
-            if self.spec is None:
-                raise DimensionMismatch("residual set was built without a model")
-            self._jacobians = mdl.jacobian_batch(self.spec, self.w, self.inputs)
-        return self._jacobians
+        return self.model.jacobian()
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,7 @@ def empirical_covariance(rs: ResidualSet) -> SpdMatrix:
 def _chain(rs: ResidualSet, v: np.ndarray) -> np.ndarray:
     """-(2/n) sum_t J_t^T v_t: the gradient of every cost here, given the
     per-row weighted residuals v_t."""
-    if rs.pullback is None:
-        raise DimensionMismatch("residual set was built without a model")
-    return -2.0 / rs.n * rs.pullback(v)
+    return -2.0 / rs.n * rs.model.pullback(v)
 
 
 def mse_cost(rs: ResidualSet) -> float:
@@ -165,6 +165,6 @@ def logdet_hessian(rs: ResidualSet) -> CostReport:
     term1 = -2.0 * np.einsum("lij,kji->kl", gag, a)
     # term 2: 2 tr(G B_kl); term 3: 2 tr(G C_kl) = -(2/n) sum_t S_t[k,l] . (G r_t)
     term2 = 2.0 * information(rs, report.gamma_n)
-    term3 = -2.0 / rs.n * mdl.second_derivs_vdot(rs.spec, rs.w, rs.inputs, rs.residuals @ g)
+    term3 = -2.0 / rs.n * rs.model.second_derivs_vdot(rs.residuals @ g)
     hess = term1 + term2 + term3
     return replace(report, hessian=0.5 * (hess + hess.T))

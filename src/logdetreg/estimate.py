@@ -64,11 +64,10 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
 def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
     """Residuals at x, or None when the prediction overflowed (treated as
     an infinite-cost trial point by the objective)."""
-    w = mdl.ParamVector(x, spec)
-    pred, pullback = mdl.linearize(spec, w, data.inputs)
-    if not np.all(np.isfinite(pred)):
+    lin = mdl.linearize(spec, mdl.ParamVector(x, spec), data.inputs)
+    if not np.all(np.isfinite(lin.pred)):
         return None
-    return cst.ResidualSet(data.outputs - pred, spec, w, data.inputs, pullback)
+    return cst.ResidualSet(data.outputs - lin.pred, lin)
 
 
 def _objective(spec, data, cost):
@@ -107,14 +106,15 @@ def _nonsingular(m: np.ndarray, error: type, what: str) -> SpdMatrix:
     return spd
 
 
-def _wls(spec: mdl.ModelSpec, data: Dataset, weight: SpdMatrix) -> np.ndarray:
-    """Minimizer of the GLS cost of a linear spec (masked or not).
+def _wls(rs0: cst.ResidualSet, weight: SpdMatrix) -> np.ndarray:
+    """Minimizer of the GLS cost of a linear spec (masked or not), given
+    its residual set ``rs0`` at w = 0.
 
-    The cost is quadratic in w with Hessian ``2 information(rs, weight)``,
+    The cost is quadratic in w with Hessian ``2 information(rs0, weight)``,
     so one Newton step from w = 0 lands on its minimizer.  Raises
     SingularDesign when the weighted design information is singular.
+    ``rs0`` caches the (w-independent) Jacobian across calls.
     """
-    rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
     info = _nonsingular(cst.information(rs0, weight), SingularDesign, "regressor design")
     return info.solve(-0.5 * cst.gls_gradient(rs0, weight).gradient)
 
@@ -160,7 +160,7 @@ def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
 
 
 def _solved(spec, data, weight: SpdMatrix, cost) -> OptimOutcome:
-    x = _wls(spec, data, weight)
+    x = _wls(_residuals_at(spec, data, np.zeros(spec.param_count)), weight)
     return _outcome(spec, x, cost(_residuals_at(spec, data, x)), 0, "closed_form")
 
 
@@ -245,13 +245,14 @@ def _iterated_fgls(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> Op
     estimate (Oberhofer & Kmenta 1974), which is OLS itself when every
     equation has the same regressors (Zellner 1962).
     """
-    x = _wls(spec, data, spd_from_symmetric(np.eye(data.output_dim)))
+    rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
+    x = _wls(rs0, spd_from_symmetric(np.eye(data.output_dim)))
     report = cst.logdet_gradient(_residuals_at(spec, data, x))
     rounds = 0
     while np.max(np.abs(report.gradient)) > opts.grad_tol:
         if rounds >= opts.max_iters:
             return _outcome(spec, x, report, rounds, "max_iters")
-        x = _wls(spec, data, report.gamma_n)
+        x = _wls(rs0, report.gamma_n)
         report = cst.logdet_gradient(_residuals_at(spec, data, x))
         rounds += 1
     return _outcome(spec, x, report, rounds, "grad_tol")

@@ -14,17 +14,19 @@ Flattening order (stable contract for JSON round trips and pruning masks):
   block shaped ``(H, d)`` row-major, and the bias shaped ``(d,)``, for
   ``F_w(z) = sum_h b_h tanh(a_h . z + c_h) + bias``.
 
-:func:`predictor` is the forward map (``w`` unpacked once), and
-:func:`linearize` the same map with its pullback ``v -> sum_t J_t^T v_t``
-(one forward and one backward pass per cost gradient); ``_mlp_blocks`` is
-the one statement of the MLP grid layout.
+:func:`predictor` is the forward map (``w`` unpacked once); :func:`linearize`
+adds, from the same forward pass, every derivative the costs use (a
+:class:`Linearization`); ``_mlp_blocks`` is the one statement of the MLP
+grid layout.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,51 +153,62 @@ def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarra
     return predictor(spec, w)(_check_inputs(spec, inputs))
 
 
-def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray):
-    """``(pred, pullback)``: the (n, d) prediction, bitwise equal to
-    :func:`eval_batch`, and ``v -> sum_t J_t^T v_t`` from (n, d) weights to
-    the K free parameters, without forming the Jacobians.
+class Linearization(NamedTuple):
+    """F_w on an (n, d') input batch and its parameter derivatives, all read
+    from one forward pass.
 
-    For the MLP the pullback back-propagates through the forward pass's
-    hidden values ``t``: with ``delta = (v b^T) * (1 - t^2)`` the a, c, b and
-    bias blocks are ``delta^T z``, ``sum_t delta_t``, ``t^T v`` and
-    ``sum_t v_t``.  For the linear families it is ``v^T z`` on the mask.
+    ``pred`` is the (n, d) prediction, bitwise equal to :func:`eval_batch`;
+    ``pullback(v)`` is ``sum_t J_t^T v_t`` over the K free parameters for
+    (n, d) weights ``v``; ``jacobian()`` gives the (n, d, K) per-row
+    Jacobians; ``second_derivs_vdot(v)`` is the (K, K) matrix
+    ``sum_t sum_i v[t, i] d2F_i(z_t)/dw_k dw_l``.  Neither contraction forms
+    its per-row tensors.
+
+    Linear families: the pullback is ``v^T z`` on the mask and the second
+    derivatives are exact zeros.  MLP, with hidden values ``t``,
+    ``dt = 1 - t^2`` and ``beta = v b^T``: the pullback's a, c, b and bias
+    blocks are ``(beta dt)^T z``, ``sum_t (beta dt)_t``, ``t^T v`` and
+    ``sum_t v_t``.  Second derivatives couple only parameters of one hidden
+    unit; with ``zt = [z, 1]`` (its ``a_h`` entries and ``c_h``) they are
+    ``sum_t tanh''(u_th) beta_th zt_t zt_t^T`` on ``(a|c, a|c)`` and
+    ``sum_t dt_th zt_t v_t^T`` on ``(a|c, b_h)``.
     """
+
+    pred: np.ndarray
+    pullback: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[], np.ndarray]
+    second_derivs_vdot: Callable[[np.ndarray], np.ndarray]
+
+
+def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> Linearization:
+    """The :class:`Linearization` of F_w at the rows of ``inputs``."""
     z = _check_inputs(spec, inputs)
     grid, mask = w.full_grid(), spec.effective_mask
-    if spec.kind is ModelKind.MLP:
-        a, c, b, bias = _mlp_blocks(spec, grid)
-        t = np.tanh(z @ a.T + c)
+    n, d = z.shape[0], spec.output_dim
+    if spec.kind is not ModelKind.MLP:
+        wmat = grid.reshape(d, spec.input_dim)
 
-        def pullback(v):
-            delta = (v @ b.T) * (1.0 - t * t)
-            grad = np.empty(grid.size)
-            ga, gc, gb, gbias = _mlp_blocks(spec, grad)
-            ga[...], gc[...], gb[...], gbias[...] = delta.T @ z, delta.sum(0), t.T @ v, v.sum(0)
-            return grad[mask]
+        def jacobian():
+            jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
+            jac.reshape(n, d, d, spec.input_dim)[:, idx, idx, :] = z[:, None, :]
+            return jac[:, :, mask]
 
-        return t @ b + bias, pullback
-    wmat = grid.reshape(spec.output_dim, spec.input_dim)
-    return z @ wmat.T, lambda v: (v.T @ z).ravel()[mask]
+        return Linearization(z @ wmat.T, lambda v: (v.T @ z).ravel()[mask], jacobian,
+                             lambda v: np.zeros((spec.param_count, spec.param_count)))
 
+    a, c, b, bias = _mlp_blocks(spec, grid)
+    t = np.tanh(z @ a.T + c)
+    dt = 1.0 - t * t
 
-def jacobian_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Per-row d x K Jacobians of F_w with respect to the free parameters.
+    def pullback(v):
+        delta = (v @ b.T) * dt
+        grad = np.empty(grid.size)
+        ga, gc, gb, gbias = _mlp_blocks(spec, grad)
+        ga[...], gc[...], gb[...], gbias[...] = delta.T @ z, delta.sum(0), t.T @ v, v.sum(0)
+        return grad[mask]
 
-    Returns an (n, d, K) array whose column k is the partial derivative of
-    the output with respect to free parameter k.  For the MLP this is the
-    single-output back-propagation pattern applied per output component.
-    """
-    z = _check_inputs(spec, inputs)
-    n = z.shape[0]
-    d = spec.output_dim
-    idx = np.arange(d)
-    jac = np.zeros((n, d, spec.full_param_count))
-
-    if spec.kind is ModelKind.MLP:
-        a, c, b, _ = _mlp_blocks(spec, w.full_grid())
-        t = np.tanh(z @ a.T + c)  # (n, h)
-        dt = 1.0 - t * t
+    def jacobian():
+        jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
         ja, jc, jb, jbias = _mlp_blocks(spec, jac)
         # a block: dF_i/da_{hj} = b[h,i] * dt[t,h] * z[t,j]
         ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
@@ -205,48 +218,23 @@ def jacobian_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.nd
         jb[:, idx, :, idx] = t
         # output bias: identity
         jbias[...] = np.eye(d)
-    else:
-        jac.reshape(n, d, d, spec.input_dim)[:, idx, idx, :] = z[:, None, :]
+        return jac[:, :, mask]
 
-    return jac[:, :, spec.effective_mask]
+    def second_vdot(v):
+        ddt = -2.0 * t * dt  # tanh'' reusing the forward value
+        zt = np.concatenate([z, np.ones((n, 1))], axis=1)
+        acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
+        acb = np.einsum("th,tj,ti->hji", dt, zt, v)
+        # grid indices of unit h's [a_h | c_h] and b_h entries
+        ia, ic, bh, _ = _mlp_blocks(spec, np.arange(grid.size))
+        ac = np.concatenate([ia, ic[:, None]], axis=1)
+        full = np.zeros((grid.size, grid.size))
+        full[ac[:, :, None], ac[:, None, :]] = acac
+        full[ac[:, :, None], bh[:, None, :]] = acb
+        full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)
+        return full[np.ix_(mask, mask)]
 
-
-def second_derivs_vdot(
-    spec: ModelSpec, w: ParamVector, inputs: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Second-derivative contraction sum_t sum_i v[t, i] d2F_i(z_t)/dw_k dw_l.
-
-    Returns the (K, K) matrix for an (n, d) weight array ``v``: the
-    vector-Hessian product of the model, without forming per-row second
-    derivatives.  Linear families give exact zeros.  For the MLP only the
-    blocks within one hidden unit are nonzero; with ``zt = [z, 1]`` (the
-    ``a_h`` entries and ``c_h``) and ``beta = v b^T``,
-
-    * ``(a|c, a|c)``: ``sum_t tanh''(u_th) beta_th zt_t zt_t^T``,
-    * ``(a|c, b_h)``: ``sum_t tanh'(u_th) zt_t v_t^T``.
-    """
-    z = _check_inputs(spec, inputs)
-    if spec.kind is not ModelKind.MLP:
-        return np.zeros((spec.param_count, spec.param_count))
-
-    a, c, b, _ = _mlp_blocks(spec, w.full_grid())
-    t = np.tanh(z @ a.T + c)
-    dt = 1.0 - t * t
-    ddt = -2.0 * t * dt  # tanh'' reusing the forward value
-    zt = np.concatenate([z, np.ones((z.shape[0], 1))], axis=1)
-    acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
-    acb = np.einsum("th,tj,ti->hji", dt, zt, v)
-
-    # grid indices of unit h's [a_h | c_h] and b_h entries
-    grid_k = spec.full_param_count
-    ia, ic, bh, _ = _mlp_blocks(spec, np.arange(grid_k))
-    ac = np.concatenate([ia, ic[:, None]], axis=1)
-    full = np.zeros((grid_k, grid_k))
-    full[ac[:, :, None], ac[:, None, :]] = acac
-    full[ac[:, :, None], bh[:, None, :]] = acb
-    full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)
-    mask = spec.effective_mask
-    return full[np.ix_(mask, mask)]
+    return Linearization(t @ b + bias, pullback, jacobian, second_vdot)
 
 
 # --- model file round trip -------------------------------------------------

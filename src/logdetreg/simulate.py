@@ -217,11 +217,14 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
     spec, params = mdl.spec_from_dict(doc["model"])
     if params is None:
         raise DimensionMismatch("recipe model must carry its true params")
+    gamma0 = np.asarray(doc["gamma0"], dtype=float)
+    if not np.all(np.isfinite(gamma0)):
+        raise ValueError(f"gamma0 entries must be finite, got {doc['gamma0']}")
     return SimRecipe(
         mode=SimMode(doc["mode"]),
         spec=spec,
         w_true=params,
-        gamma0=spd_from_symmetric(np.asarray(doc["gamma0"], dtype=float)),
+        gamma0=spd_from_symmetric(gamma0),
         n=int(doc["n"]),
         burn_in=int(doc.get("burn_in", 100)),
         y0=None if doc.get("y0") is None else np.asarray(doc["y0"], dtype=float),

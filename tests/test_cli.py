@@ -61,19 +61,19 @@ def simulate(capsys, model, out, n=200, gamma="1,0.4;0.4,1", seed=7, mode="iid")
 class TestParseMatrix:
     def test_matrix(self):
         np.testing.assert_array_equal(
-            parse_matrix("1.81,1.8;1.8,1.81"), [[1.81, 1.8], [1.8, 1.81]]
+            parse_matrix("1.81,1.8;1.8,1.81", "--gamma"), [[1.81, 1.8], [1.8, 1.81]]
         )
 
     def test_scalar(self):
-        np.testing.assert_array_equal(parse_matrix("0.5"), [[0.5]])
+        np.testing.assert_array_equal(parse_matrix("0.5", "--gamma"), [[0.5]])
 
     def test_ragged(self):
         with pytest.raises(UsageError):
-            parse_matrix("1,2;3")
+            parse_matrix("1,2;3", "--gamma")
 
     def test_garbage(self):
         with pytest.raises(UsageError):
-            parse_matrix("1,two")
+            parse_matrix("1,two", "--gamma")
 
 
 class TestSimulate:
@@ -434,13 +434,50 @@ class TestExitCodes:
         assert str(recipe) in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--starts", "0"), ("--grad-tol", "0"), ("--max-iters", "0")]
+        "flag, value",
+        [("--starts", "0"), ("--grad-tol", "0"), ("--max-iters", "0"),
+         ("--grad-tol", "inf"), ("--grad-tol", "nan")],
     )
     def test_bad_optimizer_flag(self, tmp_path, linear22, flag, value, capsys):
         data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
         code, _, err = run(["fit", "--model", linear22, "--data", data, flag, value], capsys)
         assert code == 2
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("simulate", "--gamma", "inf,0;0,1"), ("fit", "--weight", "nan,0;0,1"),
+         ("fit", "--weight", "inf,0;0,1")],
+    )
+    def test_non_finite_matrix(self, tmp_path, linear22, command, flag, value, capsys):
+        out = str(tmp_path / "x.csv")
+        if command == "simulate":
+            argv = ["simulate", "--mode", "iid", "--model", linear22, "--n", "10", "--out", out]
+        else:
+            data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+            argv = ["fit", "--cost", "gls", "--model", linear22, "--data", data, "--out", out]
+        code, _, err = run(argv + [flag, value], capsys)
+        assert code == 2
+        assert flag in err and "finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_finite_recipe_gamma(self, tmp_path, linear22, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        recipe = tmp_path / "d.recipe.json"
+        doc = json.loads(recipe.read_text())
+        doc["gamma0"][0][0] = float("inf")
+        recipe.write_text(json.dumps(doc))  # writes the JSON extension Infinity
+        code, out, err = run(["mc", "--recipe", str(recipe), "--reps", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert str(recipe) in err and "gamma0" in err
+
+    @pytest.mark.parametrize("value", ["5", "-1", "0", "1"])
+    def test_bad_gate(self, tmp_path, nested_files, value, capsys):
+        restricted, full = nested_files
+        data = simulate(capsys, restricted, str(tmp_path / "d.csv"), n=50)
+        code, out, err = run(["prune", "--model", full, "--data", data, "--gate", value], capsys)
+        assert (code, out) == (2, "")
+        assert "--gate" in err
 
     def test_negative_size_usage_error(self, capsys):
         code, _, err = run(["mc", "--experiment", "test-size", "--reps", "2", "--n", "-3"], capsys)

@@ -88,9 +88,10 @@ class TestFitOls:
         masked = ModelSpec(ModelKind.MASKED_LINEAR, 2, 2, mask=[True, False, True, True])
         costs = ((identity, mse_gradient), (weight, lambda rs: gls_gradient(rs, weight)))
         for spec in (ModelSpec(ModelKind.LINEAR, 2, 2), masked):
+            rs0 = residual_set(spec, ParamVector(np.zeros(spec.param_count), spec), data)
             for w, objective in costs:
                 searched = multi_start(_objective(spec, data, objective), spec, opts)
-                solved = _wls(spec, data, w)
+                solved = _wls(rs0, w)
                 assert np.max(np.abs(solved - searched.w_best.values)) < 1e-6
                 # a tie within BFGS's no-representable-decrease threshold
                 slack = optimize._SLACK * max(1.0, abs(searched.cost_best))
@@ -267,18 +268,24 @@ class TestFitLogdet:
 
 class TestJacobianFreeObjective:
     """Every BFGS evaluation contracts through the model's pullback; the
-    (n, d, K) Jacobian is built only for the information matrix."""
+    (n, d, K) Jacobian is built only for the information matrix, and a
+    linear fit builds it once for all of its solves."""
 
     @pytest.fixture
     def jacobian_calls(self, monkeypatch):
         calls = []
-        build = model.jacobian_batch
+        linearize = model.linearize
 
         def counted(*args):
-            calls.append(1)
-            return build(*args)
+            lin = linearize(*args)
 
-        monkeypatch.setattr(model, "jacobian_batch", counted)
+            def jacobian():
+                calls.append(1)
+                return lin.jacobian()
+
+            return lin._replace(jacobian=jacobian)
+
+        monkeypatch.setattr(model, "linearize", counted)
         return calls
 
     def test_mlp_logdet_builds_one_jacobian(self, jacobian_calls):
@@ -290,6 +297,14 @@ class TestJacobianFreeObjective:
         spec, _, data = mlp_dataset(n=200)
         fit_ols(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=50))
         assert jacobian_calls == []
+
+    @pytest.mark.parametrize("seed", [7000, 7004])
+    def test_linear_logdet_builds_two(self, seed, jacobian_calls):
+        # one at w = 0 for every FGLS round's solve, one in fisher_info
+        spec, data = masked_design(seed)
+        fit = fit_logdet(spec, data, OPTS)
+        assert fit.optim.per_start[0].iterations >= 2
+        assert len(jacobian_calls) == 2
 
 
 class TestFisherInfo:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from logdetreg.errors import DimensionMismatch
-from logdetreg.model import eval_batch, jacobian_batch, linearize, second_derivs_vdot
+from logdetreg.model import eval_batch, linearize
 from conftest import fd_jacobian, make_instance
 
 
@@ -18,7 +18,7 @@ def evaluate(spec, w, z):
 
 def jacobian_at(spec, w, z):
     """d x K Jacobian at a single input."""
-    return jacobian_batch(spec, w, np.asarray(z, dtype=float)[None, :])[0]
+    return linearize(spec, w, np.asarray(z, dtype=float)[None, :]).jacobian()[0]
 
 
 class TestModelSpec:
@@ -149,15 +149,16 @@ class TestJacobian:
 
 def check_linearize(spec, seed, n=50):
     """linearize at a seeded random point: the prediction is bitwise
-    eval_batch's, and the pullback matches the Jacobian contraction."""
+    eval_batch's, and the pullback matches the contraction of the record's
+    Jacobians."""
     rng = np.random.default_rng(seed)
     w = ParamVector(rng.uniform(-1.5, 1.5, spec.param_count), spec)
     z = rng.standard_normal((n, spec.input_dim))
     v = rng.standard_normal((n, spec.output_dim))
-    pred, pullback = linearize(spec, w, z)
-    np.testing.assert_array_equal(pred, eval_batch(spec, w, z))
-    grad = pullback(v)
-    ref = np.einsum("tik,ti->k", jacobian_batch(spec, w, z), v)
+    lin = linearize(spec, w, z)
+    np.testing.assert_array_equal(lin.pred, eval_batch(spec, w, z))
+    grad = lin.pullback(v)
+    ref = np.einsum("tik,ti->k", lin.jacobian(), v)
     assert grad.shape == (spec.param_count,)
     assert np.max(np.abs(grad - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -196,9 +197,10 @@ def vdot_against_fd(spec, w, data):
     v = np.random.default_rng(spec.param_count).standard_normal(data.outputs.shape)
 
     def vjp(x):
-        return np.einsum("tik,ti->k", jacobian_batch(spec, ParamVector(x, spec), data.inputs), v)
+        jac = linearize(spec, ParamVector(x, spec), data.inputs).jacobian()
+        return np.einsum("tik,ti->k", jac, v)
 
-    return second_derivs_vdot(spec, w, data.inputs, v), fd_jacobian(vjp, w.values)
+    return linearize(spec, w, data.inputs).second_derivs_vdot(v), fd_jacobian(vjp, w.values)
 
 
 class TestSecondDerivs:
@@ -211,7 +213,7 @@ class TestSecondDerivs:
             ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask),
         ):
             w = ParamVector(np.arange(float(spec.param_count)), spec)
-            sec = second_derivs_vdot(spec, w, z, v)
+            sec = linearize(spec, w, z).second_derivs_vdot(v)
             assert sec.shape == (spec.param_count, spec.param_count)
             assert np.all(sec == 0.0)
 

@@ -33,7 +33,8 @@ class TestOptimOptions:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_iters": 0}, {"grad_tol": 0.0}, {"n_starts": 0}],
+        [{"max_iters": 0}, {"grad_tol": 0.0}, {"n_starts": 0},
+         {"grad_tol": np.nan}, {"grad_tol": np.inf}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
