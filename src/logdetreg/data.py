@@ -1,8 +1,12 @@
 """Dataset container and CSV round trip.
 
-The on-disk format is a plain comma-separated file with a mandatory header
-``z1..z{d'},y1..y{d}`` (in that order), dot decimals, UTF-8, finite
-numeric fields only.
+The on-disk format is a plain comma-separated UTF-8 file: a mandatory
+header ``z1..z{d'},y1..y{d}`` (in that order), then one row per
+observation, z fields before y fields, with dot decimals and finite
+numeric fields only.  ``save_csv`` ends every line, the header's too, with
+CRLF (``\\r\\n``) and writes each float as its Python ``repr``, the shortest
+string that reads back to the same double, so ``load_csv(save_csv(ds))``
+is exact.  ``load_csv`` accepts LF or CRLF line endings.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+
+_BLOCK_ROWS = 256
 
 
 class CsvFormatError(ValueError):
@@ -49,13 +55,16 @@ class Dataset:
 
 
 def save_csv(path, ds: Dataset) -> None:
+    header = [f"z{i + 1}" for i in range(ds.input_dim)]
+    header += [f"y{i + 1}" for i in range(ds.output_dim)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"z{i + 1}" for i in range(ds.input_dim)]
-        header += [f"y{i + 1}" for i in range(ds.output_dim)]
-        writer.writerow(header)
-        for zt, yt in zip(ds.inputs, ds.outputs):
-            writer.writerow([repr(float(v)) for v in zt] + [repr(float(v)) for v in yt])
+        fh.write(",".join(header) + "\r\n")
+        # Python floats for repr, a block of rows at a time: neither a copy
+        # of the whole dataset nor every row as a list is held at once
+        for start in range(0, ds.n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = np.hstack([ds.inputs[rows], ds.outputs[rows]]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
 
 
 def load_csv(path) -> Dataset:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -159,17 +160,28 @@ def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
     )
 
 
-def _solved(spec, data, weight: SpdMatrix, cost) -> OptimOutcome:
-    x = _wls(_residuals_at(spec, data, np.zeros(spec.param_count)), weight)
-    return _outcome(spec, x, cost(_residuals_at(spec, data, x)), 0, "closed_form")
+def _zero_residuals(spec, data) -> cst.ResidualSet:
+    return _residuals_at(spec, data, np.zeros(spec.param_count))
+
+
+def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) -> FitResult:
+    """An OLS (``kind`` MSE, identity ``weight``) or GLS fit: for a linear
+    spec one ``_wls`` solve for ``weight`` from ``rs0``, the residual set at
+    w = 0 (built here unless given); for the MLP, BFGS on the cost."""
+    cost = cst.mse_gradient if kind is CostKind.MSE else partial(cst.gls_gradient, weight=weight)
+
+    def solved():
+        x = _wls(rs0 if rs0 is not None else _zero_residuals(spec, data), weight)
+        return _outcome(spec, x, cost(_residuals_at(spec, data, x)), 0, "closed_form")
+
+    return _fit(spec, data, opts, kind, cost, x0, solved)
 
 
 def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult:
     """Minimize V_n: the normal equations for a linear spec, the multi-start
     for the MLP."""
     identity = spd_from_symmetric(np.eye(data.output_dim))
-    return _fit(spec, data, opts, CostKind.MSE, cst.mse_gradient, None,
-                lambda: _solved(spec, data, identity, cst.mse_gradient))
+    return _weighted_fit(spec, data, opts, CostKind.MSE, identity)
 
 
 def fit_gls(
@@ -182,11 +194,7 @@ def fit_gls(
     """Minimize the GLS cost with a fixed weighting matrix: one weighted
     least-squares solve for a linear spec; for the MLP one BFGS run from
     ``x0`` when given, else the multi-start."""
-
-    def cost(rs):
-        return cst.gls_gradient(rs, weight)
-
-    return _fit(spec, data, opts, CostKind.GLS, cost, x0, lambda: _solved(spec, data, weight, cost))
+    return _weighted_fit(spec, data, opts, CostKind.GLS, weight, x0)
 
 
 def fit_fgls(
@@ -199,18 +207,22 @@ def fit_fgls(
     """Iterated feasible GLS: OLS, then GLS rounds with the previous round's
     residual covariance, until the log-det value stabilizes.
 
-    For a linear spec every round is one weighted least-squares solve.  For
-    the MLP the first GLS round explores the same multi-start set as the
-    direct log-det estimator (shared seed), so both pipelines select the
-    same basin; later rounds warm-start from the previous estimate.  The
-    returned cost is the final log-det value and ``rounds`` records the
-    value per round; ``optim`` is the last GLS round's outcome.
+    For a linear spec every round is one weighted least-squares solve, all
+    from one residual set at w = 0.  For the MLP the first GLS round
+    explores the same multi-start set as the direct log-det estimator
+    (shared seed), so both pipelines select the same basin; later rounds
+    warm-start from the previous estimate.  The returned cost is the final
+    log-det value and ``rounds`` records the value per round; ``optim`` is
+    the last GLS round's outcome.
     """
-    fit = fit_ols(spec, data, opts)
+    _check_size(spec, data)
+    rs0 = None if spec.kind is mdl.ModelKind.MLP else _zero_residuals(spec, data)
+    identity = spd_from_symmetric(np.eye(data.output_dim))
+    fit = _weighted_fit(spec, data, opts, CostKind.MSE, identity, rs0=rs0)
     rounds = [logdet(fit.gamma_hat)]
     for round_index in range(max_rounds):
         x0 = None if round_index == 0 else fit.w_hat.values
-        fit = fit_gls(spec, data, fit.gamma_hat, opts, x0=x0)
+        fit = _weighted_fit(spec, data, opts, CostKind.GLS, fit.gamma_hat, x0, rs0)
         if fit.gamma_hat.regularized:
             raise NotPositiveDefinite("GLS residual covariance is singular")
         rounds.append(logdet(fit.gamma_hat))
@@ -245,7 +257,7 @@ def _iterated_fgls(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> Op
     estimate (Oberhofer & Kmenta 1974), which is OLS itself when every
     equation has the same regressors (Zellner 1962).
     """
-    rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
+    rs0 = _zero_residuals(spec, data)
     x = _wls(rs0, spd_from_symmetric(np.eye(data.output_dim)))
     report = cst.logdet_gradient(_residuals_at(spec, data, x))
     rounds = 0

@@ -29,6 +29,7 @@ from .optimize import OptimOptions
 
 RNG_KIND = "pcg64-ziggurat"
 _STATE_CAP = 1e12
+_CHECK_STEPS = 1024
 
 
 class SimMode(str, enum.Enum):
@@ -68,7 +69,9 @@ def sample_gaussian(gamma: SpdMatrix, count: int, rng: np.random.Generator) -> n
 
 def gen_series(recipe: SimRecipe) -> Dataset:
     """Generate a dataset from a recipe; deterministic per seed.  The NAR
-    recursion draws all its noise first, then the exogenous uniforms."""
+    recursion draws all its noise first, then the exogenous uniforms, and
+    raises NonFiniteState naming the first step (burn-in included) whose
+    state is non-finite or exceeds 1e12 in absolute value."""
     rng = np.random.default_rng(np.random.SeedSequence([int(recipe.seed)]))
     spec, w, n = recipe.spec, recipe.w_true, recipe.n
 
@@ -86,12 +89,20 @@ def gen_series(recipe: SimRecipe) -> Dataset:
     ys = np.empty((total, d))
     step = mdl.predictor(spec, w)
     state = recipe.y0 if recipe.y0 is not None else np.zeros(d)
-    for t in range(total):
-        zs[t, :d] = state
-        state = step(zs[t : t + 1])[0] + eps[t]
-        if not np.max(np.abs(state)) <= _STATE_CAP:
-            raise NonFiniteState(f"recursion diverged at step {t}")
-        ys[t] = state
+    # a diverged state runs on (to inf or nan) to the end of its block of
+    # steps; one test per block then finds the first step outside
+    # [-cap, cap], nan included
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, _CHECK_STEPS):
+            stop = min(start + _CHECK_STEPS, total)
+            for t in range(start, stop):
+                zs[t, :d] = state
+                state = step(zs[t : t + 1])[0] + eps[t]
+                ys[t] = state
+            in_range = np.abs(ys[start:stop]) <= _STATE_CAP
+            diverged = np.flatnonzero(~in_range.all(axis=1))
+            if diverged.size:
+                raise NonFiniteState(f"recursion diverged at step {start + diverged[0]}")
     return Dataset(zs[recipe.burn_in :], ys[recipe.burn_in :])
 
 
@@ -220,6 +231,9 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
     gamma0 = np.asarray(doc["gamma0"], dtype=float)
     if not np.all(np.isfinite(gamma0)):
         raise ValueError(f"gamma0 entries must be finite, got {doc['gamma0']}")
+    y0 = None if doc.get("y0") is None else np.asarray(doc["y0"], dtype=float)
+    if y0 is not None and not np.all(np.isfinite(y0)):
+        raise ValueError(f"y0 entries must be finite, got {doc['y0']}")
     return SimRecipe(
         mode=SimMode(doc["mode"]),
         spec=spec,
@@ -227,7 +241,7 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
         gamma0=spd_from_symmetric(gamma0),
         n=int(doc["n"]),
         burn_in=int(doc.get("burn_in", 100)),
-        y0=None if doc.get("y0") is None else np.asarray(doc["y0"], dtype=float),
+        y0=y0,
         seed=int(doc.get("seed", 0)),
     )
 

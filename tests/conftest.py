@@ -1,13 +1,28 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, logdet, spd_from_symmetric
+from logdetreg import (
+    Dataset,
+    ModelKind,
+    ModelSpec,
+    ParamVector,
+    SimMode,
+    SimRecipe,
+    logdet,
+    sample_gaussian,
+    spd_from_symmetric,
+)
 from logdetreg.cost import CostReport, ResidualSet, _a_tensor, _gls_terms, empirical_covariance
-from logdetreg.errors import DimensionMismatch
+from logdetreg.errors import DimensionMismatch, NonFiniteState
 from logdetreg.linalg import SpdMatrix
+from logdetreg.model import eval_batch, predictor
+from logdetreg.simulate import _STATE_CAP, bivariate_nar_recipe
 
 
 def fd_gradient(func, x, h_scale=1e-6):
@@ -57,8 +72,6 @@ def make_instance(index, n=200, d=2):
     w = ParamVector(rng.uniform(-1.5, 1.5, size=spec.param_count), spec)
     z = rng.uniform(-1.0, 1.0, size=(n, din))
     noise = rng.standard_normal((n, d)) @ np.array([[1.0, 0.0], [0.6, 0.8]])[:d, :d].T
-    from logdetreg.model import eval_batch
-
     y = eval_batch(spec, w, z) + noise
     return spec, w, Dataset(z, y)
 
@@ -106,6 +119,68 @@ def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
     a = _a_tensor(rs)
     dgamma = a + a.transpose(0, 2, 1)
     return np.einsum("ij,kij->k", g, dgamma)
+
+
+def nar_oracle(recipe: SimRecipe) -> Dataset:
+    """``gen_series`` as a per-step loop that tests every state as soon as
+    it is made; the same draws and the same numpy operations per step."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(recipe.seed)]))
+    spec, w, n = recipe.spec, recipe.w_true, recipe.n
+    if recipe.mode is SimMode.IID_REGRESSION:
+        z = rng.uniform(-1.0, 1.0, size=(n, spec.input_dim))
+        eps = sample_gaussian(recipe.gamma0, n, rng)
+        return Dataset(z, eval_batch(spec, w, z) + eps)
+    d = spec.output_dim
+    total = recipe.burn_in + n
+    eps = sample_gaussian(recipe.gamma0, total, rng)
+    zs = np.empty((total, spec.input_dim))
+    zs[:, d:] = rng.uniform(-1.0, 1.0, size=(total, spec.input_dim - d))
+    ys = np.empty((total, d))
+    step = predictor(spec, w)
+    state = recipe.y0 if recipe.y0 is not None else np.zeros(d)
+    for t in range(total):
+        zs[t, :d] = state
+        state = step(zs[t : t + 1])[0] + eps[t]
+        if not np.max(np.abs(state)) <= _STATE_CAP:
+            raise NonFiniteState(f"recursion diverged at step {t}")
+        ys[t] = state
+    return Dataset(zs[recipe.burn_in :], ys[recipe.burn_in :])
+
+
+def csv_oracle(path, ds: Dataset) -> None:
+    """``save_csv`` through ``csv.writer``, one row and one float at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [f"z{i + 1}" for i in range(ds.input_dim)]
+        header += [f"y{i + 1}" for i in range(ds.output_dim)]
+        writer.writerow(header)
+        for zt, yt in zip(ds.inputs, ds.outputs):
+            writer.writerow([repr(float(v)) for v in zt] + [repr(float(v)) for v in yt])
+
+
+def oracle_recipes() -> dict[str, SimRecipe]:
+    """Recipes on which ``gen_series`` and ``save_csv`` are compared with
+    their oracles: the paper's NAR MLP(2,3,2) at full size with burn-in, an
+    MLP NAR with an exogenous input, a linear NAR and an i.i.d. design."""
+    gamma = spd_from_symmetric([[1.81, 1.8], [1.8, 1.81]])
+    mlp = ModelSpec(ModelKind.MLP, 3, 2, hidden_units=2)
+    linear = ModelSpec(ModelKind.LINEAR, 2, 2)
+    masked = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=np.array([1, 0, 1, 1, 1, 0], bool))
+    w_mlp = np.random.default_rng(5).uniform(-1.5, 1.5, mlp.param_count)
+    return {
+        "mlp232_nar": replace(bivariate_nar_recipe(seed=3, n=20_000), burn_in=100),
+        "mlp32_exogenous_nar": SimRecipe(
+            SimMode.NAR_PROCESS, mlp, ParamVector(w_mlp, mlp), gamma, n=3000, seed=11
+        ),
+        "linear_nar": SimRecipe(
+            SimMode.NAR_PROCESS, linear, ParamVector(np.array([0.5, -0.2, 0.3, 0.4]), linear),
+            gamma, n=5000, burn_in=50, y0=np.array([0.3, -2.0]), seed=12,
+        ),
+        "masked_iid": SimRecipe(
+            SimMode.IID_REGRESSION, masked, ParamVector(np.array([0.4, -0.3, 0.2, 0.5]), masked),
+            gamma, n=2000, seed=13,
+        ),
+    }
 
 
 def calibration_quantile(result, q: float) -> float:

@@ -471,6 +471,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert str(recipe) in err and "gamma0" in err
 
+    def test_non_finite_recipe_y0(self, tmp_path, linear22, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50, mode="nar")
+        recipe = tmp_path / "d.recipe.json"
+        doc = json.loads(recipe.read_text())
+        doc["y0"] = [float("inf"), 0.0]
+        recipe.write_text(json.dumps(doc))
+        code, out, err = run(["mc", "--recipe", str(recipe), "--reps", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert str(recipe) in err and "y0" in err
+
     @pytest.mark.parametrize("value", ["5", "-1", "0", "1"])
     def test_bad_gate(self, tmp_path, nested_files, value, capsys):
         restricted, full = nested_files

@@ -306,6 +306,14 @@ class TestJacobianFreeObjective:
         assert fit.optim.per_start[0].iterations >= 2
         assert len(jacobian_calls) == 2
 
+    @pytest.mark.parametrize("seed", [6000, 6003, 6009])
+    def test_linear_fgls_builds_one(self, seed, jacobian_calls):
+        # one at w = 0, shared by the OLS solve and every GLS round
+        spec, data = masked_design(seed)
+        fit = fit_fgls(spec, data, OPTS)
+        assert len(fit.rounds) >= 3
+        assert len(jacobian_calls) == 1
+
 
 class TestFisherInfo:
     def test_scalar_linear_hand_formula(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,19 @@ from logdetreg import (
     sample_gaussian,
     spd_from_symmetric,
 )
+from logdetreg import model
 from logdetreg.errors import DimensionMismatch, McFailure, NonFiniteState
 from logdetreg.model import eval_batch
 from logdetreg.optimize import start_rng
 from logdetreg.simulate import (
+    _CHECK_STEPS,
     RNG_KIND,
     bivariate_nar_recipe,
     recipe_from_dict,
     recipe_to_dict,
 )
+
+from conftest import nar_oracle, oracle_recipes
 
 
 class TestSampleGaussian:
@@ -169,6 +175,55 @@ class TestGenSeries:
         w = ParamVector(np.zeros(4), spec)
         with pytest.raises(DimensionMismatch):
             SimRecipe(SimMode.IID_REGRESSION, spec, w, spd_from_symmetric([[1.0]]), n=10)
+
+
+class TestGenSeriesOracle:
+    """``gen_series`` tests divergence once per block of steps; its arrays
+    and errors are those of the oracle loop, which tests every step."""
+
+    @pytest.mark.parametrize("name", list(oracle_recipes()))
+    def test_bitwise_equal_to_oracle(self, name):
+        recipe = oracle_recipes()[name]
+        got, want = gen_series(recipe), nar_oracle(recipe)
+        assert got.inputs.shape == want.inputs.shape == (recipe.n, recipe.spec.input_dim)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.outputs.tobytes() == want.outputs.tobytes()
+
+    @pytest.mark.parametrize(
+        "coef, y0, step",
+        [(3.0, [1.0], 25), (-1.5, [1.0], 68), (0.5, [1e13], 0), (1.02, [1.0], 1367),
+         (0.5, [np.nan], 0)],
+        ids=["overflow_to_inf", "sign_alternating", "transient_exceedance", "second_block",
+             "nan_state"],
+    )
+    def test_divergence_names_first_step(self, coef, y0, step):
+        # the first runs on to inf after the cap; the third exceeds the cap
+        # at step 0 only and decays back below it; the fourth crosses the
+        # cap after the first block of steps
+        recipe = linear_nar_recipe(coef=coef, n=5000, burn_in=0, y0=np.array(y0))
+        message = f"recursion diverged at step {step}$"
+        with pytest.raises(NonFiniteState, match=message):
+            nar_oracle(recipe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match=message):
+                gen_series(recipe)
+
+    def test_divergence_stops_within_one_block(self, monkeypatch):
+        # a long series that diverges at step 25 runs at most one block
+        steps = []
+        predictor = model.predictor
+
+        def counted(spec, w):
+            step = predictor(spec, w)
+            return lambda z: steps.append(1) or step(z)
+
+        monkeypatch.setattr(model, "predictor", counted)
+        recipe = linear_nar_recipe(coef=3.0, n=200_000, burn_in=0, y0=np.array([1.0]))
+        with pytest.raises(NonFiniteState, match="step 25$"):
+            gen_series(recipe)
+        assert len(steps) <= _CHECK_STEPS
+        assert len(steps) < recipe.n
 
 
 class TestRecipeRoundTrip:
