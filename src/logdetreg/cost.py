@@ -59,7 +59,7 @@ class ResidualSet:
         self.residuals = np.asarray(self.residuals, dtype=float)
         if self.residuals.ndim != 2 or self.residuals.shape[0] < 1:
             raise DimensionMismatch("residuals must be a non-empty (n, d) matrix")
-        if not np.all(np.isfinite(self.residuals)):
+        if not np.isfinite(self.residuals).all():
             raise DimensionMismatch("residuals must be finite")
 
     @classmethod

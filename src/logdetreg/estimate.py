@@ -66,7 +66,7 @@ def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
     """Residuals at x, or None when the prediction overflowed (treated as
     an infinite-cost trial point by the objective)."""
     lin = mdl.linearize(spec, mdl.ParamVector(x, spec), data.inputs)
-    if not np.all(np.isfinite(lin.pred)):
+    if not np.isfinite(lin.pred).all():
         return None
     return cst.ResidualSet(data.outputs - lin.pred, lin)
 

@@ -45,7 +45,9 @@ class SpdMatrix:
         """Solve ``self @ x = b`` using the cached factor: LAPACK ``potrs``,
         as ``scipy.linalg.cho_solve`` calls it.  A non-finite ``b`` or a
         mismatched dimension raises ValueError."""
-        return lapack.dpotrs(self.chol, np.asarray_chkfinite(b), lower=1)[0]
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
+        return lapack.dpotrs(self.chol, b, lower=1)[0]
 
 
 def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) -> SpdMatrix:
@@ -62,10 +64,10 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    asym = np.abs(m - m.T)
-    if np.any(asym > ASYMMETRY_RTOL * (1.0 + np.abs(m))):
+    mt = m.T
+    if (np.abs(m - mt) > ASYMMETRY_RTOL * (1.0 + np.abs(m))).any():
         raise AsymmetricInput("matrix asymmetry exceeds tolerance")
-    sym = 0.5 * (m + m.T)
+    sym = 0.5 * (m + mt)
 
     try:
         return SpdMatrix(entries=sym, chol=np.linalg.cholesky(sym))
@@ -88,4 +90,4 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
 
 def logdet(g: SpdMatrix) -> float:
     """log det of an SPD matrix, via the cached Cholesky diagonal."""
-    return 2.0 * float(np.sum(np.log(np.diag(g.chol))))
+    return 2.0 * float(np.log(g.chol.diagonal()).sum())

@@ -26,6 +26,7 @@ import enum
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,10 +77,13 @@ class ModelSpec:
             return self.full_param_count
         return int(self.mask.sum())
 
-    @property
+    @cached_property
     def effective_mask(self) -> np.ndarray:
+        """The mask; for an unmasked spec, one read-only all-True array."""
         if self.mask is None:
-            return np.ones(self.full_param_count, dtype=bool)
+            mask = np.ones(self.full_param_count, dtype=bool)
+            mask.flags.writeable = False
+            return mask
         return self.mask
 
     def with_frozen(self, grid_index: int) -> "ModelSpec":
@@ -107,12 +111,14 @@ class ParamVector:
             raise DimensionMismatch(
                 f"expected {self.spec.param_count} parameters, got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DimensionMismatch("parameters must be finite")
         object.__setattr__(self, "values", values)
 
     def full_grid(self) -> np.ndarray:
         """Expand to the full grid, masked entries set to zero."""
+        if self.spec.mask is None:
+            return self.values.copy()
         grid = np.zeros(self.spec.full_param_count)
         grid[self.spec.effective_mask] = self.values
         return grid
@@ -202,10 +208,9 @@ def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> Linearizat
 
     def pullback(v):
         delta = (v @ b.T) * dt
-        grad = np.empty(grid.size)
-        ga, gc, gb, gbias = _mlp_blocks(spec, grad)
-        ga[...], gc[...], gb[...], gbias[...] = delta.T @ z, delta.sum(0), t.T @ v, v.sum(0)
-        return grad[mask]
+        # the a, c, b and bias blocks, in the order of _mlp_blocks
+        grad = np.concatenate([(delta.T @ z).ravel(), delta.sum(0), (t.T @ v).ravel(), v.sum(0)])
+        return grad if spec.mask is None else grad[mask]
 
     def jacobian():
         jac, idx = np.zeros((n, d, grid.size)), np.arange(d)

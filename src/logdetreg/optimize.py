@@ -8,6 +8,7 @@ covariance); the line search simply backtracks away from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,9 @@ def _line_search(objective, x, f, grad, direction):
 
     Returns (alpha, f_new, g_new) or None when no acceptable step exists.
     +inf trial values count as sufficient-decrease failures and shrink the
-    bracket.
+    bracket.  Once the bracket collapses below the resolution of ``x`` the
+    bisection revisits trial points; the objective is deterministic, so a
+    revisited point reuses its stored value and gradient.
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
@@ -74,11 +77,16 @@ def _line_search(objective, x, f, grad, direction):
     # rounding slack keeps the sufficient-decrease test meaningful once
     # per-step improvements fall below float precision of f
     slack = _SLACK * max(1.0, abs(f))
+    seen = {}  # trial point bytes -> (f, g)
     for _ in range(_MAX_LS):
-        f_new, g_new = objective(x + alpha * direction)
+        trial = x + alpha * direction
+        key = trial.tobytes()
+        if key not in seen:
+            seen[key] = objective(trial)
+        f_new, g_new = seen[key]
         # min(...) keeps accepted iterates non-increasing even when the
         # slack-relaxed sufficient-decrease bound sits above f
-        if not np.isfinite(f_new) or f_new > min(f, f + C1 * alpha * slope + slack):
+        if not math.isfinite(f_new) or f_new > min(f, f + C1 * alpha * slope + slack):
             hi = alpha
         elif float(g_new @ direction) < C2 * slope:
             best = (alpha, f_new, g_new)
@@ -110,7 +118,7 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
     f, g = objective(x)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NonFiniteAtStart("objective not finite at the starting point")
-    k = x.size
+    eye = np.eye(x.size)
     hinv = None
     iters = stall = 0
     while np.max(np.abs(g)) > opts.grad_tol:
@@ -135,9 +143,9 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
             hinv = None
         else:
             if hinv is None:
-                hinv = (ys / float(y @ y)) * np.eye(k)
+                hinv = (ys / float(y @ y)) * eye
             rho = 1.0 / ys
-            v = np.eye(k) - rho * np.outer(s, y)
+            v = eye - rho * np.outer(s, y)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         x = x + s
         f, g = f_new, g_new

@@ -68,17 +68,23 @@ def sample_gaussian(gamma: SpdMatrix, count: int, rng: np.random.Generator) -> n
 
 
 def gen_series(recipe: SimRecipe) -> Dataset:
-    """Generate a dataset from a recipe; deterministic per seed.  The NAR
-    recursion draws all its noise first, then the exogenous uniforms, and
-    raises NonFiniteState naming the first step (burn-in included) whose
-    state is non-finite or exceeds 1e12 in absolute value."""
+    """Generate a dataset from a recipe; deterministic per seed.  An i.i.d.
+    recipe raises NonFiniteState naming the first row with a non-finite
+    output.  The NAR recursion draws all its noise first, then the
+    exogenous uniforms, and raises NonFiniteState naming the first step
+    (burn-in included) whose state is non-finite or exceeds 1e12 in
+    absolute value."""
     rng = np.random.default_rng(np.random.SeedSequence([int(recipe.seed)]))
     spec, w, n = recipe.spec, recipe.w_true, recipe.n
 
     if recipe.mode is SimMode.IID_REGRESSION:
         z = rng.uniform(-1.0, 1.0, size=(n, spec.input_dim))
         eps = sample_gaussian(recipe.gamma0, n, rng)
-        y = mdl.eval_batch(spec, w, z) + eps
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = mdl.eval_batch(spec, w, z) + eps
+        bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+        if bad.size:
+            raise NonFiniteState(f"non-finite output at row {bad[0]}")
         return Dataset(z, y)
 
     d = spec.output_dim

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 from logdetreg import (
     Dataset,
@@ -19,9 +19,10 @@ from logdetreg import (
     spd_from_symmetric,
 )
 from logdetreg.cost import CostReport, ResidualSet, _a_tensor, _gls_terms, empirical_covariance
-from logdetreg.errors import DimensionMismatch, NonFiniteState
-from logdetreg.linalg import SpdMatrix
-from logdetreg.model import eval_batch, predictor
+from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteAtStart, NonFiniteState
+from logdetreg.linalg import ASYMMETRY_RTOL, SpdMatrix
+from logdetreg.model import _mlp_blocks, eval_batch, predictor
+from logdetreg.optimize import _MAX_LS, _SLACK, _STALL_LIMIT, C1, C2, CURVATURE_EPS
 from logdetreg.simulate import _STATE_CAP, bivariate_nar_recipe
 
 
@@ -181,6 +182,185 @@ def oracle_recipes() -> dict[str, SimRecipe]:
             gamma, n=2000, seed=13,
         ),
     }
+
+
+# --- oracles of the BFGS evaluation path: every trial point evaluated, and
+# the log-det objective through the general-purpose wrappers ---------------
+
+def line_search_oracle(objective, x, f, grad, direction):
+    """``optimize._line_search`` evaluating every trial point it visits,
+    including the points a collapsed bracket revisits."""
+    slope = float(grad @ direction)
+    if slope >= 0.0:
+        return None
+    lo, hi = 0.0, np.inf
+    alpha = 1.0
+    best = None
+    slack = _SLACK * max(1.0, abs(f))
+    for _ in range(_MAX_LS):
+        f_new, g_new = objective(x + alpha * direction)
+        if not np.isfinite(f_new) or f_new > min(f, f + C1 * alpha * slope + slack):
+            hi = alpha
+        elif float(g_new @ direction) < C2 * slope:
+            best = (alpha, f_new, g_new)
+            lo = alpha
+        else:
+            return alpha, f_new, g_new
+        alpha = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * alpha
+    return best
+
+
+def bfgs_oracle(objective, w0, opts):
+    """``optimize.bfgs_minimize`` on :func:`line_search_oracle`, building
+    each identity where it is used."""
+    x = np.asarray(w0, dtype=float).copy()
+    f, g = objective(x)
+    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+        raise NonFiniteAtStart("objective not finite at the starting point")
+    k = x.size
+    hinv = None
+    iters = stall = 0
+    while np.max(np.abs(g)) > opts.grad_tol:
+        if iters >= opts.max_iters:
+            return x, f, "max_iters", iters
+        direction = -g if hinv is None else -hinv @ g
+        step = line_search_oracle(objective, x, f, g, direction)
+        if step is None and hinv is not None:
+            direction, hinv = -g, None
+            step = line_search_oracle(objective, x, f, g, direction)
+        if step is None:
+            return x, f, "line_search_failed", iters
+        alpha, f_new, g_new = step
+        s = alpha * direction
+        stall = stall + 1 if f - f_new <= _SLACK * max(1.0, abs(f)) else 0
+        if stall >= _STALL_LIMIT:
+            return x, f, "stalled", iters
+        y = g_new - g
+        ys = float(y @ s)
+        if ys <= CURVATURE_EPS:
+            hinv = None
+        else:
+            if hinv is None:
+                hinv = (ys / float(y @ y)) * np.eye(k)
+            rho = 1.0 / ys
+            v = np.eye(k) - rho * np.outer(s, y)
+            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+        x = x + s
+        f, g = f_new, g_new
+        iters += 1
+    return x, f, "grad_tol", iters
+
+
+def _factor_oracle(m):
+    """(symmetrized m, its Cholesky factor) as ``spd_from_symmetric`` makes
+    them under the Reject policy; a failed factorization raises
+    ``LinAlgError``."""
+    m = np.asarray(m, dtype=float)
+    asym = np.abs(m - m.T)
+    if np.any(asym > ASYMMETRY_RTOL * (1.0 + np.abs(m))):
+        raise AsymmetricInput("matrix asymmetry exceeds tolerance")
+    sym = 0.5 * (m + m.T)
+    return sym, np.linalg.cholesky(sym)
+
+
+def _solve_oracle(chol, b):
+    return lapack.dpotrs(chol, np.asarray_chkfinite(b), lower=1)[0]
+
+
+def linearize_oracle(spec, x, z):
+    """(prediction, pullback, Jacobian builder) of ``model.linearize`` at the
+    free parameters ``x``: the grid is zeros filled through the mask (all
+    True when unmasked), and the MLP pullback writes its blocks through
+    ``_mlp_blocks`` views and then selects the mask."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DimensionMismatch("parameters must be finite")
+    mask = spec.mask if spec.mask is not None else np.ones(spec.full_param_count, dtype=bool)
+    grid = np.zeros(spec.full_param_count)
+    grid[mask] = x
+    n, d = z.shape[0], spec.output_dim
+    if spec.kind is not ModelKind.MLP:
+        wmat = grid.reshape(d, spec.input_dim)
+
+        def linear_jacobian():
+            jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
+            jac.reshape(n, d, d, spec.input_dim)[:, idx, idx, :] = z[:, None, :]
+            return jac[:, :, mask]
+
+        return z @ wmat.T, lambda v: (v.T @ z).ravel()[mask], linear_jacobian
+
+    a, c, b, bias = _mlp_blocks(spec, grid)
+    t = np.tanh(z @ a.T + c)
+    dt = 1.0 - t * t
+
+    def pullback(v):
+        delta = (v @ b.T) * dt
+        grad = np.empty(grid.size)
+        ga, gc, gb, gbias = _mlp_blocks(spec, grad)
+        ga[...], gc[...], gb[...], gbias[...] = delta.T @ z, delta.sum(0), t.T @ v, v.sum(0)
+        return grad[mask]
+
+    def jacobian():
+        jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
+        ja, jc, jb, jbias = _mlp_blocks(spec, jac)
+        ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
+        jc[...] = np.einsum("hi,th->tih", b, dt)
+        jb[:, idx, :, idx] = t
+        jbias[...] = np.eye(d)
+        return jac[:, :, mask]
+
+    return t @ b + bias, pullback, jacobian
+
+
+def _residuals_oracle(spec, data, x):
+    pred, pullback, jacobian = linearize_oracle(spec, x, data.inputs)
+    if not np.all(np.isfinite(pred)):
+        return None
+    r = np.asarray(data.outputs - pred, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise DimensionMismatch("residuals must be finite")
+    return r, pullback, jacobian
+
+
+def logdet_objective_oracle(spec, data):
+    """The BFGS log-det objective ``x -> (U_n, gradient)``, ``(inf, None)``
+    where the prediction overflows or Gamma_n is not positive definite."""
+
+    def objective(x):
+        found = _residuals_oracle(spec, data, x)
+        if found is None:
+            return np.inf, None
+        r, pullback, _ = found
+        n = r.shape[0]
+        try:
+            _, chol = _factor_oracle(r.T @ r / n)
+        except np.linalg.LinAlgError:
+            return np.inf, None
+        gr = _solve_oracle(chol, r.T).T
+        return 2.0 * float(np.sum(np.log(np.diag(chol)))), -2.0 / n * pullback(gr)
+
+    return objective
+
+
+def fisher_info_oracle(spec, x, data):
+    """(information matrix at Gamma_n, its symmetrized SPD entries and the
+    asymptotic covariance ``I^{-1} / n``) at the free parameters ``x``; the
+    last two are None when the information matrix is singular by
+    ``fisher_info``'s pivot rule."""
+    r, _, jacobian = _residuals_oracle(spec, data, x)
+    n = r.shape[0]
+    _, chol = _factor_oracle(r.T @ r / n)
+    g = _solve_oracle(chol, np.eye(r.shape[1]))
+    jac = jacobian()
+    info = np.einsum("tik,til->kl", jac, np.einsum("ij,tjk->tik", g, jac)) / n
+    try:
+        sym, ichol = _factor_oracle(0.5 * (info + info.T))
+    except np.linalg.LinAlgError:
+        return info, None, None
+    pivots = np.diag(ichol)
+    if np.min(pivots) ** 2 <= 1e-12 * np.max(pivots) ** 2:
+        return info, None, None
+    return info, sym, _solve_oracle(ichol, np.eye(info.shape[0])) / n
 
 
 def calibration_quantile(result, q: float) -> float:

@@ -461,6 +461,21 @@ class TestExitCodes:
         assert flag in err and "finite" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_non_finite_iid_output(self, tmp_path, capsys):
+        # an internal failure, not a usage error: exit 3, and no files
+        spec = ModelSpec(ModelKind.LINEAR, 2, 1)
+        model = tmp_path / "huge.json"
+        save_model(model, spec, ParamVector(np.array([1.5e308, 1.5e308]), spec))
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            ["simulate", "--mode", "iid", "--model", str(model), "--gamma", "1", "--n", "200",
+             "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (3, "")
+        assert "non-finite output at row" in err
+        assert not out.exists() and not out.with_suffix(".recipe.json").exists()
+
     def test_non_finite_recipe_gamma(self, tmp_path, linear22, capsys):
         simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
         recipe = tmp_path / "d.recipe.json"

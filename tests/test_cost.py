@@ -7,18 +7,22 @@ from logdetreg.cost import (
     ResidualSet,
     empirical_covariance,
     gls_gradient,
+    information,
     logdet_gradient,
     logdet_hessian,
     mse_cost,
     mse_gradient,
 )
-from logdetreg.errors import DimensionMismatch, NotPositiveDefinite
+from logdetreg.errors import DimensionMismatch, NonIdentifiable, NotPositiveDefinite
+from logdetreg.estimate import _objective, fisher_info
 from conftest import (
     fd_gradient,
     fd_jacobian,
+    fisher_info_oracle,
     gls_cost,
     logdet_cost,
     logdet_gradient_entrywise,
+    logdet_objective_oracle,
     make_instance,
     residual_set,
     spd_inverse,
@@ -234,3 +238,60 @@ class TestLogdetHessian:
         assert isinstance(rep, CostReport)
         assert rep.gradient is not None and rep.hessian is not None
         assert rep.gamma_n is not None
+
+
+class TestEvaluationPathOracle:
+    """The BFGS log-det objective, ``information`` and ``fisher_info`` are
+    bitwise those of the oracle path through the general-purpose wrappers
+    (zero-filled grid, block-written pullback, ``np.diag`` log-det), on
+    unmasked and masked linear specs and on masked and unmasked MLPs."""
+
+    @staticmethod
+    def points(spec, w):
+        rng = np.random.default_rng(spec.param_count)
+        yield w.values
+        yield np.zeros(spec.param_count)
+        for scale in (0.1, 3.0):
+            yield w.values + scale * rng.standard_normal(spec.param_count)
+
+    @staticmethod
+    def assert_same(got, want):
+        (f, g), (f_o, g_o) = got, want
+        assert np.float64(f).tobytes() == np.float64(f_o).tobytes()
+        assert (g is None) == (g_o is None)
+        assert g is None or g.tobytes() == g_o.tobytes()
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_objective_bitwise(self, index):
+        spec, w, data = make_instance(index)
+        got, want = _objective(spec, data, logdet_gradient), logdet_objective_oracle(spec, data)
+        for x in self.points(spec, w):
+            self.assert_same(got(x), want(x))
+            assert np.isfinite(got(x)[0])
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_extreme_points_bitwise(self, index):
+        # overflowing predictions and covariances take the infinite-cost
+        # branches
+        spec, w, data = make_instance(index)
+        got, want = _objective(spec, data, logdet_gradient), logdet_objective_oracle(spec, data)
+        for value in (1e200, 1e308, -1e308):
+            x = np.full(spec.param_count, value)
+            x[::2] *= -1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.assert_same(got(x), want(x))
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_information_and_fisher_info_bitwise(self, index):
+        spec, w, data = make_instance(index)
+        for x in self.points(spec, w):
+            info_o, sym_o, cov_o = fisher_info_oracle(spec, x, data)
+            rs = residual_set(spec, ParamVector(x, spec), data)
+            assert information(rs, empirical_covariance(rs)).tobytes() == info_o.tobytes()
+            if cov_o is None:
+                with pytest.raises(NonIdentifiable):
+                    fisher_info(spec, ParamVector(x, spec), data)
+                continue
+            info_hat, cov = fisher_info(spec, ParamVector(x, spec), data)
+            assert info_hat.entries.tobytes() == sym_o.tobytes()
+            assert cov.tobytes() == cov_o.tobytes()

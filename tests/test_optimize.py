@@ -6,7 +6,10 @@ from logdetreg import optimize
 from logdetreg.errors import AllStartsFailed, NonFiniteAtStart
 from logdetreg.cost import logdet_gradient
 from logdetreg.estimate import _objective
-from logdetreg.optimize import initial_point
+from logdetreg.optimize import _MAX_LS, _line_search, initial_point
+from logdetreg.simulate import bivariate_nar_recipe, gen_series
+
+from conftest import bfgs_oracle, line_search_oracle, logdet_objective_oracle
 
 
 def quadratic(x):
@@ -214,3 +217,72 @@ class TestMultiStart:
         assert not np.array_equal(p0, p1)
         np.testing.assert_array_equal(p0, initial_point(spec, OptimOptions(seed=9), 0))
         assert np.all(p0 >= -2.0) and np.all(p0 <= 2.0)
+
+
+def counted(objective):
+    """``objective`` with a list of the bytes of every point it is called at."""
+    points = []
+
+    def wrapped(x):
+        points.append(x.tobytes())
+        return objective(x)
+
+    return wrapped, points
+
+
+def nar_fit(seed):
+    """The BFGS log-det objective of a bivariate NAR MLP(2,3,2) dataset at
+    n=200, its oracle, one random start and 200-iteration options."""
+    recipe = bivariate_nar_recipe(seed=seed, n=200)
+    data = gen_series(recipe)
+    opts = OptimOptions(max_iters=200, seed=seed)
+    x0 = initial_point(recipe.spec, opts, 0)
+    return (_objective(recipe.spec, data, logdet_gradient),
+            logdet_objective_oracle(recipe.spec, data), x0, opts)
+
+
+class TestEvaluationMemo:
+    """A line search evaluates each trial point once; BFGS runs stay bitwise
+    those of the oracle, which evaluates every point it visits."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_nar_fits_match_oracle(self, seed):
+        objective, oracle, x0, opts = nar_fit(seed)
+        x, f, reason, iters = bfgs_minimize(objective, x0, opts)
+        x_o, f_o, reason_o, iters_o = bfgs_oracle(oracle, x0, opts)
+        assert x.tobytes() == x_o.tobytes()
+        assert np.float64(f).tobytes() == np.float64(f_o).tobytes()
+        assert (reason, iters) == (reason_o, iters_o)
+
+    def test_collapsed_bracket(self):
+        # the value rises at every point but x, where the slope is still
+        # too steep for the curvature test: the bracket shrinks below the
+        # resolution of x, and then trial points repeat
+        x = np.array([2.0**20])
+
+        def objective(point):
+            return (0.0, np.array([1.0])) if point[0] == x[0] else (1.0, np.array([1.0]))
+
+        grad, direction = np.array([1.0]), np.array([-1.0])
+        memo, points = counted(objective)
+        oracle, oracle_points = counted(objective)
+        step = _line_search(memo, x, 0.0, grad, direction)
+        want = line_search_oracle(oracle, x, 0.0, grad, direction)
+        assert len(oracle_points) == _MAX_LS
+        assert len(set(oracle_points)) < len(oracle_points)
+        assert len(points) == len(set(points)) == len(set(oracle_points))
+        assert step is not None and want is not None
+        assert np.float64(step[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert step[1] == want[1] and step[2].tobytes() == want[2].tobytes()
+
+    def test_stalled_fit_evaluates_less(self):
+        # seed 4 ends stalled after 87 iterations: its last searches collapse
+        # and revisit points (487 evaluations here against the oracle's 679)
+        objective, _, x0, opts = nar_fit(4)
+        memo, points = counted(objective)
+        oracle, oracle_points = counted(objective)
+        got = bfgs_minimize(memo, x0, opts)
+        want = bfgs_oracle(oracle, x0, opts)
+        assert got[2] == want[2] == "stalled" and got[3] == want[3]
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        assert len(points) < len(oracle_points)

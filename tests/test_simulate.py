@@ -151,6 +151,20 @@ class TestGenSeries:
         with pytest.raises(NonFiniteState):
             gen_series(linear_nar_recipe(coef=3.0, n=200, burn_in=0, y0=np.array([1.0])))
 
+    def test_iid_non_finite_output_raises(self):
+        # 1.5e308 * z overflows wherever both regressors share a sign
+        spec = ModelSpec(ModelKind.LINEAR, 2, 1)
+        w = ParamVector(np.array([1.5e308, 1.5e308]), spec)
+        recipe = SimRecipe(SimMode.IID_REGRESSION, spec, w, spd_from_symmetric([[1.0]]), n=200)
+        with np.errstate(over="ignore"):
+            outputs = nar_oracle(recipe).outputs
+        rows = np.flatnonzero(~np.isfinite(outputs[:, 0]))
+        assert 0 < rows.size < recipe.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match=f"non-finite output at row {rows[0]}$"):
+                gen_series(recipe)
+
     def test_constant_map_recipe(self, gamma_strong):
         # MLP with zero output weights reduces to bias + noise
         spec = ModelSpec(ModelKind.MLP, 2, 2, hidden_units=1)
