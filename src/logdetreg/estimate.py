@@ -74,9 +74,9 @@ def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
 def _objective(spec, data, cost):
     """BFGS objective x -> (value, gradient) of ``cost(ResidualSet)``.
 
-    Trial points where the prediction overflows or the cost hits a
-    degenerate residual covariance are worth +inf; the line search
-    backtracks away from them.
+    Trial points where the prediction overflows, the cost hits a
+    degenerate residual covariance or the gradient is not finite are worth
+    +inf; the line search backtracks away from them.
     """
 
     def objective(x):
@@ -86,6 +86,8 @@ def _objective(spec, data, cost):
         try:
             report = cost(rs)
         except NotPositiveDefinite:
+            return np.inf, None
+        if not np.isfinite(report.gradient).all():
             return np.inf, None
         return report.value, report.gradient
 

@@ -111,8 +111,10 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
 
     ``hinv is None`` stands for the identity inverse-Hessian, replaced by
     ``(y.s / y.y) I`` at the next update (Nocedal & Wright 6.1).  The run
-    starts there and returns there when the curvature condition
-    ``y.s > 1e-10`` fails or a failed search falls back to steepest descent.
+    starts there and returns there when the scale-free curvature condition
+    ``y.s > 1e-10 |s| |y|`` fails (the cosine between the step and the
+    gradient change is at most 1e-10, whatever their lengths) or a failed
+    search falls back to steepest descent.
     """
     x = np.asarray(w0, dtype=float).copy()
     f, g = objective(x)
@@ -139,7 +141,9 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
             return x, f, "stalled", iters
         y = g_new - g
         ys = float(y @ s)
-        if ys <= CURVATURE_EPS:
+        # scale-free: the cosine between s and y must exceed CURVATURE_EPS;
+        # hypot takes each norm without overflow
+        if ys <= CURVATURE_EPS * math.hypot(*s) * math.hypot(*y):
             hinv = None
         else:
             if hinv is None:

@@ -1,6 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -237,7 +238,7 @@ def bfgs_oracle(objective, w0, opts):
             return x, f, "stalled", iters
         y = g_new - g
         ys = float(y @ s)
-        if ys <= CURVATURE_EPS:
+        if ys <= CURVATURE_EPS * math.hypot(*s) * math.hypot(*y):
             hinv = None
         else:
             if hinv is None:
@@ -324,7 +325,8 @@ def _residuals_oracle(spec, data, x):
 
 def logdet_objective_oracle(spec, data):
     """The BFGS log-det objective ``x -> (U_n, gradient)``, ``(inf, None)``
-    where the prediction overflows or Gamma_n is not positive definite."""
+    where the prediction overflows, Gamma_n is not positive definite or the
+    gradient is not finite."""
 
     def objective(x):
         found = _residuals_oracle(spec, data, x)
@@ -337,7 +339,10 @@ def logdet_objective_oracle(spec, data):
         except np.linalg.LinAlgError:
             return np.inf, None
         gr = _solve_oracle(chol, r.T).T
-        return 2.0 * float(np.sum(np.log(np.diag(chol)))), -2.0 / n * pullback(gr)
+        grad = -2.0 / n * pullback(gr)
+        if not np.all(np.isfinite(grad)):
+            return np.inf, None
+        return 2.0 * float(np.sum(np.log(np.diag(chol)))), grad
 
     return objective
 

@@ -6,10 +6,10 @@ from logdetreg import optimize
 from logdetreg.errors import AllStartsFailed, NonFiniteAtStart
 from logdetreg.cost import logdet_gradient
 from logdetreg.estimate import _objective
-from logdetreg.optimize import _MAX_LS, _line_search, initial_point
+from logdetreg.optimize import CURVATURE_EPS, _MAX_LS, _line_search, initial_point
 from logdetreg.simulate import bivariate_nar_recipe, gen_series
 
-from conftest import bfgs_oracle, line_search_oracle, logdet_objective_oracle
+from conftest import bfgs_oracle, line_search_oracle, logdet_objective_oracle, make_instance
 
 
 def quadratic(x):
@@ -25,6 +25,16 @@ def rosenbrock(x):
 
 def double_well(x):
     return (x[0] ** 2 - 1.0) ** 2, np.array([4.0 * x[0] * (x[0] ** 2 - 1.0)])
+
+
+FLAT_A = np.diag([1.0, 3.0, 10.0])
+
+
+def flat_bottom(x):
+    """A convex quadratic whose value loses its last digits to cancellation
+    against 1e8: within about 1e-4 of the minimum it reads exactly 0 while
+    the gradient is still far above grad_tol, so BFGS ends ``stalled``."""
+    return (1e8 + float(x @ FLAT_A @ x)) - 1e8, 2.0 * FLAT_A @ x
 
 
 class TestOptimOptions:
@@ -138,6 +148,29 @@ class TestRescue:
         x, f, reason, iters = bfgs_minimize(self.ill_conditioned, np.ones(3), OptimOptions())
         assert (reason, iters, len(calls)) == ("line_search_failed", 0, 1)
         np.testing.assert_array_equal(x, np.ones(3))
+
+
+class TestCurvatureRule:
+    A = np.diag(np.logspace(0.0, 2.0, 6))  # condition number 100
+
+    def conditioned(self, x):
+        return 0.5 * float(x @ (self.A @ x)), self.A @ x
+
+    def test_small_steps_keep_the_quasi_newton_model(self, monkeypatch):
+        # near the minimum y.s falls below 1e-10 while s and y stay far
+        # from orthogonal; an absolute threshold on y.s would reset hinv
+        # there, and halving steepest descent would end the run stalled
+        calls = _recorded_line_search(monkeypatch, fail_calls=set())
+        x, _, reason, iters = bfgs_minimize(
+            self.conditioned, np.ones(6), OptimOptions(grad_tol=1e-10)
+        )
+        assert reason == "grad_tol" and iters <= 40
+        assert np.max(np.abs(self.A @ x)) <= 1e-10
+        ys = [float((g_new - g) @ (alpha * d)) for g, d, (alpha, _, g_new) in calls]
+        small = [i for i, v in enumerate(ys) if v < CURVATURE_EPS]
+        assert small and small[0] < len(calls) - 1
+        # every step after the first small y.s is a full quasi-Newton step
+        assert all(step[0] == 1.0 for _, _, step in calls[small[0] + 1:])
 
 
 class TestMultiStart:
@@ -276,9 +309,10 @@ class TestEvaluationMemo:
         assert step[1] == want[1] and step[2].tobytes() == want[2].tobytes()
 
     def test_stalled_fit_evaluates_less(self):
-        # seed 4 ends stalled after 87 iterations: its last searches collapse
-        # and revisit points (487 evaluations here against the oracle's 679)
-        objective, _, x0, opts = nar_fit(4)
+        # flat_bottom ends stalled after 14 iterations: its last searches
+        # collapse and revisit points (291 evaluations here against the
+        # oracle's 314)
+        objective, x0, opts = flat_bottom, np.array([1.0, -1.0, 0.5]), OptimOptions()
         memo, points = counted(objective)
         oracle, oracle_points = counted(objective)
         got = bfgs_minimize(memo, x0, opts)
@@ -286,3 +320,42 @@ class TestEvaluationMemo:
         assert got[2] == want[2] == "stalled" and got[3] == want[3]
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
         assert len(points) < len(oracle_points)
+
+
+class TestNonFiniteGradient:
+    """A trial point with a finite U_n but a gradient that is not finite is
+    worth +inf, like a degenerate covariance: the line search backtracks
+    from it, and a start there is not finite."""
+
+    @staticmethod
+    def extreme_point(spec):
+        x = np.full(spec.param_count, 1e308)
+        x[1::2] *= -1.0
+        return x
+
+    def test_point_is_worth_inf(self):
+        # an unmasked MLP: the log-det cost there is finite (1.1197) but
+        # two entries of its gradient are NaN
+        spec, _, data = make_instance(11)
+        x = self.extreme_point(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _objective(spec, data, logdet_gradient)(x) == (np.inf, None)
+
+    def test_start_there_is_not_finite(self, monkeypatch):
+        spec, _, data = make_instance(11)
+        objective = _objective(spec, data, logdet_gradient)
+        x = self.extreme_point(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteAtStart):
+                bfgs_minimize(objective, x, OptimOptions())
+            # start 0 sits at the extreme point, start 1 is a random start
+            real = optimize.initial_point
+            monkeypatch.setattr(
+                optimize, "initial_point",
+                lambda spec, opts, i: x if i == 0 else real(spec, opts, i),
+            )
+            out = multi_start(objective, spec, OptimOptions(n_starts=2, max_iters=20))
+        first, second = out.per_start
+        assert (first.termination, first.grad_norm) == ("nonfinite_at_start", np.inf)
+        assert second.termination != "nonfinite_at_start"
+        assert out.cost_best == second.final_cost
