@@ -8,8 +8,8 @@ plug-in information matrix with its asymptotic covariance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from . import cost as cst
 from . import model as mdl
 from .data import Dataset
 from .errors import (
+    DimensionMismatch,
     NonIdentifiable,
     NotPositiveDefinite,
     SingularDesign,
@@ -34,23 +35,52 @@ class CostKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit.  ``info_hat``, ``asymptotic_cov`` and ``identifiable`` come
+    from :func:`fisher_info` at ``w_hat`` on ``data``, the fitted dataset
+    (kept by ``fit_logdet`` only), computed on first read and then cached,
+    so ``data`` must not be mutated before that read.  A singular
+    information matrix reads ``None``, ``None``, ``False``; a fit without
+    ``data`` reads ``None``, ``None``, ``True``."""
+
     w_hat: mdl.ParamVector
     cost_kind: CostKind
     cost_value: float
     gamma_hat: SpdMatrix
     n: int
     optim: OptimOutcome
-    info_hat: SpdMatrix | None = None
-    asymptotic_cov: np.ndarray | None = None
-    identifiable: bool = True
     rounds: tuple[float, ...] | None = None
+    data: Dataset | None = field(default=None, repr=False, compare=False)
 
     @property
     def spec(self) -> mdl.ModelSpec:
         return self.w_hat.spec
 
+    @cached_property
+    def _plug_in(self) -> tuple[SpdMatrix | None, np.ndarray | None, bool]:
+        if self.data is None:
+            return None, None, True
+        try:
+            return (*fisher_info(self.spec, self.w_hat, self.data), True)
+        except NonIdentifiable:
+            return None, None, False
+
+    @property
+    def info_hat(self) -> SpdMatrix | None:
+        return self._plug_in[0]
+
+    @property
+    def asymptotic_cov(self) -> np.ndarray | None:
+        return self._plug_in[1]
+
+    @property
+    def identifiable(self) -> bool:
+        return self._plug_in[2]
+
 
 def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
+    for name, values in (("inputs", data.inputs), ("outputs", data.outputs)):
+        if not np.isfinite(values).all():
+            raise DimensionMismatch(f"dataset {name} must be finite")
     if data.n < data.output_dim or data.n * data.output_dim <= spec.param_count:
         raise UnderDetermined(
             f"n={data.n}, d={data.output_dim} too small for K={spec.param_count}"
@@ -63,18 +93,19 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
 
 
 def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
-    """Residuals at x, or None when the prediction overflowed (treated as
-    an infinite-cost trial point by the objective)."""
+    """Residuals at x, or None when they overflowed (treated as an
+    infinite-cost trial point by the objective)."""
     lin = mdl.linearize(spec, mdl.ParamVector(x, spec), data.inputs)
-    if not np.isfinite(lin.pred).all():
+    r = data.outputs - lin.pred
+    if not np.isfinite(r).all():
         return None
-    return cst.ResidualSet(data.outputs - lin.pred, lin)
+    return cst.ResidualSet(r, lin)
 
 
 def _objective(spec, data, cost):
     """BFGS objective x -> (value, gradient) of ``cost(ResidualSet)``.
 
-    Trial points where the prediction overflows, the cost hits a
+    Trial points where the residuals overflow, the cost hits a
     degenerate residual covariance or the gradient is not finite are worth
     +inf; the line search backtracks away from them.
     """
@@ -143,15 +174,16 @@ def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
 
 
 def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
-    """The one fit body: ``linear_fit()``, a solve without a search, for a
-    linear spec; for the MLP, BFGS on ``cost``: one run from ``x0`` when
-    given, else the multi-start."""
+    """The one fit body: ``linear_fit()``, a solve without a search that
+    returns its outcome and the residual set at its solution, for a linear
+    spec; for the MLP, BFGS on ``cost``: one run from ``x0`` when given,
+    else the multi-start."""
     _check_size(spec, data)
     if spec.kind is mdl.ModelKind.MLP:
         outcome = multi_start(_objective(spec, data, cost), spec, opts, x0=x0)
+        rs = _residuals_at(spec, data, outcome.w_best.values)
     else:
-        outcome = linear_fit()
-    rs = _residuals_at(spec, data, outcome.w_best.values)
+        outcome, rs = linear_fit()
     return FitResult(
         w_hat=outcome.w_best,
         cost_kind=kind,
@@ -174,7 +206,8 @@ def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) 
 
     def solved():
         x = _wls(rs0 if rs0 is not None else _zero_residuals(spec, data), weight)
-        return _outcome(spec, x, cost(_residuals_at(spec, data, x)), 0, "closed_form")
+        rs = _residuals_at(spec, data, x)
+        return _outcome(spec, x, cost(rs), 0, "closed_form"), rs
 
     return _fit(spec, data, opts, kind, cost, x0, solved)
 
@@ -250,9 +283,12 @@ def fisher_info(
     return info_spd, cov
 
 
-def _iterated_fgls(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> OptimOutcome:
-    """Log-det minimizer of a linear spec: ``w <- _wls(Gamma_n(w))`` from OLS
-    until max |grad U_n| <= ``grad_tol``, or ``max_iters`` rounds.
+def _iterated_fgls(
+    spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions
+) -> tuple[OptimOutcome, cst.ResidualSet]:
+    """Log-det minimizer of a linear spec, with the residual set there:
+    ``w <- _wls(Gamma_n(w))`` from OLS until max |grad U_n| <= ``grad_tol``,
+    or ``max_iters`` rounds.
 
     Each round is block-coordinate descent on the Gaussian likelihood, so
     U_n never rises; the iteration converges to the SUR maximum-likelihood
@@ -260,16 +296,15 @@ def _iterated_fgls(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> Op
     equation has the same regressors (Zellner 1962).
     """
     rs0 = _zero_residuals(spec, data)
-    x = _wls(rs0, spd_from_symmetric(np.eye(data.output_dim)))
-    report = cst.logdet_gradient(_residuals_at(spec, data, x))
-    rounds = 0
-    while np.max(np.abs(report.gradient)) > opts.grad_tol:
-        if rounds >= opts.max_iters:
-            return _outcome(spec, x, report, rounds, "max_iters")
-        x = _wls(rs0, report.gamma_n)
-        report = cst.logdet_gradient(_residuals_at(spec, data, x))
-        rounds += 1
-    return _outcome(spec, x, report, rounds, "grad_tol")
+    weight = spd_from_symmetric(np.eye(data.output_dim))
+    for rounds in range(opts.max_iters + 1):
+        x = _wls(rs0, weight)
+        rs = _residuals_at(spec, data, x)
+        report = cst.logdet_gradient(rs)
+        if np.max(np.abs(report.gradient)) <= opts.grad_tol:
+            return _outcome(spec, x, report, rounds, "grad_tol"), rs
+        weight = report.gamma_n
+    return _outcome(spec, x, report, rounds, "max_iters"), rs
 
 
 def fit_logdet(
@@ -279,14 +314,10 @@ def fit_logdet(
     spec; for the MLP, BFGS with analytic gradients, one run from ``x0``
     when given, else the multi-start.
 
-    Populates the plug-in information matrix and asymptotic covariance; a
-    singular information matrix flags the fit as non-identifiable instead
-    of failing.
+    The result keeps ``data``, so that it computes the plug-in information
+    matrix and asymptotic covariance when first read (see
+    :class:`FitResult`); the fit itself computes neither.
     """
     fit = _fit(spec, data, opts, CostKind.LOGDET, cst.logdet_gradient, x0,
                lambda: _iterated_fgls(spec, data, opts))
-    try:
-        info_hat, cov = fisher_info(spec, fit.w_hat, data)
-    except NonIdentifiable:
-        return replace(fit, identifiable=False)
-    return replace(fit, info_hat=info_hat, asymptotic_cov=cov)
+    return replace(fit, data=data)

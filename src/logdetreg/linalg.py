@@ -9,6 +9,7 @@ typically 2), so everything is dense.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,18 @@ class SpdMatrix:
         return lapack.dpotrs(self.chol, b, lower=1)[0]
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``.  The factorization can return a NaN
+    factor for a NaN input instead of failing; that fails here too.  A NaN
+    anywhere in the factor reaches its last pivot (each pivot sums the
+    squares of its row, and later rows divide by earlier pivots), so that
+    one entry is tested."""
+    chol = np.linalg.cholesky(a)
+    if math.isnan(chol[-1, -1]):
+        raise np.linalg.LinAlgError("Cholesky factor holds a NaN")
+    return chol
+
+
 def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) -> SpdMatrix:
     """Build an :class:`SpdMatrix` from a (near-)symmetric matrix.
 
@@ -60,6 +73,10 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
     at most 3 times; the result is then flagged as regularized.  Under
     ``RidgePolicy.REJECT`` any Cholesky failure raises
     :class:`NotPositiveDefinite` (a meaningful signal: degenerate residuals).
+    A factor that holds a NaN counts as a failed factorization, so a NaN
+    matrix raises :class:`NotPositiveDefinite` under either policy; an
+    infinite diagonal entry with a NaN-free factor is kept (its log-det is
+    +inf).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -70,19 +87,19 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
     sym = 0.5 * (m + mt)
 
     try:
-        return SpdMatrix(entries=sym, chol=np.linalg.cholesky(sym))
+        return SpdMatrix(entries=sym, chol=_cholesky(sym))
     except np.linalg.LinAlgError:
         if policy is RidgePolicy.REJECT:
             raise NotPositiveDefinite("Cholesky failed under Reject policy") from None
 
     d = sym.shape[0]
     lam = 1e-8 * np.trace(sym) / d
-    if lam <= 0.0:
+    if not 0.0 < lam < np.inf:
         lam = 1e-8
     for _ in range(3):
         try:
             ridged = sym + lam * np.eye(d)
-            return SpdMatrix(entries=ridged, chol=np.linalg.cholesky(ridged), regularized=True)
+            return SpdMatrix(entries=ridged, chol=_cholesky(ridged), regularized=True)
         except np.linalg.LinAlgError:
             lam *= 100.0
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")

@@ -16,9 +16,13 @@ from logdetreg import (
     fit_logdet,
     fit_ols,
     gen_series,
+    mc_null_calibrate,
+    run_mc,
+    save_model,
     spd_from_symmetric,
 )
 from logdetreg import cost, estimate, model, optimize
+from logdetreg.cli import main
 from logdetreg.cost import (
     empirical_covariance,
     gls_gradient,
@@ -26,7 +30,13 @@ from logdetreg.cost import (
     logdet_gradient,
     mse_gradient,
 )
-from logdetreg.errors import NonIdentifiable, SingularDesign, UnderDetermined
+from logdetreg.data import save_csv
+from logdetreg.errors import (
+    DimensionMismatch,
+    NonIdentifiable,
+    SingularDesign,
+    UnderDetermined,
+)
 from logdetreg.estimate import _objective, _wls
 from logdetreg.optimize import bfgs_minimize, multi_start
 from logdetreg.prune import ssm_prune
@@ -290,7 +300,9 @@ class TestJacobianFreeObjective:
 
     def test_mlp_logdet_builds_one_jacobian(self, jacobian_calls):
         spec, _, data = mlp_dataset(n=200)
-        fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=50))
+        fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=50))
+        assert jacobian_calls == []
+        assert fit.info_hat is not None
         assert len(jacobian_calls) == 1  # fisher_info's information matrix
 
     def test_mlp_ols_builds_none(self, jacobian_calls):
@@ -300,10 +312,13 @@ class TestJacobianFreeObjective:
 
     @pytest.mark.parametrize("seed", [7000, 7004])
     def test_linear_logdet_builds_two(self, seed, jacobian_calls):
-        # one at w = 0 for every FGLS round's solve, one in fisher_info
+        # one at w = 0 for every FGLS round's solve, one in fisher_info when
+        # the information is first read
         spec, data = masked_design(seed)
         fit = fit_logdet(spec, data, OPTS)
         assert fit.optim.per_start[0].iterations >= 2
+        assert len(jacobian_calls) == 1
+        assert fit.asymptotic_cov is not None
         assert len(jacobian_calls) == 2
 
     @pytest.mark.parametrize("seed", [6000, 6003, 6009])
@@ -313,6 +328,132 @@ class TestJacobianFreeObjective:
         fit = fit_fgls(spec, data, OPTS)
         assert len(fit.rounds) >= 3
         assert len(jacobian_calls) == 1
+
+
+class TestLinearizations:
+    """A linear fit linearizes the model once at w = 0 and once per solve,
+    and keeps the residual set of its last solve for its covariance."""
+
+    @pytest.fixture
+    def linearize_calls(self, monkeypatch):
+        calls = []
+        linearize = model.linearize
+
+        def counted(*args):
+            calls.append(1)
+            return linearize(*args)
+
+        monkeypatch.setattr(model, "linearize", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [7000, 7004])
+    def test_logdet_one_per_round(self, seed, linearize_calls):
+        spec, data = masked_design(seed)
+        fit = fit_logdet(spec, data, OPTS)
+        rounds = fit.optim.per_start[0].iterations
+        assert rounds >= 2
+        assert len(linearize_calls) == 1 + (rounds + 1)
+
+    def test_closed_form_one_solve(self, linearize_calls):
+        spec, data = masked_design(7007)
+        fit_ols(spec, data, OPTS)
+        assert len(linearize_calls) == 2
+
+
+class TestPlugInInformation:
+    """A log-det fit computes its plug-in information on first read, once,
+    bitwise as ``fisher_info`` at its estimate; no other caller reads it."""
+
+    @pytest.fixture
+    def fisher_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return fisher_info(*args)
+
+        monkeypatch.setattr(estimate, "fisher_info", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [linear_dataset, mlp_dataset])
+    def test_first_read_computes_once(self, make, fisher_calls):
+        spec, _, data = make(n=200)
+        fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=50))
+        assert fisher_calls == []
+        info, cov = fisher_info(spec, fit.w_hat, data)
+        assert fit.info_hat.entries.tobytes() == info.entries.tobytes()
+        assert fit.asymptotic_cov.tobytes() == cov.tobytes()
+        assert fit.identifiable
+        assert len(fisher_calls) == 1
+
+    def test_non_identifiable_first_read(self, fisher_calls):
+        # started with its hidden unit off (a = c = b = 0), the search moves
+        # the bias only; with that unit off the information is singular
+        spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
+        rng = np.random.default_rng(32)
+        data = Dataset(rng.uniform(-1, 1, (200, 1)), 0.3 + rng.standard_normal((200, 1)))
+        fit = fit_logdet(spec, data, OPTS, x0=np.zeros(spec.param_count))
+        assert np.all(fit.w_hat.values[:3] == 0.0)
+        assert fisher_calls == []
+        with pytest.raises(NonIdentifiable):
+            fisher_info(spec, fit.w_hat, data)
+        assert not fit.identifiable
+        assert fit.info_hat is None and fit.asymptotic_cov is None
+        assert len(fisher_calls) == 1
+
+    def test_weighted_fits_read_none(self, fisher_calls):
+        spec, data = masked_design(7007)
+        weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
+        for fit in (fit_ols(spec, data, OPTS), fit_gls(spec, data, weight, OPTS),
+                    fit_fgls(spec, data, OPTS)):
+            assert (fit.info_hat, fit.asymptotic_cov, fit.identifiable) == (None, None, True)
+        assert fisher_calls == []
+
+    def test_callers_never_compute_it(self, monkeypatch, tmp_path, capsys):
+        def forbidden(*args):
+            raise AssertionError("fisher_info was called")
+
+        monkeypatch.setattr(estimate, "fisher_info", forbidden)
+        spec, w, data = mlp_dataset(n=200)
+        fit_logdet(spec, data, OptimOptions(n_starts=1, seed=0, max_iters=20))
+        full = ModelSpec(ModelKind.LINEAR, 3, 2)
+        restricted = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=[1, 1, 0, 1, 1, 0])
+        w = ParamVector(np.array([1.0, -0.5, 0.8, 0.6]), restricted)
+        gamma = spd_from_symmetric([[1.0, 0.4], [0.4, 1.0]])
+        recipe = SimRecipe(SimMode.IID_REGRESSION, restricted, w, gamma, n=200, seed=3)
+        mc_null_calibrate(restricted, full, recipe, 2, 5, OPTS)
+        run_mc(recipe, ["logdet"], 2, 5, OPTS)
+        ssm_prune(full, gen_series(recipe), OPTS)
+        paths = [str(tmp_path / name) for name in ("r.json", "f.json", "h0.csv")]
+        save_model(paths[0], restricted)
+        save_model(paths[1], full)
+        save_csv(paths[2], gen_series(recipe))
+        argv = ["test", "--restricted", paths[0], "--full", paths[1], "--data", paths[2]]
+        assert main(argv) == 0
+        assert main(argv + ["--calibrate", "2"]) == 0
+        capsys.readouterr()
+
+
+class TestFitBoundary:
+    def test_overflowing_residual_is_infinite_cost(self):
+        # the prediction -1.5e308 is finite; y - prediction overflows
+        spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
+        rng = np.random.default_rng(33)
+        data = Dataset(rng.uniform(-1, 1, (50, 1)), 1e308 * (1.0 + 0.01 * rng.random((50, 1))))
+        x = np.array([0.1, 0.0, 0.0, -1.5e308])
+        assert np.isfinite(eval_batch(spec, ParamVector(x, spec), data.inputs)).all()
+        for cost_fn in (logdet_gradient, mse_gradient):
+            with np.errstate(over="ignore"):
+                assert _objective(spec, data, cost_fn)(x) == (np.inf, None)
+
+    @pytest.mark.parametrize("field", ["inputs", "outputs"])
+    @pytest.mark.parametrize("fitter", [fit_ols, fit_logdet])
+    def test_non_finite_data_rejected(self, field, fitter):
+        spec, _, data = linear_dataset(n=50)
+        bad = {"inputs": data.inputs.copy(), "outputs": data.outputs.copy()}
+        bad[field][7, 1] = np.nan
+        with pytest.raises(DimensionMismatch, match=f"dataset {field}"):
+            fitter(spec, Dataset(**bad), OPTS)
 
 
 class TestFisherInfo:

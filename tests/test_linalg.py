@@ -28,6 +28,21 @@ class TestSpdFromSymmetric:
         with pytest.raises(NotPositiveDefinite):
             spd_from_symmetric([[1.0, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("policy", list(RidgePolicy))
+    @pytest.mark.parametrize(
+        "m", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, np.inf]]]
+    )
+    def test_nan_factor_rejected(self, m, policy):
+        # both factor to a NaN without a factorization error
+        with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
+            spd_from_symmetric(m, policy)
+
+    def test_infinite_diagonal_kept(self):
+        # a NaN-free factor: the log-det is +inf, an infinite cost
+        with np.errstate(invalid="ignore"):
+            g = spd_from_symmetric([[np.inf, 0.0], [0.0, 1.0]])
+        assert logdet(g) == np.inf
+
     def test_asymmetric_input_rejected(self):
         with pytest.raises(AsymmetricInput):
             spd_from_symmetric([[1.0, 0.5], [0.2, 1.0]])
