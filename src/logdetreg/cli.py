@@ -17,9 +17,16 @@ import numpy as np
 
 from . import inference, model as mdl, prune as prn, simulate as sim
 from .data import CsvFormatError, Dataset, load_csv, save_csv
-from .errors import DimensionMismatch, LogDetRegError, NotNested, UnderDetermined
+from .errors import (
+    AsymmetricInput,
+    DimensionMismatch,
+    LogDetRegError,
+    NotNested,
+    NotPositiveDefinite,
+    UnderDetermined,
+)
 from .estimate import FitResult, fit_fgls, fit_gls, fit_logdet, fit_ols
-from .linalg import spd_from_symmetric
+from .linalg import SpdMatrix, spd_from_symmetric
 from .optimize import OptimOptions
 
 SCHEMA_VERSION = "1"
@@ -51,6 +58,18 @@ def parse_matrix(text: str, flag: str) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise UsageError(f"{flag} entries must be finite, got {text!r}")
     return np.asarray(rows)
+
+
+def _spd_flag(text: str, flag: str, dim: int) -> SpdMatrix:
+    """The ``dim`` x ``dim`` symmetric positive-definite matrix given to
+    ``flag``; anything else is a usage error naming the flag."""
+    m = parse_matrix(text, flag)
+    if m.shape != (dim, dim):
+        raise UsageError(f"{flag} must be a {dim}x{dim} matrix, got {text!r}")
+    try:
+        return spd_from_symmetric(m)
+    except (AsymmetricInput, NotPositiveDefinite):
+        raise UsageError(f"{flag} must be symmetric positive definite, got {text!r}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -165,7 +184,7 @@ def cmd_simulate(args) -> int:
         mode=mode,
         spec=spec,
         w_true=w_true,
-        gamma0=spd_from_symmetric(parse_matrix(args.gamma, "--gamma")),
+        gamma0=_spd_flag(args.gamma, "--gamma", spec.output_dim),
         n=args.n,
         burn_in=burn_in,
         y0=None,
@@ -196,7 +215,7 @@ def cmd_fit(args) -> int:
         if args.weight in (None, "identity"):
             weight = spd_from_symmetric(np.eye(spec.output_dim))
         else:
-            weight = spd_from_symmetric(parse_matrix(args.weight, "--weight"))
+            weight = _spd_flag(args.weight, "--weight", spec.output_dim)
         fit = fit_gls(spec, data, weight, opts)
     elif args.cost == "fgls":
         fit = fit_fgls(spec, data, opts)

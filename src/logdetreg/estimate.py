@@ -164,31 +164,29 @@ def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
     """Residual covariance of a fit.
 
     Unlike the log-det cost, the MSE and GLS costs stay defined when the
-    model interpolates the data; fall back to the jitter policy (flagging
-    the result as regularized) instead of failing the whole fit.
+    model interpolates the data; the jitter policy (flagging the result as
+    regularized) keeps the fit instead of failing it, and returns the
+    plain factor whenever there is one.
     """
-    try:
-        return cst.empirical_covariance(rs)
-    except NotPositiveDefinite:
-        return spd_from_symmetric(rs.residuals.T @ rs.residuals / rs.n, RidgePolicy.JITTER)
+    return spd_from_symmetric(rs.residuals.T @ rs.residuals / rs.n, RidgePolicy.JITTER)
 
 
 def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
     """The one fit body: ``linear_fit()``, a solve without a search that
-    returns its outcome and the residual set at its solution, for a linear
-    spec; for the MLP, BFGS on ``cost``: one run from ``x0`` when given,
-    else the multi-start."""
+    returns its outcome and the residual covariance at its solution, for a
+    linear spec; for the MLP, BFGS on ``cost``: one run from ``x0`` when
+    given, else the multi-start."""
     _check_size(spec, data)
     if spec.kind is mdl.ModelKind.MLP:
         outcome = multi_start(_objective(spec, data, cost), spec, opts, x0=x0)
-        rs = _residuals_at(spec, data, outcome.w_best.values)
+        gamma_hat = _residual_covariance(_residuals_at(spec, data, outcome.w_best.values))
     else:
-        outcome, rs = linear_fit()
+        outcome, gamma_hat = linear_fit()
     return FitResult(
         w_hat=outcome.w_best,
         cost_kind=kind,
         cost_value=outcome.cost_best,
-        gamma_hat=_residual_covariance(rs),
+        gamma_hat=gamma_hat,
         n=data.n,
         optim=outcome,
     )
@@ -207,7 +205,7 @@ def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) 
     def solved():
         x = _wls(rs0 if rs0 is not None else _zero_residuals(spec, data), weight)
         rs = _residuals_at(spec, data, x)
-        return _outcome(spec, x, cost(rs), 0, "closed_form"), rs
+        return _outcome(spec, x, cost(rs), 0, "closed_form"), _residual_covariance(rs)
 
     return _fit(spec, data, opts, kind, cost, x0, solved)
 
@@ -228,7 +226,9 @@ def fit_gls(
 ) -> FitResult:
     """Minimize the GLS cost with a fixed weighting matrix: one weighted
     least-squares solve for a linear spec; for the MLP one BFGS run from
-    ``x0`` when given, else the multi-start."""
+    ``x0`` when given, else the multi-start.  ``weight`` must be d x d."""
+    if weight.dim != data.output_dim:
+        raise DimensionMismatch(f"weight is {weight.dim}x{weight.dim}, data have d={data.output_dim}")
     return _weighted_fit(spec, data, opts, CostKind.GLS, weight, x0)
 
 
@@ -285,8 +285,8 @@ def fisher_info(
 
 def _iterated_fgls(
     spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions
-) -> tuple[OptimOutcome, cst.ResidualSet]:
-    """Log-det minimizer of a linear spec, with the residual set there:
+) -> tuple[OptimOutcome, SpdMatrix]:
+    """Log-det minimizer of a linear spec, with Gamma_n there:
     ``w <- _wls(Gamma_n(w))`` from OLS until max |grad U_n| <= ``grad_tol``,
     or ``max_iters`` rounds.
 
@@ -302,9 +302,9 @@ def _iterated_fgls(
         rs = _residuals_at(spec, data, x)
         report = cst.logdet_gradient(rs)
         if np.max(np.abs(report.gradient)) <= opts.grad_tol:
-            return _outcome(spec, x, report, rounds, "grad_tol"), rs
+            return _outcome(spec, x, report, rounds, "grad_tol"), report.gamma_n
         weight = report.gamma_n
-    return _outcome(spec, x, report, rounds, "max_iters"), rs
+    return _outcome(spec, x, report, rounds, "max_iters"), report.gamma_n
 
 
 def fit_logdet(

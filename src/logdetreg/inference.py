@@ -36,7 +36,6 @@ class TestReport:
     alpha: float
     reject: bool
     method: TestMethod
-    mc_samples: int | None = None
 
 
 def chi2_sf(x: float, k: int) -> float:

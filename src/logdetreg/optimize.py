@@ -64,9 +64,7 @@ def _line_search(objective, x, f, grad, direction):
 
     Returns (alpha, f_new, g_new) or None when no acceptable step exists.
     +inf trial values count as sufficient-decrease failures and shrink the
-    bracket.  Once the bracket collapses below the resolution of ``x`` the
-    bisection revisits trial points; the objective is deterministic, so a
-    revisited point reuses its stored value and gradient.
+    bracket.
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
@@ -77,13 +75,8 @@ def _line_search(objective, x, f, grad, direction):
     # rounding slack keeps the sufficient-decrease test meaningful once
     # per-step improvements fall below float precision of f
     slack = _SLACK * max(1.0, abs(f))
-    seen = {}  # trial point bytes -> (f, g)
     for _ in range(_MAX_LS):
-        trial = x + alpha * direction
-        key = trial.tobytes()
-        if key not in seen:
-            seen[key] = objective(trial)
-        f_new, g_new = seen[key]
+        f_new, g_new = objective(x + alpha * direction)
         # min(...) keeps accepted iterates non-increasing even when the
         # slack-relaxed sufficient-decrease bound sits above f
         if not math.isfinite(f_new) or f_new > min(f, f + C1 * alpha * slope + slack):
@@ -174,11 +167,11 @@ def multi_start(
     or of the single run from ``x0`` when given (a warm start).
 
     Deterministic for a fixed seed; ties within 1e-12 break toward the
-    lower start index.  Each start's record carries the max |gradient| at
-    its returned point (``inf`` for a start that was not finite).  The
-    outcome is converged when the best run ended on ``grad_tol``, or on
-    ``stalled`` (5 consecutive steps with no representable decrease)
-    whatever its gradient.
+    lower start index.  Each start evaluates a point once (the objective
+    is deterministic), the max |gradient| of its record at the returned
+    point included (``inf`` for a start that was not finite).  Converged:
+    the best run ended on ``grad_tol``, or on ``stalled`` (5 consecutive
+    steps with no representable decrease) whatever its gradient.
     """
     if x0 is not None:
         starts = [x0]
@@ -187,13 +180,20 @@ def multi_start(
     records = []
     best = None  # (cost, index, x, converged)
     for i, start in enumerate(starts):
+        cache = {}  # point bytes -> (f, g): the start evaluates each point once
+
+        def cached(x):
+            key = x.tobytes()
+            if key not in cache:
+                cache[key] = objective(x)
+            return cache[key]
+
         try:
-            x, f, reason, iters = bfgs_minimize(objective, start, opts)
+            x, f, reason, iters = bfgs_minimize(cached, start, opts)
         except NonFiniteAtStart:
             records.append(StartRecord(i, np.inf, 0, np.inf, "nonfinite_at_start"))
             continue
-        # bfgs_minimize returns no gradient: one more evaluation reads it
-        grad_norm = float(np.max(np.abs(objective(x)[1])))
+        grad_norm = float(np.max(np.abs(cached(x)[1])))  # x was evaluated: a hit
         records.append(StartRecord(i, f, iters, grad_norm, reason))
         if best is None or f < best[0] - TIE_TOL:
             best = (f, i, x, reason in ("grad_tol", "stalled"))

@@ -23,7 +23,14 @@ import numpy as np
 from . import estimate as est
 from . import model as mdl
 from .data import Dataset
-from .errors import DimensionMismatch, LogDetRegError, McFailure, NonFiniteState
+from .errors import (
+    AsymmetricInput,
+    DimensionMismatch,
+    LogDetRegError,
+    McFailure,
+    NonFiniteState,
+    NotPositiveDefinite,
+)
 from .linalg import SpdMatrix, spd_from_symmetric
 from .optimize import OptimOptions
 
@@ -237,6 +244,10 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
     gamma0 = np.asarray(doc["gamma0"], dtype=float)
     if not np.all(np.isfinite(gamma0)):
         raise ValueError(f"gamma0 entries must be finite, got {doc['gamma0']}")
+    try:
+        gamma0 = spd_from_symmetric(gamma0)
+    except (AsymmetricInput, NotPositiveDefinite):
+        raise ValueError(f"gamma0 must be symmetric positive definite, got {doc['gamma0']}") from None
     y0 = None if doc.get("y0") is None else np.asarray(doc["y0"], dtype=float)
     if y0 is not None and not np.all(np.isfinite(y0)):
         raise ValueError(f"y0 entries must be finite, got {doc['y0']}")
@@ -244,7 +255,7 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
         mode=SimMode(doc["mode"]),
         spec=spec,
         w_true=params,
-        gamma0=spd_from_symmetric(gamma0),
+        gamma0=gamma0,
         n=int(doc["n"]),
         burn_in=int(doc.get("burn_in", 100)),
         y0=y0,

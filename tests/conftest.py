@@ -1,7 +1,6 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import csv
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +19,9 @@ from logdetreg import (
     spd_from_symmetric,
 )
 from logdetreg.cost import CostReport, ResidualSet, _a_tensor, _gls_terms, empirical_covariance
-from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteAtStart, NonFiniteState
+from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteState
 from logdetreg.linalg import ASYMMETRY_RTOL, SpdMatrix
 from logdetreg.model import _mlp_blocks, eval_batch, predictor
-from logdetreg.optimize import _MAX_LS, _SLACK, _STALL_LIMIT, C1, C2, CURVATURE_EPS
 from logdetreg.simulate import _STATE_CAP, bivariate_nar_recipe
 
 
@@ -185,72 +183,8 @@ def oracle_recipes() -> dict[str, SimRecipe]:
     }
 
 
-# --- oracles of the BFGS evaluation path: every trial point evaluated, and
-# the log-det objective through the general-purpose wrappers ---------------
-
-def line_search_oracle(objective, x, f, grad, direction):
-    """``optimize._line_search`` evaluating every trial point it visits,
-    including the points a collapsed bracket revisits."""
-    slope = float(grad @ direction)
-    if slope >= 0.0:
-        return None
-    lo, hi = 0.0, np.inf
-    alpha = 1.0
-    best = None
-    slack = _SLACK * max(1.0, abs(f))
-    for _ in range(_MAX_LS):
-        f_new, g_new = objective(x + alpha * direction)
-        if not np.isfinite(f_new) or f_new > min(f, f + C1 * alpha * slope + slack):
-            hi = alpha
-        elif float(g_new @ direction) < C2 * slope:
-            best = (alpha, f_new, g_new)
-            lo = alpha
-        else:
-            return alpha, f_new, g_new
-        alpha = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * alpha
-    return best
-
-
-def bfgs_oracle(objective, w0, opts):
-    """``optimize.bfgs_minimize`` on :func:`line_search_oracle`, building
-    each identity where it is used."""
-    x = np.asarray(w0, dtype=float).copy()
-    f, g = objective(x)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise NonFiniteAtStart("objective not finite at the starting point")
-    k = x.size
-    hinv = None
-    iters = stall = 0
-    while np.max(np.abs(g)) > opts.grad_tol:
-        if iters >= opts.max_iters:
-            return x, f, "max_iters", iters
-        direction = -g if hinv is None else -hinv @ g
-        step = line_search_oracle(objective, x, f, g, direction)
-        if step is None and hinv is not None:
-            direction, hinv = -g, None
-            step = line_search_oracle(objective, x, f, g, direction)
-        if step is None:
-            return x, f, "line_search_failed", iters
-        alpha, f_new, g_new = step
-        s = alpha * direction
-        stall = stall + 1 if f - f_new <= _SLACK * max(1.0, abs(f)) else 0
-        if stall >= _STALL_LIMIT:
-            return x, f, "stalled", iters
-        y = g_new - g
-        ys = float(y @ s)
-        if ys <= CURVATURE_EPS * math.hypot(*s) * math.hypot(*y):
-            hinv = None
-        else:
-            if hinv is None:
-                hinv = (ys / float(y @ y)) * np.eye(k)
-            rho = 1.0 / ys
-            v = np.eye(k) - rho * np.outer(s, y)
-            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
-        x = x + s
-        f, g = f_new, g_new
-        iters += 1
-    return x, f, "grad_tol", iters
-
+# --- oracles of the log-det evaluation path, through the general-purpose
+# wrappers ------------------------------------------------------------------
 
 def _factor_oracle(m):
     """(symmetrized m, its Cholesky factor) as ``spd_from_symmetric`` makes

@@ -461,6 +461,37 @@ class TestExitCodes:
         assert flag in err and "finite" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command, flag", [("simulate", "--gamma"), ("fit", "--weight")])
+    @pytest.mark.parametrize(
+        "value, detail",
+        [("1,2;2,1", "positive definite"), ("1,0;0,-1", "positive definite"),
+         ("1,0.5;0,1", "positive definite"), ("1,0,0;0,1,0;0,0,1", "2x2"), ("1", "2x2")],
+        ids=["indefinite", "negative", "asymmetric", "3x3", "1x1"],
+    )
+    def test_matrix_flag_not_spd(self, tmp_path, linear22, command, flag, value, detail, capsys):
+        out = str(tmp_path / "x.csv")
+        if command == "simulate":
+            argv = ["simulate", "--mode", "iid", "--model", linear22, "--n", "10", "--out", out]
+        else:
+            data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+            argv = ["fit", "--cost", "gls", "--model", linear22, "--data", data, "--out", out]
+        code, stdout, err = run(argv + [flag, value], capsys)
+        assert (code, stdout) == (2, "")
+        assert flag in err and detail in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("gamma0", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]],
+                             ids=["indefinite", "asymmetric"])
+    def test_recipe_gamma_not_spd(self, tmp_path, linear22, gamma0, capsys):
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        recipe = tmp_path / "d.recipe.json"
+        doc = json.loads(recipe.read_text())
+        doc["gamma0"] = gamma0
+        recipe.write_text(json.dumps(doc))
+        code, out, err = run(["mc", "--recipe", str(recipe), "--reps", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert str(recipe) in err and "gamma0" in err and "positive definite" in err
+
     def test_non_finite_iid_output(self, tmp_path, capsys):
         # an internal failure, not a usage error: exit 3, and no files
         spec = ModelSpec(ModelKind.LINEAR, 2, 1)

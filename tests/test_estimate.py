@@ -34,6 +34,7 @@ from logdetreg.data import save_csv
 from logdetreg.errors import (
     DimensionMismatch,
     NonIdentifiable,
+    NotPositiveDefinite,
     SingularDesign,
     UnderDetermined,
 )
@@ -154,6 +155,19 @@ class TestFitGls:
         weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
         gls = fit_gls(spec, data, weight, OptimOptions(n_starts=3, seed=17, grad_tol=1e-9))
         assert np.max(np.abs(ols.w_hat.values - gls.w_hat.values)) < 1e-6
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_weight_of_wrong_size_rejected(self, dim, kind, monkeypatch):
+        # d = 2 outputs: the weight is checked before any solve or search
+        spec, _, data = linear_dataset() if kind == "linear" else mlp_dataset()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fit ran with a weight of the wrong size")
+
+        monkeypatch.setattr(estimate, "_weighted_fit", forbidden)
+        with pytest.raises(DimensionMismatch, match="weight"):
+            fit_gls(spec, data, spd_from_symmetric(np.eye(dim)), OPTS)
 
 
 class TestFitFgls:
@@ -358,6 +372,41 @@ class TestLinearizations:
         spec, data = masked_design(7007)
         fit_ols(spec, data, OPTS)
         assert len(linearize_calls) == 2
+
+
+class TestResidualCovariance:
+    """A linear log-det fit forms Gamma_n once per round, and its gamma_hat
+    is the last round's; a fit whose residuals are degenerate keeps a
+    ridged covariance."""
+
+    @pytest.mark.parametrize("seed", [7000, 7004])
+    def test_logdet_one_gamma_per_round(self, seed, monkeypatch):
+        formed, extra = [], []
+        real = cost.empirical_covariance
+
+        def counted(rs):
+            formed.append(1)
+            return real(rs)
+
+        monkeypatch.setattr(cost, "empirical_covariance", counted)
+        monkeypatch.setattr(estimate, "_residual_covariance", lambda rs: extra.append(1))
+        spec, data = masked_design(seed)
+        fit = fit_logdet(spec, data, OPTS)
+        rounds = fit.optim.per_start[0].iterations
+        assert rounds >= 2
+        assert (len(formed), len(extra)) == (rounds + 1, 0)
+        want = real(cost.ResidualSet.from_model(spec, fit.w_hat, data))
+        assert fit.gamma_hat.entries.tobytes() == want.entries.tobytes()
+        assert fit.gamma_hat.chol.tobytes() == want.chol.tobytes()
+
+    def test_interpolated_output_is_ridged(self):
+        # OLS fits an all-zero second output exactly, so Gamma_n is singular
+        spec, _, data = linear_dataset()
+        data = Dataset(data.inputs, np.column_stack([data.outputs[:, 0], np.zeros(data.n)]))
+        fit = fit_ols(spec, data, OPTS)
+        assert fit.gamma_hat.regularized and fit.gamma_hat.entries[1, 1] > 0.0
+        with pytest.raises(NotPositiveDefinite):
+            empirical_covariance(cost.ResidualSet.from_model(spec, fit.w_hat, data))
 
 
 class TestPlugInInformation:

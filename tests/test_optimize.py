@@ -6,10 +6,10 @@ from logdetreg import optimize
 from logdetreg.errors import AllStartsFailed, NonFiniteAtStart
 from logdetreg.cost import logdet_gradient
 from logdetreg.estimate import _objective
-from logdetreg.optimize import CURVATURE_EPS, _MAX_LS, _line_search, initial_point
+from logdetreg.optimize import CURVATURE_EPS, _MAX_LS, _STALL_LIMIT, initial_point
 from logdetreg.simulate import bivariate_nar_recipe, gen_series
 
-from conftest import bfgs_oracle, line_search_oracle, logdet_objective_oracle, make_instance
+from conftest import logdet_objective_oracle, make_instance
 
 
 def quadratic(x):
@@ -264,62 +264,97 @@ def counted(objective):
 
 
 def nar_fit(seed):
-    """The BFGS log-det objective of a bivariate NAR MLP(2,3,2) dataset at
-    n=200, its oracle, one random start and 200-iteration options."""
+    """The spec and BFGS log-det objective of a bivariate NAR MLP(2,3,2)
+    dataset at n=200, its oracle, one random start and 200-iteration
+    options."""
     recipe = bivariate_nar_recipe(seed=seed, n=200)
     data = gen_series(recipe)
     opts = OptimOptions(max_iters=200, seed=seed)
     x0 = initial_point(recipe.spec, opts, 0)
-    return (_objective(recipe.spec, data, logdet_gradient),
+    return (recipe.spec, _objective(recipe.spec, data, logdet_gradient),
             logdet_objective_oracle(recipe.spec, data), x0, opts)
 
 
+def assert_same_run(outcome, run):
+    """A one-start ``multi_start`` outcome is bitwise the ``bfgs_minimize``
+    run ``(x, f, reason, iters)``."""
+    x, f, reason, iters = run
+    (record,) = outcome.per_start
+    assert outcome.w_best.values.tobytes() == x.tobytes()
+    assert np.float64(outcome.cost_best).tobytes() == np.float64(f).tobytes()
+    assert (record.termination, record.iterations) == (reason, iters)
+
+
 class TestEvaluationMemo:
-    """A line search evaluates each trial point once; BFGS runs stay bitwise
-    those of the oracle, which evaluates every point it visits."""
+    """Each start of ``multi_start`` evaluates a point once, through one
+    cache; its run stays bitwise that of ``bfgs_minimize`` on the uncached
+    objective, which evaluates every point it visits."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_nar_fits_match_oracle(self, seed):
-        objective, oracle, x0, opts = nar_fit(seed)
+        spec, objective, oracle, x0, opts = nar_fit(seed)
         x, f, reason, iters = bfgs_minimize(objective, x0, opts)
-        x_o, f_o, reason_o, iters_o = bfgs_oracle(oracle, x0, opts)
+        x_o, f_o, reason_o, iters_o = bfgs_minimize(oracle, x0, opts)
         assert x.tobytes() == x_o.tobytes()
         assert np.float64(f).tobytes() == np.float64(f_o).tobytes()
         assert (reason, iters) == (reason_o, iters_o)
+        outcome = multi_start(objective, spec, opts, x0=x0)
+        assert_same_run(outcome, (x, f, reason, iters))
+        assert outcome.per_start[0].grad_norm == np.max(np.abs(objective(x)[1]))
 
     def test_collapsed_bracket(self):
         # the value rises at every point but x, where the slope is still
-        # too steep for the curvature test: the bracket shrinks below the
-        # resolution of x, and then trial points repeat
+        # too steep for the curvature test: each search's bracket shrinks
+        # below the resolution of x, trial points repeat, and every search
+        # repeats the last one until the run ends stalled at x
         x = np.array([2.0**20])
 
         def objective(point):
             return (0.0, np.array([1.0])) if point[0] == x[0] else (1.0, np.array([1.0]))
 
-        grad, direction = np.array([1.0]), np.array([-1.0])
-        memo, points = counted(objective)
-        oracle, oracle_points = counted(objective)
-        step = _line_search(memo, x, 0.0, grad, direction)
-        want = line_search_oracle(oracle, x, 0.0, grad, direction)
-        assert len(oracle_points) == _MAX_LS
-        assert len(set(oracle_points)) < len(oracle_points)
-        assert len(points) == len(set(points)) == len(set(oracle_points))
-        assert step is not None and want is not None
-        assert np.float64(step[0]).tobytes() == np.float64(want[0]).tobytes()
-        assert step[1] == want[1] and step[2].tobytes() == want[2].tobytes()
+        cached, points = counted(objective)
+        plain, plain_points = counted(objective)
+        outcome = multi_start(cached, ModelSpec(ModelKind.LINEAR, 1, 1), OptimOptions(), x0=x)
+        want = bfgs_minimize(plain, x, OptimOptions())
+        assert len(plain_points) == 1 + _STALL_LIMIT * _MAX_LS
+        assert len(set(plain_points)) < _MAX_LS
+        assert len(points) == len(set(points)) == len(set(plain_points))
+        assert want[2] == "stalled" and want[0].tobytes() == x.tobytes()
+        assert_same_run(outcome, want)
 
     def test_stalled_fit_evaluates_less(self):
         # flat_bottom ends stalled after 14 iterations: its last searches
         # collapse and revisit points (291 evaluations here against the
-        # oracle's 314)
+        # uncached run's 314)
         objective, x0, opts = flat_bottom, np.array([1.0, -1.0, 0.5]), OptimOptions()
-        memo, points = counted(objective)
-        oracle, oracle_points = counted(objective)
-        got = bfgs_minimize(memo, x0, opts)
-        want = bfgs_oracle(oracle, x0, opts)
-        assert got[2] == want[2] == "stalled" and got[3] == want[3]
-        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
-        assert len(points) < len(oracle_points)
+        cached, points = counted(objective)
+        plain, plain_points = counted(objective)
+        outcome = multi_start(cached, ModelSpec(ModelKind.LINEAR, 3, 1), opts, x0=x0)
+        want = bfgs_minimize(plain, x0, opts)
+        assert want[2] == "stalled"
+        assert_same_run(outcome, want)
+        assert len(points) == len(set(points)) < len(plain_points)
+
+    def test_no_evaluation_after_the_run(self, monkeypatch):
+        # three starts: each evaluates its own points once, and the record's
+        # grad_norm, read at the returned point, evaluates nothing more
+        objective, points = counted(rosenbrock)
+        runs = []
+        real = optimize.bfgs_minimize
+
+        def recorded(objective, w0, opts):
+            first = len(points)
+            out = real(objective, w0, opts)
+            runs.append((points[first:], out[0]))
+            return out
+
+        monkeypatch.setattr(optimize, "bfgs_minimize", recorded)
+        spec, opts = ModelSpec(ModelKind.LINEAR, 2, 1), OptimOptions(n_starts=3, seed=4)
+        outcome = multi_start(objective, spec, opts)
+        assert len(runs) == 3 and sum(len(run) for run, _ in runs) == len(points)
+        assert all(len(run) == len(set(run)) for run, _ in runs)
+        for record, (_, x) in zip(outcome.per_start, runs):
+            assert record.grad_norm == np.max(np.abs(rosenbrock(x)[1]))
 
 
 class TestNonFiniteGradient:
