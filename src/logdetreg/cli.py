@@ -9,6 +9,7 @@ error, 3 numerical or convergence failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,11 +22,12 @@ from .errors import (
     AsymmetricInput,
     DimensionMismatch,
     LogDetRegError,
+    NonIdentifiable,
     NotNested,
     NotPositiveDefinite,
     UnderDetermined,
 )
-from .estimate import FitResult, fit_fgls, fit_gls, fit_logdet, fit_ols
+from .estimate import FitResult, fisher_info, fit_fgls, fit_gls, fit_logdet, fit_ols
 from .linalg import SpdMatrix, spd_from_symmetric
 from .optimize import OptimOptions
 
@@ -120,7 +122,9 @@ def _only_for(args, mode: str, *flags: str) -> None:
             raise UsageError(f"{flag} applies to {mode} only")
 
 
-def _fit_report(fit: FitResult, extra: dict | None = None) -> dict:
+def _fit_report(fit: FitResult, plug_in: tuple, extra: dict) -> dict:
+    """The ``fit`` report; ``plug_in`` is (info_hat, asymptotic_cov, identifiable)."""
+    info_hat, asymptotic_cov, identifiable = plug_in
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
@@ -128,21 +132,12 @@ def _fit_report(fit: FitResult, extra: dict | None = None) -> dict:
         "model": mdl.spec_to_dict(fit.spec, fit.w_hat),
         "cost_value": fit.cost_value,
         "gamma_hat": fit.gamma_hat.entries.tolist(),
-        "info_hat": None if fit.info_hat is None else fit.info_hat.entries.tolist(),
-        "asymptotic_cov": None if fit.asymptotic_cov is None else fit.asymptotic_cov.tolist(),
-        "identifiable": fit.identifiable,
+        "info_hat": None if info_hat is None else info_hat.entries.tolist(),
+        "asymptotic_cov": None if asymptotic_cov is None else asymptotic_cov.tolist(),
+        "identifiable": identifiable,
         "converged": fit.optim.converged,
         "n": fit.n,
-        "per_start": [
-            {
-                "start_index": r.start_index,
-                "final_cost": r.final_cost,
-                "iterations": r.iterations,
-                "grad_norm": r.grad_norm,
-                "termination": r.termination,
-            }
-            for r in fit.optim.per_start
-        ],
+        "per_start": [dataclasses.asdict(r) for r in fit.optim.per_start],
     }
     if fit.rounds is not None:
         doc["rounds"] = list(fit.rounds)
@@ -209,6 +204,7 @@ def cmd_fit(args) -> int:
         data, transform = _standardize(data)
         extra["standardize"] = transform
     opts = _optim_options(args)
+    plug_in = (None, None, True)
     if args.cost == "mse":
         fit = fit_ols(spec, data, opts)
     elif args.cost == "gls":
@@ -221,7 +217,11 @@ def cmd_fit(args) -> int:
         fit = fit_fgls(spec, data, opts)
     else:
         fit = fit_logdet(spec, data, opts)
-    _emit(_fit_report(fit, extra), args.out)
+        try:
+            plug_in = (*fisher_info(fit.spec, fit.w_hat, data), True)
+        except NonIdentifiable:
+            plug_in = (None, None, False)
+    _emit(_fit_report(fit, plug_in, extra), args.out)
     return 0 if fit.optim.converged else 3
 
 
@@ -304,15 +304,7 @@ def cmd_prune(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "prune",
         "summary": f"q: {k_init} -> {k_final}",
-        "steps": [
-            {
-                "frozen_grid_index": s.frozen_grid_index,
-                "criterion_before": s.criterion_before,
-                "criterion_after": s.criterion_after,
-                "p_value": s.p_value,
-            }
-            for s in trace.steps
-        ],
+        "steps": [dataclasses.asdict(s) for s in trace.steps],
         "final_model": mdl.spec_to_dict(trace.final_spec, trace.final_fit.w_hat),
         "final_cost_value": trace.final_fit.cost_value,
     }

@@ -8,8 +8,8 @@ plug-in information matrix with its asymptotic covariance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .linalg import RidgePolicy, SpdMatrix, logdet, spd_from_symmetric
 from .optimize import OptimOptions, OptimOutcome, StartRecord, multi_start
 
 
+FGLS_ROUNDS = 10  # GLS rounds of fit_fgls at most
+FGLS_TOL = 1e-8  # change of the log-det value that ends fit_fgls
+
+
 class CostKind(str, enum.Enum):
     MSE = "mse"
     GLS = "gls"
@@ -35,13 +39,6 @@ class CostKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fit.  ``info_hat``, ``asymptotic_cov`` and ``identifiable`` come
-    from :func:`fisher_info` at ``w_hat`` on ``data``, the fitted dataset
-    (kept by ``fit_logdet`` only), computed on first read and then cached,
-    so ``data`` must not be mutated before that read.  A singular
-    information matrix reads ``None``, ``None``, ``False``; a fit without
-    ``data`` reads ``None``, ``None``, ``True``."""
-
     w_hat: mdl.ParamVector
     cost_kind: CostKind
     cost_value: float
@@ -49,32 +46,10 @@ class FitResult:
     n: int
     optim: OptimOutcome
     rounds: tuple[float, ...] | None = None
-    data: Dataset | None = field(default=None, repr=False, compare=False)
 
     @property
     def spec(self) -> mdl.ModelSpec:
         return self.w_hat.spec
-
-    @cached_property
-    def _plug_in(self) -> tuple[SpdMatrix | None, np.ndarray | None, bool]:
-        if self.data is None:
-            return None, None, True
-        try:
-            return (*fisher_info(self.spec, self.w_hat, self.data), True)
-        except NonIdentifiable:
-            return None, None, False
-
-    @property
-    def info_hat(self) -> SpdMatrix | None:
-        return self._plug_in[0]
-
-    @property
-    def asymptotic_cov(self) -> np.ndarray | None:
-        return self._plug_in[1]
-
-    @property
-    def identifiable(self) -> bool:
-        return self._plug_in[2]
 
 
 def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
@@ -95,11 +70,11 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
 def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
     """Residuals at x, or None when they overflowed (treated as an
     infinite-cost trial point by the objective)."""
-    lin = mdl.linearize(spec, mdl.ParamVector(x, spec), data.inputs)
-    r = data.outputs - lin.pred
-    if not np.isfinite(r).all():
+    w = mdl.ParamVector(x, spec)
+    try:
+        return cst.ResidualSet.from_model(spec, w, data)
+    except DimensionMismatch:  # ResidualSet rejects non-finite residuals
         return None
-    return cst.ResidualSet(r, lin)
 
 
 def _objective(spec, data, cost):
@@ -178,7 +153,9 @@ def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
     given, else the multi-start."""
     _check_size(spec, data)
     if spec.kind is mdl.ModelKind.MLP:
-        outcome = multi_start(_objective(spec, data, cost), spec, opts, x0=x0)
+        # an overflowing trial point is worth +inf by design, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = multi_start(_objective(spec, data, cost), spec, opts, x0=x0)
         gamma_hat = _residual_covariance(_residuals_at(spec, data, outcome.w_best.values))
     else:
         outcome, gamma_hat = linear_fit()
@@ -192,10 +169,6 @@ def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
     )
 
 
-def _zero_residuals(spec, data) -> cst.ResidualSet:
-    return _residuals_at(spec, data, np.zeros(spec.param_count))
-
-
 def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) -> FitResult:
     """An OLS (``kind`` MSE, identity ``weight``) or GLS fit: for a linear
     spec one ``_wls`` solve for ``weight`` from ``rs0``, the residual set at
@@ -203,7 +176,8 @@ def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) 
     cost = cst.mse_gradient if kind is CostKind.MSE else partial(cst.gls_gradient, weight=weight)
 
     def solved():
-        x = _wls(rs0 if rs0 is not None else _zero_residuals(spec, data), weight)
+        zero = rs0 if rs0 is not None else _residuals_at(spec, data, np.zeros(spec.param_count))
+        x = _wls(zero, weight)
         rs = _residuals_at(spec, data, x)
         return _outcome(spec, x, cost(rs), 0, "closed_form"), _residual_covariance(rs)
 
@@ -222,25 +196,23 @@ def fit_gls(
     data: Dataset,
     weight: SpdMatrix,
     opts: OptimOptions,
-    x0: np.ndarray | None = None,
 ) -> FitResult:
     """Minimize the GLS cost with a fixed weighting matrix: one weighted
-    least-squares solve for a linear spec; for the MLP one BFGS run from
-    ``x0`` when given, else the multi-start.  ``weight`` must be d x d."""
+    least-squares solve for a linear spec, the multi-start for the MLP.
+    ``weight`` must be d x d."""
     if weight.dim != data.output_dim:
         raise DimensionMismatch(f"weight is {weight.dim}x{weight.dim}, data have d={data.output_dim}")
-    return _weighted_fit(spec, data, opts, CostKind.GLS, weight, x0)
+    return _weighted_fit(spec, data, opts, CostKind.GLS, weight)
 
 
 def fit_fgls(
     spec: mdl.ModelSpec,
     data: Dataset,
     opts: OptimOptions,
-    max_rounds: int = 10,
-    round_tol: float = 1e-8,
 ) -> FitResult:
-    """Iterated feasible GLS: OLS, then GLS rounds with the previous round's
-    residual covariance, until the log-det value stabilizes.
+    """Iterated feasible GLS: OLS, then up to ``FGLS_ROUNDS`` GLS rounds with
+    the previous round's residual covariance, until the log-det value moves
+    by less than ``FGLS_TOL``.
 
     For a linear spec every round is one weighted least-squares solve, all
     from one residual set at w = 0.  For the MLP the first GLS round
@@ -251,17 +223,19 @@ def fit_fgls(
     the last GLS round's outcome.
     """
     _check_size(spec, data)
-    rs0 = None if spec.kind is mdl.ModelKind.MLP else _zero_residuals(spec, data)
+    rs0 = None
+    if spec.kind is not mdl.ModelKind.MLP:
+        rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
     identity = spd_from_symmetric(np.eye(data.output_dim))
     fit = _weighted_fit(spec, data, opts, CostKind.MSE, identity, rs0=rs0)
     rounds = [logdet(fit.gamma_hat)]
-    for round_index in range(max_rounds):
+    for round_index in range(FGLS_ROUNDS):
         x0 = None if round_index == 0 else fit.w_hat.values
         fit = _weighted_fit(spec, data, opts, CostKind.GLS, fit.gamma_hat, x0, rs0)
         if fit.gamma_hat.regularized:
             raise NotPositiveDefinite("GLS residual covariance is singular")
         rounds.append(logdet(fit.gamma_hat))
-        if abs(rounds[-1] - rounds[-2]) < round_tol:
+        if abs(rounds[-1] - rounds[-2]) < FGLS_TOL:
             break
     return replace(fit, cost_kind=CostKind.LOGDET, cost_value=rounds[-1], rounds=tuple(rounds))
 
@@ -295,7 +269,7 @@ def _iterated_fgls(
     estimate (Oberhofer & Kmenta 1974), which is OLS itself when every
     equation has the same regressors (Zellner 1962).
     """
-    rs0 = _zero_residuals(spec, data)
+    rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
     weight = spd_from_symmetric(np.eye(data.output_dim))
     for rounds in range(opts.max_iters + 1):
         x = _wls(rs0, weight)
@@ -312,12 +286,8 @@ def fit_logdet(
 ) -> FitResult:
     """Minimize U_n = log det Gamma_n(w) directly: iterated FGLS for a linear
     spec; for the MLP, BFGS with analytic gradients, one run from ``x0``
-    when given, else the multi-start.
-
-    The result keeps ``data``, so that it computes the plug-in information
-    matrix and asymptotic covariance when first read (see
-    :class:`FitResult`); the fit itself computes neither.
+    when given, else the multi-start.  The plug-in information at the
+    estimate is :func:`fisher_info`'s, which the fit does not compute.
     """
-    fit = _fit(spec, data, opts, CostKind.LOGDET, cst.logdet_gradient, x0,
-               lambda: _iterated_fgls(spec, data, opts))
-    return replace(fit, data=data)
+    return _fit(spec, data, opts, CostKind.LOGDET, cst.logdet_gradient, x0,
+                lambda: _iterated_fgls(spec, data, opts))

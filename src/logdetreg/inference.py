@@ -151,9 +151,7 @@ def mc_null_calibrate(
         fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r)
         fr = fitter(spec_restricted, data, fit_opts)
         ff = fitter(spec_full, data, fit_opts)
-        if statistic == "tn":
-            return _difference_statistic(fr, ff)
-        return sn_statistic(fr, ff)
+        return _difference_statistic(fr, ff)
 
     samples = replicate(generate, {statistic: one}, replications, seed)[statistic]
     return CalibrationResult(

@@ -1,3 +1,7 @@
+import json
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,7 @@ from logdetreg import (
     save_model,
     spd_from_symmetric,
 )
-from logdetreg import cost, estimate, model, optimize
+from logdetreg import cli, cost, estimate, model, optimize
 from logdetreg.cli import main
 from logdetreg.cost import (
     empirical_covariance,
@@ -32,6 +36,7 @@ from logdetreg.cost import (
 )
 from logdetreg.data import save_csv
 from logdetreg.errors import (
+    AllStartsFailed,
     DimensionMismatch,
     NonIdentifiable,
     NotPositiveDefinite,
@@ -202,14 +207,15 @@ class TestFitFgls:
         fgls = fit_fgls(spec, data, opts)
         assert abs(direct.cost_value - fgls.cost_value) < 1e-4
 
-    def test_round_zero_reports_optimizer_terminations(self):
+    def test_round_zero_reports_optimizer_terminations(self, monkeypatch):
         # with this seed the single GLS start of round 0 ends "stalled"
+        monkeypatch.setattr(estimate, "FGLS_ROUNDS", 1)
         spec = ModelSpec(ModelKind.MLP, 1, 2, hidden_units=1)
         w = ParamVector(np.array([1.2, 0.0, 0.9, -0.7, 0.1, -0.2]), spec)
         gamma = spd_from_symmetric([[1.0, 0.7], [0.7, 1.0]])
         data = gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=200, seed=9))
         opts = OptimOptions(n_starts=1, seed=9)
-        fit = fit_fgls(spec, data, opts, max_rounds=1)
+        fit = fit_fgls(spec, data, opts)
         gls = fit_gls(spec, data, fit_ols(spec, data, opts).gamma_hat, opts)
         assert fit.optim.per_start == gls.optim.per_start
         assert [r.termination for r in fit.optim.per_start] == ["stalled"]
@@ -238,19 +244,33 @@ class TestWarmStart:
         assert [(r.start_index, r.iterations, r.termination) for r in fit.optim.per_start] == [
             (0, iters, reason)
         ]
-        assert fit.asymptotic_cov is not None
+        fisher_info(spec, fit.w_hat, data)  # identifiable
 
-    def test_gls_runs_once_from_x0(self):
-        spec, w, data = mlp_dataset()
-        weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
-        warm = fit_gls(spec, data, weight, OPTS, x0=w.values)
-        cold = fit_gls(spec, data, weight, OPTS)
-        x, f, _, _ = bfgs_minimize(
-            _objective(spec, data, lambda rs: gls_gradient(rs, weight)), w.values, OPTS
-        )
-        assert len(warm.optim.per_start) == 1
-        np.testing.assert_array_equal(warm.w_hat.values, x)
-        assert abs(warm.cost_value - cold.cost_value) < 1e-8
+    def test_gls_runs_once_from_x0(self, monkeypatch):
+        # fit_fgls's second GLS round is one BFGS run from the first round's
+        # estimate, weighted by the first round's residual covariance
+        runs = []
+
+        def recorded(objective, spec, opts, x0=None):
+            outcome = multi_start(objective, spec, opts, x0=x0)
+            runs.append((x0, outcome))
+            return outcome
+
+        monkeypatch.setattr(estimate, "multi_start", recorded)
+        spec, _, data = mlp_dataset()
+        fit = fit_fgls(spec, data, OPTS)
+        assert len(runs) == len(fit.rounds) >= 3  # OLS, then the GLS rounds
+        assert runs[1][0] is None and len(runs[1][1].per_start) == OPTS.n_starts
+        (_, first), (x0, second) = runs[1], runs[2]
+        np.testing.assert_array_equal(x0, first.w_best.values)
+        weight = estimate._residual_covariance(cost.ResidualSet.from_model(spec, first.w_best, data))
+        objective = _objective(spec, data, partial(gls_gradient, weight=weight))
+        x, f, reason, iters = bfgs_minimize(objective, x0, OPTS)
+        np.testing.assert_array_equal(second.w_best.values, x)
+        assert second.cost_best == f
+        assert [(r.start_index, r.iterations, r.termination) for r in second.per_start] == [
+            (0, iters, reason)
+        ]
 
 
 class TestFitLogdet:
@@ -284,9 +304,9 @@ class TestFitLogdet:
     def test_populates_info(self):
         spec, _, data = linear_dataset()
         fit = fit_logdet(spec, data, OPTS)
-        assert fit.info_hat is not None
-        assert fit.asymptotic_cov is not None
-        assert fit.identifiable
+        info, cov = fisher_info(spec, fit.w_hat, data)
+        assert info.dim == spec.param_count
+        assert cov.shape == (spec.param_count, spec.param_count)
         assert fit.cost_kind is CostKind.LOGDET
 
 
@@ -316,7 +336,7 @@ class TestJacobianFreeObjective:
         spec, _, data = mlp_dataset(n=200)
         fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=50))
         assert jacobian_calls == []
-        assert fit.info_hat is not None
+        fisher_info(spec, fit.w_hat, data)
         assert len(jacobian_calls) == 1  # fisher_info's information matrix
 
     def test_mlp_ols_builds_none(self, jacobian_calls):
@@ -326,13 +346,12 @@ class TestJacobianFreeObjective:
 
     @pytest.mark.parametrize("seed", [7000, 7004])
     def test_linear_logdet_builds_two(self, seed, jacobian_calls):
-        # one at w = 0 for every FGLS round's solve, one in fisher_info when
-        # the information is first read
+        # one at w = 0 for every FGLS round's solve, one in fisher_info
         spec, data = masked_design(seed)
         fit = fit_logdet(spec, data, OPTS)
         assert fit.optim.per_start[0].iterations >= 2
         assert len(jacobian_calls) == 1
-        assert fit.asymptotic_cov is not None
+        fisher_info(spec, fit.w_hat, data)
         assert len(jacobian_calls) == 2
 
     @pytest.mark.parametrize("seed", [6000, 6003, 6009])
@@ -410,8 +429,9 @@ class TestResidualCovariance:
 
 
 class TestPlugInInformation:
-    """A log-det fit computes its plug-in information on first read, once,
-    bitwise as ``fisher_info`` at its estimate; no other caller reads it."""
+    """The ``fit --cost logdet`` report computes the plug-in information,
+    once, bitwise as ``fisher_info`` at the reported estimate; no other
+    report or command computes it."""
 
     @pytest.fixture
     def fisher_calls(self, monkeypatch):
@@ -421,21 +441,30 @@ class TestPlugInInformation:
             calls.append(1)
             return fisher_info(*args)
 
-        monkeypatch.setattr(estimate, "fisher_info", counted)
+        monkeypatch.setattr(cli, "fisher_info", counted)
         return calls
 
-    @pytest.mark.parametrize("make", [linear_dataset, mlp_dataset])
-    def test_first_read_computes_once(self, make, fisher_calls):
-        spec, _, data = make(n=200)
-        fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=50))
-        assert fisher_calls == []
-        info, cov = fisher_info(spec, fit.w_hat, data)
-        assert fit.info_hat.entries.tobytes() == info.entries.tobytes()
-        assert fit.asymptotic_cov.tobytes() == cov.tobytes()
-        assert fit.identifiable
-        assert len(fisher_calls) == 1
+    @staticmethod
+    def fit_report(tmp_path, capsys, spec, data, cost="logdet"):
+        save_model(tmp_path / "m.json", spec)
+        save_csv(tmp_path / "d.csv", data)
+        main(["fit", "--cost", cost, "--model", str(tmp_path / "m.json"),
+              "--data", str(tmp_path / "d.csv"), "--starts", "2", "--seed", "0",
+              "--max-iters", "50"])
+        return json.loads(capsys.readouterr().out)
 
-    def test_non_identifiable_first_read(self, fisher_calls):
+    @pytest.mark.parametrize("make", [linear_dataset, mlp_dataset])
+    def test_first_read_computes_once(self, make, fisher_calls, tmp_path, capsys):
+        spec, _, data = make(n=200)
+        doc = self.fit_report(tmp_path, capsys, spec, data)
+        assert len(fisher_calls) == 1
+        w_hat = ParamVector(np.array(doc["model"]["params"]), spec)
+        info, cov = fisher_info(spec, w_hat, data)
+        assert np.array(doc["info_hat"]).tobytes() == info.entries.tobytes()
+        assert np.array(doc["asymptotic_cov"]).tobytes() == cov.tobytes()
+        assert doc["identifiable"] is True
+
+    def test_non_identifiable_first_read(self, fisher_calls, monkeypatch, tmp_path, capsys):
         # started with its hidden unit off (a = c = b = 0), the search moves
         # the bias only; with that unit off the information is singular
         spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
@@ -443,19 +472,19 @@ class TestPlugInInformation:
         data = Dataset(rng.uniform(-1, 1, (200, 1)), 0.3 + rng.standard_normal((200, 1)))
         fit = fit_logdet(spec, data, OPTS, x0=np.zeros(spec.param_count))
         assert np.all(fit.w_hat.values[:3] == 0.0)
-        assert fisher_calls == []
         with pytest.raises(NonIdentifiable):
             fisher_info(spec, fit.w_hat, data)
-        assert not fit.identifiable
-        assert fit.info_hat is None and fit.asymptotic_cov is None
+        monkeypatch.setattr(cli, "fit_logdet", lambda *args: fit)
+        doc = self.fit_report(tmp_path, capsys, spec, data)
+        assert (doc["info_hat"], doc["asymptotic_cov"], doc["identifiable"]) == (None, None, False)
         assert len(fisher_calls) == 1
 
-    def test_weighted_fits_read_none(self, fisher_calls):
+    def test_weighted_fits_read_none(self, fisher_calls, tmp_path, capsys):
         spec, data = masked_design(7007)
-        weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
-        for fit in (fit_ols(spec, data, OPTS), fit_gls(spec, data, weight, OPTS),
-                    fit_fgls(spec, data, OPTS)):
-            assert (fit.info_hat, fit.asymptotic_cov, fit.identifiable) == (None, None, True)
+        for cost_name in ("mse", "gls", "fgls"):
+            doc = self.fit_report(tmp_path, capsys, spec, data, cost_name)
+            assert doc["cost"] == ("logdet" if cost_name == "fgls" else cost_name)
+            assert (doc["info_hat"], doc["asymptotic_cov"], doc["identifiable"]) == (None, None, True)
         assert fisher_calls == []
 
     def test_callers_never_compute_it(self, monkeypatch, tmp_path, capsys):
@@ -463,6 +492,7 @@ class TestPlugInInformation:
             raise AssertionError("fisher_info was called")
 
         monkeypatch.setattr(estimate, "fisher_info", forbidden)
+        monkeypatch.setattr(cli, "fisher_info", forbidden)
         spec, w, data = mlp_dataset(n=200)
         fit_logdet(spec, data, OptimOptions(n_starts=1, seed=0, max_iters=20))
         full = ModelSpec(ModelKind.LINEAR, 3, 2)
@@ -494,6 +524,16 @@ class TestFitBoundary:
         for cost_fn in (logdet_gradient, mse_gradient):
             with np.errstate(over="ignore"):
                 assert _objective(spec, data, cost_fn)(x) == (np.inf, None)
+
+    def test_overflowing_start_fails_without_warning(self):
+        # the fit scores the same point +inf inside the search, silently
+        spec = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=1)
+        rng = np.random.default_rng(33)
+        data = Dataset(rng.uniform(-1, 1, (50, 1)), 1e308 * (1.0 + 0.01 * rng.random((50, 1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AllStartsFailed):
+                fit_logdet(spec, data, OPTS, x0=np.array([0.1, 0.0, 0.0, -1.5e308]))
 
     @pytest.mark.parametrize("field", ["inputs", "outputs"])
     @pytest.mark.parametrize("fitter", [fit_ols, fit_logdet])
