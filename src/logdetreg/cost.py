@@ -1,14 +1,24 @@
-"""Cost functions over residual sets.
+"""Cost functions of regression residuals.
 
 Three costs: the mean squared error, generalized least squares with a
 fixed weighting matrix, and the log-determinant of the empirical residual
 covariance, each with its analytic gradient, plus the Hessian of the
 log-determinant.  All three gradients are ``-(2/n) sum_t J_t^T v_t``, with
-``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``.  Every
-derivative is read from the :class:`~logdetreg.model.Linearization` a
-:class:`ResidualSet` carries: the gradients from its pullback, and only
-:func:`information` and :func:`logdet_hessian` build its Jacobians (once
-per residual set).
+``v_t`` equal to ``r_t``, ``W^{-1} r_t`` or ``Gamma_n^{-1} r_t``.
+
+Each cost is stated once, as its terms at the (n, d) residuals ``r``:
+:func:`mse_terms`, :func:`gls_terms` and :func:`logdet_terms` give the
+value and the rows ``v_t``, and :func:`chain` turns the rows into the
+gradient through a model pullback.  The BFGS objective of
+:mod:`~logdetreg.estimate` applies the terms to the bare residuals of each
+trial point.  The ``*_gradient`` functions apply them to a
+:class:`ResidualSet`, the residuals with the model's
+:class:`~logdetreg.model.Linearization` there, and return a
+:class:`CostReport`.  Only :func:`information` and :func:`logdet_hessian`
+build Jacobians (once per residual set).  ``Gamma_n = r^T r / n`` is
+symmetric by construction, so it is factored without the asymmetry test
+that :func:`~logdetreg.linalg.spd_from_symmetric` applies to matrices
+from outside the program.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -35,15 +45,16 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import model as mdl
 from .data import Dataset
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .linalg import SpdMatrix, logdet, spd_from_symmetric
+from .linalg import SpdMatrix, factor_symmetric, logdet
 
 
 @dataclass
@@ -95,55 +106,79 @@ class CostReport:
     gamma_n: SpdMatrix | None = None
 
 
+def _covariance(r: np.ndarray) -> SpdMatrix:
+    """Gamma_n of the (n, d) residuals ``r``, Reject policy.  The Gram
+    matrix ``r^T r / n`` is symmetric by construction (bitwise: the test
+    suite checks it), so it is factored without an asymmetry test."""
+    n, d = r.shape
+    if n < d:
+        raise NotPositiveDefinite(f"n={n} < d={d}: covariance cannot be PD")
+    return factor_symmetric(r.T @ r / n)
+
+
 def empirical_covariance(rs: ResidualSet) -> SpdMatrix:
     """Gamma_n(w) = (1/n) sum_t r_t r_t^T, Reject policy.
 
     Raises NotPositiveDefinite for n < d or residuals confined to a proper
     subspace (an interpolating or otherwise degenerate model).
     """
-    r = rs.residuals
-    if rs.n < rs.d:
-        raise NotPositiveDefinite(f"n={rs.n} < d={rs.d}: covariance cannot be PD")
-    return spd_from_symmetric(r.T @ r / rs.n)
+    return _covariance(rs.residuals)
 
 
-def _chain(rs: ResidualSet, v: np.ndarray) -> np.ndarray:
-    """-(2/n) sum_t J_t^T v_t: the gradient of every cost here, given the
-    per-row weighted residuals v_t."""
-    return -2.0 / rs.n * rs.model.pullback(v)
+# The terms of each cost at the (n, d) residuals r: ``(value, v, gamma_n)``
+# with v the rows v_t of the gradient -(2/n) sum_t J_t^T v_t (:func:`chain`)
+# and gamma_n the residual covariance the cost factored (log-det only).
+
+def mse_terms(r: np.ndarray) -> tuple[float, np.ndarray, None]:
+    """V_n = (1/n) sum_t |r_t|^2, and the rows r_t."""
+    return float(np.sum(r**2) / r.shape[0]), r, None
+
+
+def gls_terms(r: np.ndarray, weight: SpdMatrix) -> tuple[float, np.ndarray, None]:
+    """(1/n) sum_t r_t^T weight^{-1} r_t, and the rows weight^{-1} r_t."""
+    if weight.dim != r.shape[1]:
+        raise DimensionMismatch(f"weight dim {weight.dim} != residual dim {r.shape[1]}")
+    wr = weight.solve_rows(r)
+    return float(np.sum(r * wr) / r.shape[0]), wr, None
+
+
+def logdet_terms(r: np.ndarray) -> tuple[float, np.ndarray, SpdMatrix]:
+    """U_n = log det Gamma_n, the rows Gamma_n^{-1} r_t, and Gamma_n."""
+    gamma = _covariance(r)
+    return logdet(gamma), gamma.solve_rows(r), gamma
+
+
+def chain(pullback: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
+    """-(2/n) sum_t J_t^T v_t: the gradient of every cost here, from the
+    model's pullback and the (n, d) rows v_t of the cost's terms."""
+    return -2.0 / v.shape[0] * pullback(v)
+
+
+def report(rs: ResidualSet, terms) -> CostReport:
+    """The value, gradient and covariance of the cost with these terms."""
+    value, v, gamma = terms(rs.residuals)
+    return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
 
 
 def mse_cost(rs: ResidualSet) -> float:
-    return float(np.sum(rs.residuals**2) / rs.n)
+    return mse_terms(rs.residuals)[0]
 
 
 def mse_gradient(rs: ResidualSet) -> CostReport:
-    return CostReport(value=mse_cost(rs), gradient=_chain(rs, rs.residuals))
-
-
-def _gls_terms(rs: ResidualSet, weight: SpdMatrix) -> tuple[float, np.ndarray]:
-    """(1/n) sum_t r_t^T weight^{-1} r_t, and the rows weight^{-1} r_t."""
-    r = rs.residuals
-    if weight.dim != rs.d:
-        raise DimensionMismatch(f"weight dim {weight.dim} != residual dim {rs.d}")
-    wr = weight.solve(r.T).T
-    return float(np.sum(r * wr) / rs.n), wr
+    return report(rs, mse_terms)
 
 
 def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
-    value, wr = _gls_terms(rs, weight)
-    return CostReport(value=value, gradient=_chain(rs, wr))
+    return report(rs, partial(gls_terms, weight=weight))
+
+
+def logdet_gradient(rs: ResidualSet) -> CostReport:
+    return report(rs, logdet_terms)
 
 
 def _a_tensor(rs: ResidualSet) -> np.ndarray:
     """A_k for all k, shape (K, d, d)."""
     return -np.einsum("tik,tj->kij", rs.jacobians, rs.residuals) / rs.n
-
-
-def logdet_gradient(rs: ResidualSet) -> CostReport:
-    gamma = empirical_covariance(rs)
-    gr = gamma.solve(rs.residuals.T).T  # G r_t, (n, d)
-    return CostReport(value=logdet(gamma), gradient=_chain(rs, gr), gamma_n=gamma)
 
 
 def information(rs: ResidualSet, gamma: SpdMatrix) -> np.ndarray:

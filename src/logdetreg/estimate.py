@@ -23,7 +23,7 @@ from .errors import (
     SingularDesign,
     UnderDetermined,
 )
-from .linalg import RidgePolicy, SpdMatrix, logdet, spd_from_symmetric
+from .linalg import RidgePolicy, SpdMatrix, factor_symmetric, logdet, spd_from_symmetric
 from .optimize import OptimOptions, OptimOutcome, StartRecord, multi_start
 
 
@@ -67,35 +67,37 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
         )
 
 
-def _residuals_at(spec, data, x) -> cst.ResidualSet | None:
-    """Residuals at x, or None when they overflowed (treated as an
-    infinite-cost trial point by the objective)."""
-    w = mdl.ParamVector(x, spec)
-    try:
-        return cst.ResidualSet.from_model(spec, w, data)
-    except DimensionMismatch:  # ResidualSet rejects non-finite residuals
-        return None
+def _residuals_at(spec, data, x) -> cst.ResidualSet:
+    return cst.ResidualSet.from_model(spec, mdl.ParamVector(x, spec), data)
 
 
-def _objective(spec, data, cost):
-    """BFGS objective x -> (value, gradient) of ``cost(ResidualSet)``.
+def _objective(spec, data, terms):
+    """BFGS objective x -> (value, gradient) of the cost with these
+    ``terms`` (``cost.mse_terms``, ``cost.gls_terms`` at a weight or
+    ``cost.logdet_terms``), with the model's layout resolved once.
 
     Trial points where the residuals overflow, the cost hits a
     degenerate residual covariance or the gradient is not finite are worth
-    +inf; the line search backtracks away from them.
+    +inf; the line search backtracks away from them.  A wrong-length or
+    non-finite ``x`` raises DimensionMismatch.
     """
+    linearize_at, y, shape = mdl.linearizer(spec, data.inputs), data.outputs, (spec.param_count,)
 
     def objective(x):
-        rs = _residuals_at(spec, data, x)
-        if rs is None:
+        if x.shape != shape or not np.isfinite(x).all():
+            raise DimensionMismatch(f"expected {shape[0]} finite parameters")
+        lin = linearize_at(x)
+        r = y - lin.pred
+        if not np.isfinite(r).all():
             return np.inf, None
         try:
-            report = cost(rs)
+            value, v, _ = terms(r)
         except NotPositiveDefinite:
             return np.inf, None
-        if not np.isfinite(report.gradient).all():
+        grad = cst.chain(lin.pullback, v)
+        if not np.isfinite(grad).all():
             return np.inf, None
-        return report.value, report.gradient
+        return value, grad
 
     return objective
 
@@ -143,19 +145,18 @@ def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
     regularized) keeps the fit instead of failing it, and returns the
     plain factor whenever there is one.
     """
-    return spd_from_symmetric(rs.residuals.T @ rs.residuals / rs.n, RidgePolicy.JITTER)
+    return factor_symmetric(rs.residuals.T @ rs.residuals / rs.n, RidgePolicy.JITTER)
 
 
-def _fit(spec, data, opts, kind, cost, x0, linear_fit) -> FitResult:
-    """The one fit body: ``linear_fit()``, a solve without a search that
-    returns its outcome and the residual covariance at its solution, for a
-    linear spec; for the MLP, BFGS on ``cost``: one run from ``x0`` when
-    given, else the multi-start."""
-    _check_size(spec, data)
+def _fit(spec, data, opts, kind, terms, x0, linear_fit) -> FitResult:
+    """The one fit body, on a checked dataset: ``linear_fit()``, a solve
+    without a search that returns its outcome and the residual covariance
+    at its solution, for a linear spec; for the MLP, BFGS on the cost with
+    these ``terms``: one run from ``x0`` when given, else the multi-start."""
     if spec.kind is mdl.ModelKind.MLP:
         # an overflowing trial point is worth +inf by design, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            outcome = multi_start(_objective(spec, data, cost), spec, opts, x0=x0)
+            outcome = multi_start(_objective(spec, data, terms), spec, opts, x0=x0)
         gamma_hat = _residual_covariance(_residuals_at(spec, data, outcome.w_best.values))
     else:
         outcome, gamma_hat = linear_fit()
@@ -173,20 +174,21 @@ def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) 
     """An OLS (``kind`` MSE, identity ``weight``) or GLS fit: for a linear
     spec one ``_wls`` solve for ``weight`` from ``rs0``, the residual set at
     w = 0 (built here unless given); for the MLP, BFGS on the cost."""
-    cost = cst.mse_gradient if kind is CostKind.MSE else partial(cst.gls_gradient, weight=weight)
+    terms = cst.mse_terms if kind is CostKind.MSE else partial(cst.gls_terms, weight=weight)
 
     def solved():
         zero = rs0 if rs0 is not None else _residuals_at(spec, data, np.zeros(spec.param_count))
         x = _wls(zero, weight)
         rs = _residuals_at(spec, data, x)
-        return _outcome(spec, x, cost(rs), 0, "closed_form"), _residual_covariance(rs)
+        return _outcome(spec, x, cst.report(rs, terms), 0, "closed_form"), _residual_covariance(rs)
 
-    return _fit(spec, data, opts, kind, cost, x0, solved)
+    return _fit(spec, data, opts, kind, terms, x0, solved)
 
 
 def fit_ols(spec: mdl.ModelSpec, data: Dataset, opts: OptimOptions) -> FitResult:
     """Minimize V_n: the normal equations for a linear spec, the multi-start
     for the MLP."""
+    _check_size(spec, data)
     identity = spd_from_symmetric(np.eye(data.output_dim))
     return _weighted_fit(spec, data, opts, CostKind.MSE, identity)
 
@@ -202,6 +204,7 @@ def fit_gls(
     ``weight`` must be d x d."""
     if weight.dim != data.output_dim:
         raise DimensionMismatch(f"weight is {weight.dim}x{weight.dim}, data have d={data.output_dim}")
+    _check_size(spec, data)
     return _weighted_fit(spec, data, opts, CostKind.GLS, weight)
 
 
@@ -289,5 +292,6 @@ def fit_logdet(
     when given, else the multi-start.  The plug-in information at the
     estimate is :func:`fisher_info`'s, which the fit does not compute.
     """
-    return _fit(spec, data, opts, CostKind.LOGDET, cst.logdet_gradient, x0,
+    _check_size(spec, data)
+    return _fit(spec, data, opts, CostKind.LOGDET, cst.logdet_terms, x0,
                 lambda: _iterated_fgls(spec, data, opts))

@@ -29,9 +29,10 @@ class RidgePolicy(enum.Enum):
 class SpdMatrix:
     """Symmetric positive-definite matrix with a cached Cholesky factor.
 
-    Immutable; construct through :func:`spd_from_symmetric`.  ``regularized``
-    is True when the Jitter policy had to add a ridge before the
-    factorization succeeded.
+    Immutable; construct through :func:`spd_from_symmetric`, or
+    :func:`factor_symmetric` for a matrix symmetric by construction.
+    ``regularized`` is True when the Jitter policy had to add a ridge
+    before the factorization succeeded.
     """
 
     entries: np.ndarray
@@ -50,6 +51,12 @@ class SpdMatrix:
             raise ValueError("right-hand side must be finite")
         return lapack.dpotrs(self.chol, b, lower=1)[0]
 
+    def solve_rows(self, r: np.ndarray) -> np.ndarray:
+        """The rows ``self^{-1} r_t`` of an (n, d) matrix ``r`` that is
+        finite by construction: ``solve(r.T).T`` without the finiteness
+        test."""
+        return lapack.dpotrs(self.chol, r.T, lower=1)[0].T
+
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``a``.  The factorization can return a NaN
@@ -66,8 +73,23 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) -> SpdMatrix:
     """Build an :class:`SpdMatrix` from a (near-)symmetric matrix.
 
-    The input is symmetrized as ``(m + m.T) / 2`` before factorization;
-    asymmetry beyond ``1e-8 * (1 + |entry|)`` raises :class:`AsymmetricInput`.
+    Asymmetry beyond ``1e-8 * (1 + |entry|)`` raises
+    :class:`AsymmetricInput`; the matrix is then factored by
+    :func:`factor_symmetric` under ``policy``.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if (np.abs(m - m.T) > ASYMMETRY_RTOL * (1.0 + np.abs(m))).any():
+        raise AsymmetricInput("matrix asymmetry exceeds tolerance")
+    return factor_symmetric(m, policy)
+
+
+def factor_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) -> SpdMatrix:
+    """The :class:`SpdMatrix` of a square float matrix that is symmetric by
+    construction, such as a Gram matrix ``r^T r / n``: no asymmetry test.
+
+    The matrix is symmetrized as ``(m + m.T) / 2`` before factorization.
     Under ``RidgePolicy.JITTER`` a ridge ``lam * I`` with
     ``lam = 1e-8 * trace(m) / d`` is added and escalated by a factor of 100
     at most 3 times; the result is then flagged as regularized.  Under
@@ -78,14 +100,7 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
     infinite diagonal entry with a NaN-free factor is kept (its log-det is
     +inf).
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    mt = m.T
-    if (np.abs(m - mt) > ASYMMETRY_RTOL * (1.0 + np.abs(m))).any():
-        raise AsymmetricInput("matrix asymmetry exceeds tolerance")
-    sym = 0.5 * (m + mt)
-
+    sym = 0.5 * (m + m.T)
     try:
         return SpdMatrix(entries=sym, chol=_cholesky(sym))
     except np.linalg.LinAlgError:

@@ -16,8 +16,10 @@ Flattening order (stable contract for JSON round trips and pruning masks):
 
 :func:`predictor` is the forward map (``w`` unpacked once); :func:`linearize`
 adds, from the same forward pass, every derivative the costs use (a
-:class:`Linearization`); ``_mlp_blocks`` is the one statement of the MLP
-grid layout.
+:class:`Linearization`).  :func:`linearizer` resolves the input check, the
+grid layout and the mask once for a fit, and maps each parameter point to
+its linearization; ``_mlp_layout`` is the one statement of the MLP grid
+layout.
 """
 
 from __future__ import annotations
@@ -117,23 +119,39 @@ class ParamVector:
 
     def full_grid(self) -> np.ndarray:
         """Expand to the full grid, masked entries set to zero."""
-        if self.spec.mask is None:
-            return self.values.copy()
-        grid = np.zeros(self.spec.full_param_count)
-        grid[self.spec.effective_mask] = self.values
-        return grid
+        return _full_grid(self.values, self.spec.mask, self.spec.full_param_count)
+
+
+def _full_grid(x: np.ndarray, mask: np.ndarray | None, size: int) -> np.ndarray:
+    """The free parameters ``x`` on a new grid of ``size`` entries, zero
+    off ``mask`` (``None``: every entry free)."""
+    if mask is None:
+        return x.copy()
+    grid = np.zeros(size)
+    grid[mask] = x
+    return grid
+
+
+def _mlp_layout(spec: ModelSpec):
+    """The MLP grid layout: the map from an array (a grid, a Jacobian, or an
+    array of grid indices) to views of its a, c, b and bias blocks on the
+    last axis, with the a and b blocks split into ``(H, d')`` and
+    ``(H, d)``."""
+    h, din, dout = spec.hidden_units, spec.input_dim, spec.output_dim
+    i_c, i_b, i_bias = h * din, h * din + h, h * din + h + h * dout
+
+    def blocks(arr):
+        lead = arr.shape[:-1]
+        a = arr[..., :i_c].reshape(lead + (h, din))
+        b = arr[..., i_b:i_bias].reshape(lead + (h, dout))
+        return a, arr[..., i_c:i_b], b, arr[..., i_bias:]
+
+    return blocks
 
 
 def _mlp_blocks(spec: ModelSpec, arr: np.ndarray):
-    """The MLP grid layout: views of the a, c, b and bias blocks on the last
-    axis of ``arr`` (a grid, a Jacobian, or an array of grid indices), with
-    the a and b blocks split into ``(H, d')`` and ``(H, d)``."""
-    h, din, dout = spec.hidden_units, spec.input_dim, spec.output_dim
-    lead = arr.shape[:-1]
-    i_c, i_b, i_bias = h * din, h * din + h, h * din + h + h * dout
-    a = arr[..., :i_c].reshape(*lead, h, din)
-    b = arr[..., i_b:i_bias].reshape(*lead, h, dout)
-    return a, arr[..., i_c:i_b], b, arr[..., i_bias:]
+    """The a, c, b and bias blocks of ``arr`` by :func:`_mlp_layout`."""
+    return _mlp_layout(spec)(arr)
 
 
 def _check_inputs(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
@@ -188,58 +206,80 @@ class Linearization(NamedTuple):
 
 def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> Linearization:
     """The :class:`Linearization` of F_w at the rows of ``inputs``."""
-    z = _check_inputs(spec, inputs)
-    grid, mask = w.full_grid(), spec.effective_mask
-    n, d = z.shape[0], spec.output_dim
-    if spec.kind is not ModelKind.MLP:
-        wmat = grid.reshape(d, spec.input_dim)
+    return linearizer(spec, inputs)(w.values)
 
+
+def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Linearization]:
+    """The map from free parameters ``x`` to :func:`linearize` at
+    ``ParamVector(x, spec)``, with the input check, the grid layout and the
+    mask resolved once for every point; the map does not check ``x``."""
+    z = _check_inputs(spec, inputs)
+    n, d, size = z.shape[0], spec.output_dim, spec.full_param_count
+    mask, masked = spec.effective_mask, spec.mask is not None
+
+    if spec.kind is not ModelKind.MLP:
+        # every derivative of a linear map is the same at every point
         def jacobian():
-            jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
+            jac, idx = np.zeros((n, d, size)), np.arange(d)
             jac.reshape(n, d, d, spec.input_dim)[:, idx, idx, :] = z[:, None, :]
             return jac[:, :, mask]
 
-        return Linearization(z @ wmat.T, lambda v: (v.T @ z).ravel()[mask], jacobian,
-                             lambda v: np.zeros((spec.param_count, spec.param_count)))
+        def pullback(v):
+            return (v.T @ z).ravel()[mask]
 
-    a, c, b, bias = _mlp_blocks(spec, grid)
-    t = np.tanh(z @ a.T + c)
-    dt = 1.0 - t * t
+        def second_vdot(v):
+            return np.zeros((spec.param_count, spec.param_count))
 
-    def pullback(v):
-        delta = (v @ b.T) * dt
-        # the a, c, b and bias blocks, in the order of _mlp_blocks
-        grad = np.concatenate([(delta.T @ z).ravel(), delta.sum(0), (t.T @ v).ravel(), v.sum(0)])
-        return grad if spec.mask is None else grad[mask]
+        def linear_at(x):
+            wmat = _full_grid(x, spec.mask, size).reshape(d, spec.input_dim)
+            return Linearization(z @ wmat.T, pullback, jacobian, second_vdot)
 
-    def jacobian():
-        jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
-        ja, jc, jb, jbias = _mlp_blocks(spec, jac)
-        # a block: dF_i/da_{hj} = b[h,i] * dt[t,h] * z[t,j]
-        ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
-        # c block: dF_i/dc_h = b[h,i] * dt[t,h]
-        jc[...] = np.einsum("hi,th->tih", b, dt)
-        # b block: dF_i/db_{hi'} = delta_{ii'} * t[t,h]
-        jb[:, idx, :, idx] = t
-        # output bias: identity
-        jbias[...] = np.eye(d)
-        return jac[:, :, mask]
+        return linear_at
 
-    def second_vdot(v):
-        ddt = -2.0 * t * dt  # tanh'' reusing the forward value
-        zt = np.concatenate([z, np.ones((n, 1))], axis=1)
-        acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
-        acb = np.einsum("th,tj,ti->hji", dt, zt, v)
-        # grid indices of unit h's [a_h | c_h] and b_h entries
-        ia, ic, bh, _ = _mlp_blocks(spec, np.arange(grid.size))
-        ac = np.concatenate([ia, ic[:, None]], axis=1)
-        full = np.zeros((grid.size, grid.size))
-        full[ac[:, :, None], ac[:, None, :]] = acac
-        full[ac[:, :, None], bh[:, None, :]] = acb
-        full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)
-        return full[np.ix_(mask, mask)]
+    blocks = _mlp_layout(spec)
 
-    return Linearization(t @ b + bias, pullback, jacobian, second_vdot)
+    def mlp_at(x):
+        a, c, b, bias = blocks(_full_grid(x, spec.mask, size))
+        t = np.tanh(z @ a.T + c)
+        dt = 1.0 - t * t
+
+        def pullback(v):
+            delta = (v @ b.T) * dt
+            # the a, c, b and bias blocks, in the order of _mlp_layout
+            grad = np.concatenate([(delta.T @ z).ravel(), delta.sum(0), (t.T @ v).ravel(),
+                                   v.sum(0)])
+            return grad[mask] if masked else grad
+
+        def jacobian():
+            jac, idx = np.zeros((n, d, size)), np.arange(d)
+            ja, jc, jb, jbias = blocks(jac)
+            # a block: dF_i/da_{hj} = b[h,i] * dt[t,h] * z[t,j]
+            ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
+            # c block: dF_i/dc_h = b[h,i] * dt[t,h]
+            jc[...] = np.einsum("hi,th->tih", b, dt)
+            # b block: dF_i/db_{hi'} = delta_{ii'} * t[t,h]
+            jb[:, idx, :, idx] = t
+            # output bias: identity
+            jbias[...] = np.eye(d)
+            return jac[:, :, mask]
+
+        def second_vdot(v):
+            ddt = -2.0 * t * dt  # tanh'' reusing the forward value
+            zt = np.concatenate([z, np.ones((n, 1))], axis=1)
+            acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
+            acb = np.einsum("th,tj,ti->hji", dt, zt, v)
+            # grid indices of unit h's [a_h | c_h] and b_h entries
+            ia, ic, bh, _ = blocks(np.arange(size))
+            ac = np.concatenate([ia, ic[:, None]], axis=1)
+            full = np.zeros((size, size))
+            full[ac[:, :, None], ac[:, None, :]] = acac
+            full[ac[:, :, None], bh[:, None, :]] = acb
+            full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)
+            return full[np.ix_(mask, mask)]
+
+        return Linearization(t @ b + bias, pullback, jacobian, second_vdot)
+
+    return mlp_at
 
 
 # --- model file round trip -------------------------------------------------

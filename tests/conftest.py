@@ -18,7 +18,7 @@ from logdetreg import (
     sample_gaussian,
     spd_from_symmetric,
 )
-from logdetreg.cost import CostReport, ResidualSet, _a_tensor, _gls_terms, empirical_covariance
+from logdetreg.cost import CostReport, ResidualSet, _a_tensor, empirical_covariance, gls_terms
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteState
 from logdetreg.linalg import ASYMMETRY_RTOL, SpdMatrix
 from logdetreg.model import _mlp_blocks, eval_batch, predictor
@@ -102,7 +102,7 @@ def trace_product(g_inv: SpdMatrix, a: np.ndarray) -> float:
 
 
 def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
-    return _gls_terms(rs, weight)[0]
+    return gls_terms(rs.residuals, weight)[0]
 
 
 def logdet_cost(rs: ResidualSet) -> CostReport:
@@ -277,6 +277,30 @@ def logdet_objective_oracle(spec, data):
         if not np.all(np.isfinite(grad)):
             return np.inf, None
         return 2.0 * float(np.sum(np.log(np.diag(chol)))), grad
+
+    return objective
+
+
+def weighted_objective_oracle(spec, data, weight=None):
+    """The BFGS MSE objective ``x -> (V_n, gradient)``, or with ``weight``
+    the GLS one, ``(inf, None)`` where the prediction overflows or the
+    gradient is not finite."""
+
+    def objective(x):
+        found = _residuals_oracle(spec, data, x)
+        if found is None:
+            return np.inf, None
+        r, pullback, _ = found
+        n = r.shape[0]
+        if weight is None:
+            value, v = float(np.sum(r**2) / n), r
+        else:
+            v = _solve_oracle(weight.chol, r.T).T
+            value = float(np.sum(r * v) / n)
+        grad = -2.0 / n * pullback(v)
+        if not np.all(np.isfinite(grad)):
+            return np.inf, None
+        return value, grad
 
     return objective
 

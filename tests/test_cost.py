@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,19 @@ from logdetreg.cost import (
     ResidualSet,
     empirical_covariance,
     gls_gradient,
+    gls_terms,
     information,
     logdet_gradient,
     logdet_hessian,
+    logdet_terms,
     mse_cost,
     mse_gradient,
+    mse_terms,
 )
 from logdetreg.errors import DimensionMismatch, NonIdentifiable, NotPositiveDefinite
 from logdetreg.estimate import _objective, fisher_info
 from conftest import (
+    _residuals_oracle,
     fd_gradient,
     fd_jacobian,
     fisher_info_oracle,
@@ -27,6 +33,7 @@ from conftest import (
     residual_set,
     spd_inverse,
     trace_product,
+    weighted_objective_oracle,
 )
 
 
@@ -264,7 +271,7 @@ class TestEvaluationPathOracle:
     @pytest.mark.parametrize("index", range(12))
     def test_objective_bitwise(self, index):
         spec, w, data = make_instance(index)
-        got, want = _objective(spec, data, logdet_gradient), logdet_objective_oracle(spec, data)
+        got, want = _objective(spec, data, logdet_terms), logdet_objective_oracle(spec, data)
         for x in self.points(spec, w):
             self.assert_same(got(x), want(x))
             assert np.isfinite(got(x)[0])
@@ -274,7 +281,7 @@ class TestEvaluationPathOracle:
         # overflowing predictions and covariances take the infinite-cost
         # branches
         spec, w, data = make_instance(index)
-        got, want = _objective(spec, data, logdet_gradient), logdet_objective_oracle(spec, data)
+        got, want = _objective(spec, data, logdet_terms), logdet_objective_oracle(spec, data)
         for value in (1e200, 1e308, -1e308):
             x = np.full(spec.param_count, value)
             x[::2] *= -1.0
@@ -295,3 +302,54 @@ class TestEvaluationPathOracle:
             info_hat, cov = fisher_info(spec, ParamVector(x, spec), data)
             assert info_hat.entries.tobytes() == sym_o.tobytes()
             assert cov.tobytes() == cov_o.tobytes()
+
+    @staticmethod
+    def extreme_points(spec):
+        for value in (1e200, 1e308, -1e308):
+            x = np.full(spec.param_count, value)
+            x[::2] *= -1.0
+            yield x
+
+    @staticmethod
+    def weighted_pair(spec, data, cost):
+        """(objective, oracle) of the MSE, or of the GLS cost at a fixed weight."""
+        if cost == "mse":
+            return _objective(spec, data, mse_terms), weighted_objective_oracle(spec, data)
+        weight = spd_from_symmetric([[2.0, 0.6], [0.6, 0.5]])
+        return (_objective(spec, data, partial(gls_terms, weight=weight)),
+                weighted_objective_oracle(spec, data, weight))
+
+    @pytest.mark.parametrize("cost", ["mse", "gls"])
+    @pytest.mark.parametrize("index", range(12))
+    def test_weighted_objective_bitwise(self, index, cost):
+        spec, w, data = make_instance(index)
+        got, want = self.weighted_pair(spec, data, cost)
+        for x in self.points(spec, w):
+            self.assert_same(got(x), want(x))
+            assert np.isfinite(got(x)[0])
+
+    @pytest.mark.parametrize("cost", ["mse", "gls"])
+    @pytest.mark.parametrize("index", range(12))
+    def test_weighted_extreme_points_bitwise(self, index, cost):
+        spec, _, data = make_instance(index)
+        got, want = self.weighted_pair(spec, data, cost)
+        for x in self.extreme_points(spec):
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.assert_same(got(x), want(x))
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_gram_matrix_bitwise_symmetric(self, index):
+        # the log-det cost factors r^T r / n without an asymmetry test; the
+        # overflowing extreme points are checked too
+        spec, w, data = make_instance(index)
+        checked = 0
+        for x in [*self.points(spec, w), *self.extreme_points(spec)]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                found = _residuals_oracle(spec, data, x)
+                if found is None:  # the prediction overflowed
+                    continue
+                r = found[0]
+                m = r.T @ r / r.shape[0]
+            assert m.tobytes() == m.T.tobytes()
+            checked += 1
+        assert checked >= 5

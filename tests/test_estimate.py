@@ -29,10 +29,10 @@ from logdetreg import cli, cost, estimate, model, optimize
 from logdetreg.cli import main
 from logdetreg.cost import (
     empirical_covariance,
-    gls_gradient,
+    gls_terms,
     information,
-    logdet_gradient,
-    mse_gradient,
+    logdet_terms,
+    mse_terms,
 )
 from logdetreg.data import save_csv
 from logdetreg.errors import (
@@ -102,7 +102,7 @@ class TestFitOls:
         weight = spd_from_symmetric([[2.0, 1.1], [1.1, 3.0]])
         opts = OptimOptions(n_starts=3, seed=17, grad_tol=1e-10)
         masked = ModelSpec(ModelKind.MASKED_LINEAR, 2, 2, mask=[True, False, True, True])
-        costs = ((identity, mse_gradient), (weight, lambda rs: gls_gradient(rs, weight)))
+        costs = ((identity, mse_terms), (weight, partial(gls_terms, weight=weight)))
         for spec in (ModelSpec(ModelKind.LINEAR, 2, 2), masked):
             rs0 = residual_set(spec, ParamVector(np.zeros(spec.param_count), spec), data)
             for w, objective in costs:
@@ -222,6 +222,18 @@ class TestFitFgls:
         assert fit.optim.converged
         assert fit.cost_value == fit.rounds[-1]
 
+    @pytest.mark.parametrize("make", [lambda: masked_design(6000), lambda: mlp_dataset(n=200)[::2]],
+                             ids=["masked_linear", "mlp"])
+    def test_checks_dataset_once(self, make, monkeypatch):
+        # the dataset cannot change between rounds: one check per fit
+        calls = []
+        check = estimate._check_size
+        monkeypatch.setattr(estimate, "_check_size", lambda *args: calls.append(1) or check(*args))
+        spec, data = make()
+        fit = fit_fgls(spec, data, OptimOptions(n_starts=1, seed=17, max_iters=50))
+        assert len(fit.rounds) >= 3
+        assert len(calls) == 1
+
     def test_round_sequence_improves(self):
         mask = np.ones(6, dtype=bool)
         mask[[2, 5]] = False
@@ -238,7 +250,7 @@ class TestWarmStart:
         spec, w, data = mlp_dataset()
         x0 = w.values + 0.1
         fit = fit_logdet(spec, data, OPTS, x0=x0)
-        x, f, reason, iters = bfgs_minimize(_objective(spec, data, logdet_gradient), x0, OPTS)
+        x, f, reason, iters = bfgs_minimize(_objective(spec, data, logdet_terms), x0, OPTS)
         np.testing.assert_array_equal(fit.w_hat.values, x)
         assert fit.cost_value == f
         assert [(r.start_index, r.iterations, r.termination) for r in fit.optim.per_start] == [
@@ -264,7 +276,7 @@ class TestWarmStart:
         (_, first), (x0, second) = runs[1], runs[2]
         np.testing.assert_array_equal(x0, first.w_best.values)
         weight = estimate._residual_covariance(cost.ResidualSet.from_model(spec, first.w_best, data))
-        objective = _objective(spec, data, partial(gls_gradient, weight=weight))
+        objective = _objective(spec, data, partial(gls_terms, weight=weight))
         x, f, reason, iters = bfgs_minimize(objective, x0, OPTS)
         np.testing.assert_array_equal(second.w_best.values, x)
         assert second.cost_best == f
@@ -282,7 +294,7 @@ class TestFitLogdet:
         spec, data = recipe.spec, gen_series(recipe)
         fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=200))
         best = next(r for r in fit.optim.per_start if r.final_cost == fit.cost_value)
-        _, grad = _objective(spec, data, logdet_gradient)(fit.w_hat.values)
+        _, grad = _objective(spec, data, logdet_terms)(fit.w_hat.values)
         assert best.grad_norm == np.max(np.abs(grad))
         assert best.termination == "stalled" and best.grad_norm > 1e-6
         assert fit.optim.converged
@@ -401,20 +413,20 @@ class TestResidualCovariance:
     @pytest.mark.parametrize("seed", [7000, 7004])
     def test_logdet_one_gamma_per_round(self, seed, monkeypatch):
         formed, extra = [], []
-        real = cost.empirical_covariance
+        real = cost._covariance
 
-        def counted(rs):
+        def counted(r):
             formed.append(1)
-            return real(rs)
+            return real(r)
 
-        monkeypatch.setattr(cost, "empirical_covariance", counted)
+        monkeypatch.setattr(cost, "_covariance", counted)
         monkeypatch.setattr(estimate, "_residual_covariance", lambda rs: extra.append(1))
         spec, data = masked_design(seed)
         fit = fit_logdet(spec, data, OPTS)
         rounds = fit.optim.per_start[0].iterations
         assert rounds >= 2
         assert (len(formed), len(extra)) == (rounds + 1, 0)
-        want = real(cost.ResidualSet.from_model(spec, fit.w_hat, data))
+        want = real(cost.ResidualSet.from_model(spec, fit.w_hat, data).residuals)
         assert fit.gamma_hat.entries.tobytes() == want.entries.tobytes()
         assert fit.gamma_hat.chol.tobytes() == want.chol.tobytes()
 
@@ -521,7 +533,7 @@ class TestFitBoundary:
         data = Dataset(rng.uniform(-1, 1, (50, 1)), 1e308 * (1.0 + 0.01 * rng.random((50, 1))))
         x = np.array([0.1, 0.0, 0.0, -1.5e308])
         assert np.isfinite(eval_batch(spec, ParamVector(x, spec), data.inputs)).all()
-        for cost_fn in (logdet_gradient, mse_gradient):
+        for cost_fn in (logdet_terms, mse_terms):
             with np.errstate(over="ignore"):
                 assert _objective(spec, data, cost_fn)(x) == (np.inf, None)
 
@@ -641,7 +653,7 @@ class TestLinearLogdet:
         monkeypatch.setattr(cost, "logdet_gradient", recorded)
         fit = fit_logdet(spec, data, OPTS)
         monkeypatch.undo()
-        searched = multi_start(_objective(spec, data, logdet_gradient), spec, OPTS)
+        searched = multi_start(_objective(spec, data, logdet_terms), spec, OPTS)
         assert abs(fit.cost_value - searched.cost_best) <= 1e-9
         (record,) = fit.optim.per_start
         assert record.termination == "grad_tol" and record.iterations == len(values) - 1

@@ -4,7 +4,7 @@ import pytest
 from logdetreg import ModelKind, ModelSpec, OptimOptions, bfgs_minimize, multi_start
 from logdetreg import optimize
 from logdetreg.errors import AllStartsFailed, NonFiniteAtStart
-from logdetreg.cost import logdet_gradient
+from logdetreg.cost import logdet_terms
 from logdetreg.estimate import _objective
 from logdetreg.optimize import CURVATURE_EPS, _MAX_LS, _STALL_LIMIT, initial_point
 from logdetreg.simulate import bivariate_nar_recipe, gen_series
@@ -96,7 +96,7 @@ class TestBfgs:
         w0 = ParamVector(np.array([0.5, -0.3, 0.2, 0.8]), spec)
         gamma = spd_from_symmetric([[1.0, 0.4], [0.4, 1.0]])
         data = gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w0, gamma, n=500, seed=12))
-        objective = _objective(spec, data, logdet_gradient)
+        objective = _objective(spec, data, logdet_terms)
         x, _, _, _ = bfgs_minimize(objective, np.zeros(4), OptimOptions(grad_tol=1e-9))
         ols = np.linalg.lstsq(data.inputs, data.outputs, rcond=None)[0].T.reshape(-1)
         assert np.max(np.abs(x - ols)) < 1e-6
@@ -271,7 +271,7 @@ def nar_fit(seed):
     data = gen_series(recipe)
     opts = OptimOptions(max_iters=200, seed=seed)
     x0 = initial_point(recipe.spec, opts, 0)
-    return (recipe.spec, _objective(recipe.spec, data, logdet_gradient),
+    return (recipe.spec, _objective(recipe.spec, data, logdet_terms),
             logdet_objective_oracle(recipe.spec, data), x0, opts)
 
 
@@ -374,11 +374,11 @@ class TestNonFiniteGradient:
         spec, _, data = make_instance(11)
         x = self.extreme_point(spec)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _objective(spec, data, logdet_gradient)(x) == (np.inf, None)
+            assert _objective(spec, data, logdet_terms)(x) == (np.inf, None)
 
     def test_start_there_is_not_finite(self, monkeypatch):
         spec, _, data = make_instance(11)
-        objective = _objective(spec, data, logdet_gradient)
+        objective = _objective(spec, data, logdet_terms)
         x = self.extreme_point(spec)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteAtStart):
