@@ -138,14 +138,14 @@ def gls_terms(r: np.ndarray, weight: SpdMatrix) -> tuple[float, np.ndarray, None
     """(1/n) sum_t r_t^T weight^{-1} r_t, and the rows weight^{-1} r_t."""
     if weight.dim != r.shape[1]:
         raise DimensionMismatch(f"weight dim {weight.dim} != residual dim {r.shape[1]}")
-    wr = weight.solve_rows(r)
+    wr = weight.solve(r.T).T
     return float(np.sum(r * wr) / r.shape[0]), wr, None
 
 
 def logdet_terms(r: np.ndarray) -> tuple[float, np.ndarray, SpdMatrix]:
     """U_n = log det Gamma_n, the rows Gamma_n^{-1} r_t, and Gamma_n."""
     gamma = _covariance(r)
-    return logdet(gamma), gamma.solve_rows(r), gamma
+    return logdet(gamma), gamma.solve(r.T).T, gamma
 
 
 def chain(pullback: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:

@@ -74,18 +74,17 @@ def _residuals_at(spec, data, x) -> cst.ResidualSet:
 def _objective(spec, data, terms):
     """BFGS objective x -> (value, gradient) of the cost with these
     ``terms`` (``cost.mse_terms``, ``cost.gls_terms`` at a weight or
-    ``cost.logdet_terms``), with the model's layout resolved once.
+    ``cost.logdet_terms``), with the model's inputs checked once.
 
     Trial points where the residuals overflow, the cost hits a
     degenerate residual covariance or the gradient is not finite are worth
     +inf; the line search backtracks away from them.  A wrong-length or
     non-finite ``x`` raises DimensionMismatch.
     """
-    linearize_at, y, shape = mdl.linearizer(spec, data.inputs), data.outputs, (spec.param_count,)
+    linearize_at, y = mdl.linearizer(spec, data.inputs), data.outputs
 
     def objective(x):
-        if x.shape != shape or not np.isfinite(x).all():
-            raise DimensionMismatch(f"expected {shape[0]} finite parameters")
+        mdl.check_params(x, spec)
         lin = linearize_at(x)
         r = y - lin.pred
         if not np.isfinite(r).all():

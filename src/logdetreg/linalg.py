@@ -51,12 +51,6 @@ class SpdMatrix:
             raise ValueError("right-hand side must be finite")
         return lapack.dpotrs(self.chol, b, lower=1)[0]
 
-    def solve_rows(self, r: np.ndarray) -> np.ndarray:
-        """The rows ``self^{-1} r_t`` of an (n, d) matrix ``r`` that is
-        finite by construction: ``solve(r.T).T`` without the finiteness
-        test."""
-        return lapack.dpotrs(self.chol, r.T, lower=1)[0].T
-
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of ``a``.  The factorization can return a NaN

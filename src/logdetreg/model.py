@@ -16,10 +16,9 @@ Flattening order (stable contract for JSON round trips and pruning masks):
 
 :func:`predictor` is the forward map (``w`` unpacked once); :func:`linearize`
 adds, from the same forward pass, every derivative the costs use (a
-:class:`Linearization`).  :func:`linearizer` resolves the input check, the
-grid layout and the mask once for a fit, and maps each parameter point to
-its linearization; ``_mlp_layout`` is the one statement of the MLP grid
-layout.
+:class:`Linearization`).  :func:`linearizer` resolves the input check and the
+mask once for a fit, and maps each parameter point to its linearization;
+``_mlp_blocks`` is the one statement of the MLP grid layout.
 """
 
 from __future__ import annotations
@@ -109,17 +108,21 @@ class ParamVector:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.spec.param_count,):
-            raise DimensionMismatch(
-                f"expected {self.spec.param_count} parameters, got {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise DimensionMismatch("parameters must be finite")
+        check_params(values, self.spec)
         object.__setattr__(self, "values", values)
 
     def full_grid(self) -> np.ndarray:
         """Expand to the full grid, masked entries set to zero."""
         return _full_grid(self.values, self.spec.mask, self.spec.full_param_count)
+
+
+def check_params(x: np.ndarray, spec: ModelSpec) -> None:
+    """Raise DimensionMismatch unless the float array ``x`` holds the
+    ``spec.param_count`` free parameters, all finite."""
+    if x.shape != (spec.param_count,):
+        raise DimensionMismatch(f"expected {spec.param_count} parameters, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DimensionMismatch("parameters must be finite")
 
 
 def _full_grid(x: np.ndarray, mask: np.ndarray | None, size: int) -> np.ndarray:
@@ -132,26 +135,16 @@ def _full_grid(x: np.ndarray, mask: np.ndarray | None, size: int) -> np.ndarray:
     return grid
 
 
-def _mlp_layout(spec: ModelSpec):
-    """The MLP grid layout: the map from an array (a grid, a Jacobian, or an
-    array of grid indices) to views of its a, c, b and bias blocks on the
-    last axis, with the a and b blocks split into ``(H, d')`` and
-    ``(H, d)``."""
-    h, din, dout = spec.hidden_units, spec.input_dim, spec.output_dim
-    i_c, i_b, i_bias = h * din, h * din + h, h * din + h + h * dout
-
-    def blocks(arr):
-        lead = arr.shape[:-1]
-        a = arr[..., :i_c].reshape(lead + (h, din))
-        b = arr[..., i_b:i_bias].reshape(lead + (h, dout))
-        return a, arr[..., i_c:i_b], b, arr[..., i_bias:]
-
-    return blocks
-
-
 def _mlp_blocks(spec: ModelSpec, arr: np.ndarray):
-    """The a, c, b and bias blocks of ``arr`` by :func:`_mlp_layout`."""
-    return _mlp_layout(spec)(arr)
+    """The MLP grid layout: views of the a, c, b and bias blocks on the last
+    axis of ``arr`` (a grid, a Jacobian, or an array of grid indices), with
+    the a and b blocks split into ``(H, d')`` and ``(H, d)``."""
+    h, din, dout = spec.hidden_units, spec.input_dim, spec.output_dim
+    lead = arr.shape[:-1]
+    i_c, i_b, i_bias = h * din, h * din + h, h * din + h + h * dout
+    a = arr[..., :i_c].reshape(*lead, h, din)
+    b = arr[..., i_b:i_bias].reshape(*lead, h, dout)
+    return a, arr[..., i_c:i_b], b, arr[..., i_bias:]
 
 
 def _check_inputs(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
@@ -211,8 +204,8 @@ def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> Linearizat
 
 def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Linearization]:
     """The map from free parameters ``x`` to :func:`linearize` at
-    ``ParamVector(x, spec)``, with the input check, the grid layout and the
-    mask resolved once for every point; the map does not check ``x``."""
+    ``ParamVector(x, spec)``, with the input check and the mask resolved
+    once for every point; the map does not check ``x``."""
     z = _check_inputs(spec, inputs)
     n, d, size = z.shape[0], spec.output_dim, spec.full_param_count
     mask, masked = spec.effective_mask, spec.mask is not None
@@ -236,23 +229,21 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
 
         return linear_at
 
-    blocks = _mlp_layout(spec)
-
     def mlp_at(x):
-        a, c, b, bias = blocks(_full_grid(x, spec.mask, size))
+        a, c, b, bias = _mlp_blocks(spec, _full_grid(x, spec.mask, size))
         t = np.tanh(z @ a.T + c)
         dt = 1.0 - t * t
 
         def pullback(v):
             delta = (v @ b.T) * dt
-            # the a, c, b and bias blocks, in the order of _mlp_layout
+            # the a, c, b and bias blocks, in the order of _mlp_blocks
             grad = np.concatenate([(delta.T @ z).ravel(), delta.sum(0), (t.T @ v).ravel(),
                                    v.sum(0)])
             return grad[mask] if masked else grad
 
         def jacobian():
             jac, idx = np.zeros((n, d, size)), np.arange(d)
-            ja, jc, jb, jbias = blocks(jac)
+            ja, jc, jb, jbias = _mlp_blocks(spec, jac)
             # a block: dF_i/da_{hj} = b[h,i] * dt[t,h] * z[t,j]
             ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
             # c block: dF_i/dc_h = b[h,i] * dt[t,h]
@@ -269,7 +260,7 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
             acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
             acb = np.einsum("th,tj,ti->hji", dt, zt, v)
             # grid indices of unit h's [a_h | c_h] and b_h entries
-            ia, ic, bh, _ = blocks(np.arange(size))
+            ia, ic, bh, _ = _mlp_blocks(spec, np.arange(size))
             ac = np.concatenate([ia, ic[:, None]], axis=1)
             full = np.zeros((size, size))
             full[ac[:, :, None], ac[:, None, :]] = acac
