@@ -16,9 +16,9 @@ trial point.  The ``*_gradient`` functions apply them to a
 :class:`~logdetreg.model.Linearization` there, and return a
 :class:`CostReport`.  Only :func:`information` and :func:`logdet_hessian`
 build Jacobians (once per residual set).  ``Gamma_n = r^T r / n`` is
-symmetric by construction, so it is factored without the asymmetry test
-that :func:`~logdetreg.linalg.spd_from_symmetric` applies to matrices
-from outside the program.
+bitwise symmetric, so it is factored as given, without the asymmetry test
+and symmetrizing of :func:`~logdetreg.linalg.spd_from_symmetric`.  The GLS
+and log-det rows are tested for finiteness where they are solved.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -108,8 +108,8 @@ class CostReport:
 
 def _covariance(r: np.ndarray) -> SpdMatrix:
     """Gamma_n of the (n, d) residuals ``r``, Reject policy.  The Gram
-    matrix ``r^T r / n`` is symmetric by construction (bitwise: the test
-    suite checks it), so it is factored without an asymmetry test."""
+    matrix ``r^T r / n`` is bitwise symmetric (the test suite checks it), so
+    it is factored as given."""
     n, d = r.shape
     if n < d:
         raise NotPositiveDefinite(f"n={n} < d={d}: covariance cannot be PD")

@@ -130,9 +130,10 @@ def _wls(rs0: cst.ResidualSet, weight: SpdMatrix) -> np.ndarray:
 
 
 def _outcome(spec, x, report: cst.CostReport, iterations: int, reason: str) -> OptimOutcome:
-    """The one-record outcome of a linear fit, solved without a search."""
+    """The one-record outcome of a linear fit, solved without a search: its
+    cost was evaluated once per round and at the solution."""
     grad_norm = float(np.max(np.abs(report.gradient)))
-    record = StartRecord(0, report.value, iterations, grad_norm, reason)
+    record = StartRecord(0, report.value, iterations, iterations + 1, grad_norm, reason)
     return OptimOutcome(mdl.ParamVector(x, spec), report.value, (record,), reason != "max_iters")
 
 

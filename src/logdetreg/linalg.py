@@ -30,7 +30,7 @@ class SpdMatrix:
     """Symmetric positive-definite matrix with a cached Cholesky factor.
 
     Immutable; construct through :func:`spd_from_symmetric`, or
-    :func:`factor_symmetric` for a matrix symmetric by construction.
+    :func:`factor_symmetric` for a bitwise-symmetric matrix.
     ``regularized`` is True when the Jitter policy had to add a ridge
     before the factorization succeeded.
     """
@@ -68,22 +68,23 @@ def spd_from_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) 
     """Build an :class:`SpdMatrix` from a (near-)symmetric matrix.
 
     Asymmetry beyond ``1e-8 * (1 + |entry|)`` raises
-    :class:`AsymmetricInput`; the matrix is then factored by
-    :func:`factor_symmetric` under ``policy``.
+    :class:`AsymmetricInput`; the matrix is then symmetrized as
+    ``(m + m.T) / 2`` and factored by :func:`factor_symmetric` under ``policy``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if (np.abs(m - m.T) > ASYMMETRY_RTOL * (1.0 + np.abs(m))).any():
         raise AsymmetricInput("matrix asymmetry exceeds tolerance")
-    return factor_symmetric(m, policy)
+    return factor_symmetric(0.5 * (m + m.T), policy)
 
 
 def factor_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) -> SpdMatrix:
-    """The :class:`SpdMatrix` of a square float matrix that is symmetric by
-    construction, such as a Gram matrix ``r^T r / n``: no asymmetry test.
+    """The :class:`SpdMatrix` of a square float matrix that is bitwise
+    symmetric, such as a Gram matrix ``r^T r / n``, factored as given: no
+    asymmetry test and no symmetrizing (for a Gram matrix with ``n >= 2``,
+    ``(m + m.T) / 2`` would return ``m`` bit for bit).
 
-    The matrix is symmetrized as ``(m + m.T) / 2`` before factorization.
     Under ``RidgePolicy.JITTER`` a ridge ``lam * I`` with
     ``lam = 1e-8 * trace(m) / d`` is added and escalated by a factor of 100
     at most 3 times; the result is then flagged as regularized.  Under
@@ -94,20 +95,19 @@ def factor_symmetric(m: np.ndarray, policy: RidgePolicy = RidgePolicy.REJECT) ->
     infinite diagonal entry with a NaN-free factor is kept (its log-det is
     +inf).
     """
-    sym = 0.5 * (m + m.T)
     try:
-        return SpdMatrix(entries=sym, chol=_cholesky(sym))
+        return SpdMatrix(entries=m, chol=_cholesky(m))
     except np.linalg.LinAlgError:
         if policy is RidgePolicy.REJECT:
             raise NotPositiveDefinite("Cholesky failed under Reject policy") from None
 
-    d = sym.shape[0]
-    lam = 1e-8 * np.trace(sym) / d
+    d = m.shape[0]
+    lam = 1e-8 * np.trace(m) / d
     if not 0.0 < lam < np.inf:
         lam = 1e-8
     for _ in range(3):
         try:
-            ridged = sym + lam * np.eye(d)
+            ridged = m + lam * np.eye(d)
             return SpdMatrix(entries=ridged, chol=_cholesky(ridged), regularized=True)
         except np.linalg.LinAlgError:
             lam *= 100.0

@@ -71,7 +71,7 @@ class ModelSpec:
             return h * self.input_dim + h + h * self.output_dim + self.output_dim
         return self.output_dim * self.input_dim
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         """Number of free parameters K."""
         if self.mask is None:
@@ -229,8 +229,14 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
 
         return linear_at
 
+    # the grid slices and block shapes of _mlp_blocks, fixed once per fit
+    (sa, ha), (sc, _), (sb, hb), (sz, _) = [
+        (slice(int(ix.flat[0]), int(ix.flat[-1]) + 1), ix.shape)
+        for ix in _mlp_blocks(spec, np.arange(size))]
+
     def mlp_at(x):
-        a, c, b, bias = _mlp_blocks(spec, _full_grid(x, spec.mask, size))
+        grid = _full_grid(x, spec.mask, size) if masked else x  # unmasked: x is the grid
+        a, c, b, bias = grid[sa].reshape(ha), grid[sc], grid[sb].reshape(hb), grid[sz]
         t = np.tanh(z @ a.T + c)
         dt = 1.0 - t * t
 

@@ -47,6 +47,7 @@ class StartRecord:
     start_index: int
     final_cost: float
     iterations: int
+    evaluations: int  # distinct points evaluated (MLP); a linear fit: iterations + 1
     grad_norm: float  # max |gradient| at the returned point
     termination: str
 
@@ -69,7 +70,7 @@ def _line_search(objective, x, f, grad, direction):
     slope = float(grad @ direction)
     if slope >= 0.0:
         return None
-    lo, hi = 0.0, np.inf
+    lo, hi = 0.0, math.inf
     alpha = 1.0
     best = None
     # rounding slack keeps the sufficient-decrease test meaningful once
@@ -86,7 +87,7 @@ def _line_search(objective, x, f, grad, direction):
             lo = alpha
         else:
             return alpha, f_new, g_new
-        alpha = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * alpha
+        alpha = 0.5 * (lo + hi) if hi < math.inf else 2.0 * alpha
     # curvature never satisfied but decrease achieved: take the last
     # Armijo point rather than stalling
     return best
@@ -116,7 +117,7 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
     eye = np.eye(x.size)
     hinv = None
     iters = stall = 0
-    while np.max(np.abs(g)) > opts.grad_tol:
+    while np.abs(g).max() > opts.grad_tol:
         if iters >= opts.max_iters:
             return x, f, "max_iters", iters
         direction = -g if hinv is None else -hinv @ g
@@ -136,14 +137,14 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
         ys = float(y @ s)
         # scale-free: the cosine between s and y must exceed CURVATURE_EPS;
         # hypot takes each norm without overflow
-        if ys <= CURVATURE_EPS * math.hypot(*s) * math.hypot(*y):
+        if ys <= CURVATURE_EPS * math.hypot(*s.tolist()) * math.hypot(*y.tolist()):
             hinv = None
         else:
             if hinv is None:
                 hinv = (ys / float(y @ y)) * eye
             rho = 1.0 / ys
-            v = eye - rho * np.outer(s, y)
-            hinv = v @ hinv @ v.T + rho * np.outer(s, s)
+            v = eye - rho * (s[:, None] * y)
+            hinv = v @ hinv @ v.T + rho * (s[:, None] * s)
         x = x + s
         f, g = f_new, g_new
         iters += 1
@@ -191,10 +192,10 @@ def multi_start(
         try:
             x, f, reason, iters = bfgs_minimize(cached, start, opts)
         except NonFiniteAtStart:
-            records.append(StartRecord(i, np.inf, 0, np.inf, "nonfinite_at_start"))
+            records.append(StartRecord(i, np.inf, 0, len(cache), np.inf, "nonfinite_at_start"))
             continue
         grad_norm = float(np.max(np.abs(cached(x)[1])))  # x was evaluated: a hit
-        records.append(StartRecord(i, f, iters, grad_norm, reason))
+        records.append(StartRecord(i, f, iters, len(cache), grad_norm, reason))
         if best is None or f < best[0] - TIE_TOL:
             best = (f, i, x, reason in ("grad_tol", "stalled"))
     if best is None:

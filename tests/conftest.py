@@ -71,7 +71,11 @@ def make_instance(index, n=200, d=2):
         spec = ModelSpec(kind, din, d)
     w = ParamVector(rng.uniform(-1.5, 1.5, size=spec.param_count), spec)
     z = rng.uniform(-1.0, 1.0, size=(n, din))
-    noise = rng.standard_normal((n, d)) @ np.array([[1.0, 0.0], [0.6, 0.8]])[:d, :d].T
+    if d <= 2:
+        factor = np.array([[1.0, 0.0], [0.6, 0.8]])[:d, :d]
+    else:  # lower bidiagonal: each component correlated with the next
+        factor = np.eye(d) + 0.6 * np.eye(d, k=-1)
+    noise = rng.standard_normal((n, d)) @ factor.T
     y = eval_batch(spec, w, z) + noise
     return spec, w, Dataset(z, y)
 

@@ -172,7 +172,7 @@ class TestFit:
         assert np.asarray(doc["asymptotic_cov"]).shape == (4, 4)
         # a linear log-det fit is solved, not searched: one record
         assert [list(r) for r in doc["per_start"]] == [
-            ["start_index", "final_cost", "iterations", "grad_norm", "termination"]
+            ["start_index", "final_cost", "iterations", "evaluations", "grad_norm", "termination"]
         ]
         # estimate close to the generating coefficients at n = 300
         assert np.max(np.abs(np.array(doc["model"]["params"]) - [0.5, -0.3, 0.2, 0.8])) < 0.2

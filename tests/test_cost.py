@@ -247,6 +247,18 @@ class TestLogdetHessian:
         assert rep.gamma_n is not None
 
 
+# make_instance's d = 2 instances by index, then instances (index, d) with
+# d = 3 and d = 5 outputs: Cholesky factors and solves beyond 2 x 2
+ORACLE_INSTANCES = [*range(12), *(pytest.param((i, d), id=f"{i}-d{d}")
+                                  for d in (3, 5) for i in range(6))]
+
+
+def oracle_instance(index):
+    if isinstance(index, tuple):
+        return make_instance(index[0], d=index[1])
+    return make_instance(index)
+
+
 class TestEvaluationPathOracle:
     """The BFGS log-det objective, ``information`` and ``fisher_info`` are
     bitwise those of the oracle path through the general-purpose wrappers
@@ -268,19 +280,19 @@ class TestEvaluationPathOracle:
         assert (g is None) == (g_o is None)
         assert g is None or g.tobytes() == g_o.tobytes()
 
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", ORACLE_INSTANCES)
     def test_objective_bitwise(self, index):
-        spec, w, data = make_instance(index)
+        spec, w, data = oracle_instance(index)
         got, want = _objective(spec, data, logdet_terms), logdet_objective_oracle(spec, data)
         for x in self.points(spec, w):
             self.assert_same(got(x), want(x))
             assert np.isfinite(got(x)[0])
 
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", ORACLE_INSTANCES)
     def test_extreme_points_bitwise(self, index):
         # overflowing predictions and covariances take the infinite-cost
         # branches
-        spec, w, data = make_instance(index)
+        spec, w, data = oracle_instance(index)
         got, want = _objective(spec, data, logdet_terms), logdet_objective_oracle(spec, data)
         for value in (1e200, 1e308, -1e308):
             x = np.full(spec.param_count, value)
@@ -288,9 +300,9 @@ class TestEvaluationPathOracle:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.assert_same(got(x), want(x))
 
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", ORACLE_INSTANCES)
     def test_information_and_fisher_info_bitwise(self, index):
-        spec, w, data = make_instance(index)
+        spec, w, data = oracle_instance(index)
         for x in self.points(spec, w):
             info_o, sym_o, cov_o = fisher_info_oracle(spec, x, data)
             rs = residual_set(spec, ParamVector(x, spec), data)
@@ -315,33 +327,35 @@ class TestEvaluationPathOracle:
         """(objective, oracle) of the MSE, or of the GLS cost at a fixed weight."""
         if cost == "mse":
             return _objective(spec, data, mse_terms), weighted_objective_oracle(spec, data)
-        weight = spd_from_symmetric([[2.0, 0.6], [0.6, 0.5]])
+        d = data.output_dim
+        weight = spd_from_symmetric([[2.0, 0.6], [0.6, 0.5]] if d == 2 else
+                                    np.eye(d) + 0.3 * (np.eye(d, k=1) + np.eye(d, k=-1)))
         return (_objective(spec, data, partial(gls_terms, weight=weight)),
                 weighted_objective_oracle(spec, data, weight))
 
     @pytest.mark.parametrize("cost", ["mse", "gls"])
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", ORACLE_INSTANCES)
     def test_weighted_objective_bitwise(self, index, cost):
-        spec, w, data = make_instance(index)
+        spec, w, data = oracle_instance(index)
         got, want = self.weighted_pair(spec, data, cost)
         for x in self.points(spec, w):
             self.assert_same(got(x), want(x))
             assert np.isfinite(got(x)[0])
 
     @pytest.mark.parametrize("cost", ["mse", "gls"])
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", ORACLE_INSTANCES)
     def test_weighted_extreme_points_bitwise(self, index, cost):
-        spec, _, data = make_instance(index)
+        spec, _, data = oracle_instance(index)
         got, want = self.weighted_pair(spec, data, cost)
         for x in self.extreme_points(spec):
             with np.errstate(over="ignore", invalid="ignore"):
                 self.assert_same(got(x), want(x))
 
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", ORACLE_INSTANCES)
     def test_gram_matrix_bitwise_symmetric(self, index):
         # the log-det cost factors r^T r / n without an asymmetry test; the
         # overflowing extreme points are checked too
-        spec, w, data = make_instance(index)
+        spec, w, data = oracle_instance(index)
         checked = 0
         for x in [*self.points(spec, w), *self.extreme_points(spec)]:
             with np.errstate(over="ignore", invalid="ignore"):

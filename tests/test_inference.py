@@ -34,7 +34,7 @@ def nested_pair():
 
 def fake_fit(spec, cost_value, n=100, kind=CostKind.LOGDET):
     w = ParamVector(np.zeros(spec.param_count), spec)
-    record = StartRecord(0, cost_value, 0, 0.0, "grad_tol")
+    record = StartRecord(0, cost_value, 0, 1, 0.0, "grad_tol")
     outcome = OptimOutcome(w, cost_value, (record,), True)
     return FitResult(
         w_hat=w,

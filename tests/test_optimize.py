@@ -243,6 +243,18 @@ class TestMultiStart:
         best = next(r for r in out.per_start if r.final_cost == out.cost_best)
         assert best.grad_norm == np.max(np.abs(half_well(out.w_best.values)[1]))
 
+    def test_evaluations_are_distinct_points(self):
+        # a NAR start's record counts the distinct points that the uncached
+        # run visits; a start that is not finite evaluated its start point
+        spec, objective, _, x0, opts = nar_fit(3)
+        plain, points = counted(objective)
+        bfgs_minimize(plain, x0, opts)
+        (record,) = multi_start(objective, spec, opts, x0=x0).per_start
+        assert record.evaluations == len(set(points))
+        bad = multi_start(lambda x: (np.inf, None) if x[0] < 0 else double_well(x),
+                          ModelSpec(ModelKind.LINEAR, 1, 1), OptimOptions(n_starts=8, seed=2))
+        assert {r.evaluations for r in bad.per_start if r.termination == "nonfinite_at_start"} == {1}
+
     def test_initial_points_counter_based(self):
         spec = ModelSpec(ModelKind.LINEAR, 3, 1)
         p0 = initial_point(spec, OptimOptions(seed=9), 0)
