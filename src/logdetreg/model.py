@@ -71,7 +71,7 @@ class ModelSpec:
             return h * self.input_dim + h + h * self.output_dim + self.output_dim
         return self.output_dim * self.input_dim
 
-    @cached_property
+    @property
     def param_count(self) -> int:
         """Number of free parameters K."""
         if self.mask is None:

@@ -113,7 +113,7 @@ class TestFitOls:
                 slack = optimize._SLACK * max(1.0, abs(searched.cost_best))
                 assert _objective(spec, data, objective)(solved)[0] <= searched.cost_best + slack
         (record,) = fit_ols(spec, data, OPTS).optim.per_start
-        assert (record.termination, record.iterations) == ("closed_form", 0)
+        assert (record.termination, record.iterations, record.evaluations) == ("closed_form", 0, 1)
         assert record.grad_norm < 1e-12
 
     def test_noiseless_mlp_zero_floor(self):
@@ -657,13 +657,14 @@ class TestLinearLogdet:
         assert abs(fit.cost_value - searched.cost_best) <= 1e-9
         (record,) = fit.optim.per_start
         assert record.termination == "grad_tol" and record.iterations == len(values) - 1
+        assert record.evaluations == len(values)
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_max_iters_caps_the_rounds(self):
         spec, data = masked_design(7000)
         fit = fit_logdet(spec, data, OptimOptions(max_iters=1, grad_tol=1e-14))
         (record,) = fit.optim.per_start
-        assert (record.termination, record.iterations) == ("max_iters", 1)
+        assert (record.termination, record.iterations, record.evaluations) == ("max_iters", 1, 2)
         assert not fit.optim.converged
 
     def test_linear_fits_never_search(self, monkeypatch):
