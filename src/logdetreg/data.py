@@ -59,12 +59,14 @@ def save_csv(path, ds: Dataset) -> None:
     header += [f"y{i + 1}" for i in range(ds.output_dim)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        # Python floats for repr, a block of rows at a time: neither a copy
-        # of the whole dataset nor every row as a list is held at once
+        # a block of rows at a time, neither a copy of the whole dataset nor
+        # every row as a list held at once: one format string per block,
+        # whose "%r" of a Python float is its repr
+        row = ",".join(["%r"] * len(header)) + "\r\n"
         for start in range(0, ds.n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            block = np.hstack([ds.inputs[rows], ds.outputs[rows]]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
+            block = np.hstack([ds.inputs[rows], ds.outputs[rows]])
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def load_csv(path) -> Dataset:

@@ -14,9 +14,9 @@ Flattening order (stable contract for JSON round trips and pruning masks):
   block shaped ``(H, d)`` row-major, and the bias shaped ``(d,)``, for
   ``F_w(z) = sum_h b_h tanh(a_h . z + c_h) + bias``.
 
-:func:`predictor` is the forward map (``w`` unpacked once); :func:`linearize`
-adds, from the same forward pass, every derivative the costs use (a
-:class:`Linearization`).  :func:`linearizer` resolves the input check and the
+:func:`predictor` is the forward map (``w`` unpacked once; a batch or one
+row); :func:`linearize` adds, from the same forward pass, every derivative
+the costs use (a :class:`Linearization`).  :func:`linearizer` resolves the input check and the
 mask once for a fit, and maps each parameter point to its linearization;
 ``_mlp_blocks`` is the one statement of the MLP grid layout.
 """
@@ -155,14 +155,17 @@ def _check_inputs(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
 
 
 def predictor(spec: ModelSpec, w: ParamVector):
-    """The batch map ``z -> F_w(z)`` from (n, d') inputs to (n, d) outputs,
-    with ``w`` unpacked once; the map does not check its input."""
+    """The map ``z -> F_w(z)``, with ``w`` unpacked and its weight blocks
+    transposed once: an (n, d') batch gives (n, d) outputs and one (d',)
+    row, such as a NAR step's input, its (d,) output, both through
+    ``ndarray.dot``.  The map does not check its input."""
     grid = w.full_grid()
     if spec.kind is ModelKind.MLP:
         a, c, b, bias = _mlp_blocks(spec, grid)
-        return lambda z: np.tanh(z @ a.T + c) @ b + bias
-    wmat = grid.reshape(spec.output_dim, spec.input_dim)
-    return lambda z: z @ wmat.T
+        a_t = a.T
+        return lambda z: np.tanh(z.dot(a_t) + c).dot(b) + bias
+    w_t = grid.reshape(spec.output_dim, spec.input_dim).T
+    return lambda z: z.dot(w_t)
 
 
 def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
@@ -296,12 +299,25 @@ def spec_to_dict(spec: ModelSpec, params: ParamVector | None = None) -> dict:
     return doc
 
 
+def int_field(doc: dict, name: str, default: int | None = None) -> int:
+    """The JSON integer ``doc[name]`` (``default`` when the field is absent
+    and a default is given); raises KeyError for a missing field and
+    TypeError naming the field for any other value, a bool, float or
+    string included."""
+    if name not in doc and default is not None:
+        return default
+    value = doc[name]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_dict(doc: dict) -> tuple[ModelSpec, ParamVector | None]:
     spec = ModelSpec(
         kind=ModelKind(doc["kind"]),
-        input_dim=int(doc["input_dim"]),
-        output_dim=int(doc["output_dim"]),
-        hidden_units=int(doc["hidden_units"]) if "hidden_units" in doc else None,
+        input_dim=int_field(doc, "input_dim"),
+        output_dim=int_field(doc, "output_dim"),
+        hidden_units=int_field(doc, "hidden_units") if "hidden_units" in doc else None,
         mask=np.asarray(doc["mask"], dtype=bool) if "mask" in doc else None,
     )
     params = None

@@ -80,7 +80,14 @@ def gen_series(recipe: SimRecipe) -> Dataset:
     output.  The NAR recursion draws all its noise first, then the
     exogenous uniforms, and raises NonFiniteState naming the first step
     (burn-in included) whose state is non-finite or exceeds 1e12 in
-    absolute value."""
+    absolute value.
+
+    The NAR inputs live in one array of burn-in + n + 1 rows: row t is the
+    input of step t, the state of step t - 1 (row 0: y0) in its first d
+    columns and the exogenous draws after them, and step t writes its state
+    straight into row t + 1.  The dataset's inputs are a slice of whole
+    rows and its outputs a copy of the state columns, so both arrays are
+    C-contiguous."""
     rng = np.random.default_rng(np.random.SeedSequence([int(recipe.seed)]))
     spec, w, n = recipe.spec, recipe.w_true, recipe.n
 
@@ -97,26 +104,25 @@ def gen_series(recipe: SimRecipe) -> Dataset:
     d = spec.output_dim
     total = recipe.burn_in + n
     eps = sample_gaussian(recipe.gamma0, total, rng)
-    zs = np.empty((total, spec.input_dim))
-    zs[:, d:] = rng.uniform(-1.0, 1.0, size=(total, spec.input_dim - d))
-    ys = np.empty((total, d))
+    # the last row holds only the final state
+    zs = np.empty((total + 1, spec.input_dim))
+    zs[:total, d:] = rng.uniform(-1.0, 1.0, size=(total, spec.input_dim - d))
+    zs[0, :d] = recipe.y0 if recipe.y0 is not None else 0.0
     step = mdl.predictor(spec, w)
-    state = recipe.y0 if recipe.y0 is not None else np.zeros(d)
     # a diverged state runs on (to inf or nan) to the end of its block of
     # steps; one test per block then finds the first step outside
     # [-cap, cap], nan included
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, _CHECK_STEPS):
             stop = min(start + _CHECK_STEPS, total)
-            for t in range(start, stop):
-                zs[t, :d] = state
-                state = step(zs[t : t + 1])[0] + eps[t]
-                ys[t] = state
-            in_range = np.abs(ys[start:stop]) <= _STATE_CAP
+            states = zs[start + 1 : stop + 1, :d]
+            for z, e, out in zip(zs[start:stop], eps[start:stop], states):
+                np.add(step(z), e, out)
+            in_range = np.abs(states) <= _STATE_CAP
             diverged = np.flatnonzero(~in_range.all(axis=1))
             if diverged.size:
                 raise NonFiniteState(f"recursion diverged at step {start + diverged[0]}")
-    return Dataset(zs[recipe.burn_in :], ys[recipe.burn_in :])
+    return Dataset(zs[recipe.burn_in : total], zs[recipe.burn_in + 1 :, :d].copy())
 
 
 @dataclass(frozen=True)
@@ -256,10 +262,10 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
         spec=spec,
         w_true=params,
         gamma0=gamma0,
-        n=int(doc["n"]),
-        burn_in=int(doc.get("burn_in", 100)),
+        n=mdl.int_field(doc, "n"),
+        burn_in=mdl.int_field(doc, "burn_in", 100),
         y0=y0,
-        seed=int(doc.get("seed", 0)),
+        seed=mdl.int_field(doc, "seed", 0),
     )
 
 

@@ -21,7 +21,7 @@ from logdetreg import (
 from logdetreg.cost import CostReport, ResidualSet, _a_tensor, empirical_covariance, gls_terms
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteState
 from logdetreg.linalg import ASYMMETRY_RTOL, SpdMatrix
-from logdetreg.model import _mlp_blocks, eval_batch, predictor
+from logdetreg.model import _mlp_blocks, eval_batch
 from logdetreg.simulate import _STATE_CAP, bivariate_nar_recipe
 
 
@@ -125,26 +125,38 @@ def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
     return np.einsum("ij,kij->k", g, dgamma)
 
 
+def forward_oracle(spec, w):
+    """The batch map ``z -> F_w(z)`` spelled out with ``@`` on the blocks of
+    the grid, independently of ``model.predictor``."""
+    grid = w.full_grid()
+    if spec.kind is ModelKind.MLP:
+        a, c, b, bias = _mlp_blocks(spec, grid)
+        return lambda z: np.tanh(z @ a.T + c) @ b + bias
+    wmat = grid.reshape(spec.output_dim, spec.input_dim)
+    return lambda z: z @ wmat.T
+
+
 def nar_oracle(recipe: SimRecipe) -> Dataset:
-    """``gen_series`` as a per-step loop that tests every state as soon as
-    it is made; the same draws and the same numpy operations per step."""
+    """``gen_series`` as a per-step loop on one-row batches that tests every
+    state as soon as it is made; the same draws, and ``forward_oracle`` as
+    the step."""
     rng = np.random.default_rng(np.random.SeedSequence([int(recipe.seed)]))
-    spec, w, n = recipe.spec, recipe.w_true, recipe.n
+    spec, n = recipe.spec, recipe.n
+    forward = forward_oracle(spec, recipe.w_true)
     if recipe.mode is SimMode.IID_REGRESSION:
         z = rng.uniform(-1.0, 1.0, size=(n, spec.input_dim))
         eps = sample_gaussian(recipe.gamma0, n, rng)
-        return Dataset(z, eval_batch(spec, w, z) + eps)
+        return Dataset(z, forward(z) + eps)
     d = spec.output_dim
     total = recipe.burn_in + n
     eps = sample_gaussian(recipe.gamma0, total, rng)
     zs = np.empty((total, spec.input_dim))
     zs[:, d:] = rng.uniform(-1.0, 1.0, size=(total, spec.input_dim - d))
     ys = np.empty((total, d))
-    step = predictor(spec, w)
     state = recipe.y0 if recipe.y0 is not None else np.zeros(d)
     for t in range(total):
         zs[t, :d] = state
-        state = step(zs[t : t + 1])[0] + eps[t]
+        state = forward(zs[t : t + 1])[0] + eps[t]
         if not np.max(np.abs(state)) <= _STATE_CAP:
             raise NonFiniteState(f"recursion diverged at step {t}")
         ys[t] = state
@@ -164,21 +176,41 @@ def csv_oracle(path, ds: Dataset) -> None:
 
 def oracle_recipes() -> dict[str, SimRecipe]:
     """Recipes on which ``gen_series`` and ``save_csv`` are compared with
-    their oracles: the paper's NAR MLP(2,3,2) at full size with burn-in, an
-    MLP NAR with an exogenous input, a linear NAR and an i.i.d. design."""
+    their oracles: the paper's NAR MLP(2,3,2) at full size with burn-in,
+    MLP NARs with one exogenous input (H=2, and H=5 with d=3), a
+    one-dimensional MLP NAR, a linear and a masked-linear NAR, and an
+    i.i.d. design."""
     gamma = spd_from_symmetric([[1.81, 1.8], [1.8, 1.81]])
+    gamma3 = spd_from_symmetric([[1.0, 0.5, 0.2], [0.5, 1.2, -0.3], [0.2, -0.3, 0.8]])
     mlp = ModelSpec(ModelKind.MLP, 3, 2, hidden_units=2)
+    mlp543 = ModelSpec(ModelKind.MLP, 4, 3, hidden_units=5)
+    mlp1 = ModelSpec(ModelKind.MLP, 1, 1, hidden_units=3)
     linear = ModelSpec(ModelKind.LINEAR, 2, 2)
     masked = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=np.array([1, 0, 1, 1, 1, 0], bool))
+    masked_nar = ModelSpec(ModelKind.MASKED_LINEAR, 2, 2, mask=np.array([1, 1, 0, 1], bool))
     w_mlp = np.random.default_rng(5).uniform(-1.5, 1.5, mlp.param_count)
+    w_mlp543 = np.random.default_rng(6).uniform(-1.5, 1.5, mlp543.param_count)
+    w_mlp1 = np.random.default_rng(7).uniform(-1.5, 1.5, mlp1.param_count)
     return {
         "mlp232_nar": replace(bivariate_nar_recipe(seed=3, n=20_000), burn_in=100),
         "mlp32_exogenous_nar": SimRecipe(
             SimMode.NAR_PROCESS, mlp, ParamVector(w_mlp, mlp), gamma, n=3000, seed=11
         ),
+        "mlp543_exogenous_nar": SimRecipe(
+            SimMode.NAR_PROCESS, mlp543, ParamVector(w_mlp543, mlp543), gamma3, n=3000,
+            burn_in=20, seed=14,
+        ),
+        "mlp131_nar": SimRecipe(
+            SimMode.NAR_PROCESS, mlp1, ParamVector(w_mlp1, mlp1), spd_from_symmetric([[0.5]]),
+            n=3000, y0=np.array([0.7]), seed=15,
+        ),
         "linear_nar": SimRecipe(
             SimMode.NAR_PROCESS, linear, ParamVector(np.array([0.5, -0.2, 0.3, 0.4]), linear),
             gamma, n=5000, burn_in=50, y0=np.array([0.3, -2.0]), seed=12,
+        ),
+        "masked_linear_nar": SimRecipe(
+            SimMode.NAR_PROCESS, masked_nar,
+            ParamVector(np.array([0.6, -0.3, 0.7]), masked_nar), gamma, n=3000, seed=16,
         ),
         "masked_iid": SimRecipe(
             SimMode.IID_REGRESSION, masked, ParamVector(np.array([0.4, -0.3, 0.2, 0.5]), masked),

@@ -423,6 +423,33 @@ class TestExitCodes:
         assert code == 2
         assert str(path) in err and detail in err
 
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None], ids=repr)
+    @pytest.mark.parametrize("field", ["input_dim", "output_dim", "hidden_units"])
+    def test_model_dimension_not_integer(self, tmp_path, field, value, capsys):
+        # a float, bool or string dimension is not truncated to an integer
+        doc = {"kind": "mlp", "input_dim": 2, "output_dim": 2, "hidden_units": 2}
+        doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        data.write_text("z1,z2,y1,y2\n1.0,2.0,3.0,4.0\n")
+        code, out, err = run(["fit", "--model", str(path), "--data", str(data)], capsys)
+        assert (code, out) == (2, "")
+        assert str(path) in err and f"field {field!r} must be an integer" in err
+
+    @pytest.mark.parametrize("value", [12.9, 40.0, True, "40", None], ids=repr)
+    @pytest.mark.parametrize("field", ["n", "burn_in", "seed"])
+    def test_recipe_count_not_integer(self, tmp_path, linear22, field, value, capsys):
+        # n 12.9 used to run as 12, burn_in true as 1 and seed "40" as 40
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50, mode="nar")
+        recipe = tmp_path / "d.recipe.json"
+        doc = json.loads(recipe.read_text())
+        doc[field] = value
+        recipe.write_text(json.dumps(doc))
+        code, out, err = run(["mc", "--recipe", str(recipe), "--reps", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert str(recipe) in err and f"field {field!r} must be an integer" in err
+
     def test_malformed_recipe(self, tmp_path, linear22, capsys):
         simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
         recipe = tmp_path / "d.recipe.json"

@@ -202,6 +202,8 @@ class TestGenSeriesOracle:
         assert got.inputs.shape == want.inputs.shape == (recipe.n, recipe.spec.input_dim)
         assert got.inputs.tobytes() == want.inputs.tobytes()
         assert got.outputs.tobytes() == want.outputs.tobytes()
+        assert got.inputs.flags.c_contiguous and got.outputs.flags.c_contiguous
+        assert not np.shares_memory(got.inputs, got.outputs)
 
     @pytest.mark.parametrize(
         "coef, y0, step",

@@ -1,14 +1,16 @@
 """Paired benchmark runs of two checkouts, and the BENCH_*.json record.
 
 ``run`` runs ``perfbench/run.py`` once per seed in each of two checkouts,
-one run at a time, alternating which checkout runs first (the parent on
-the 1st, 3rd, ... seed), and appends each run's metadata and result to a
-JSON-lines file.  ``assemble`` turns that file into a record with, per
-workload and side, the quartiles of every end-to-end metric, and per
-metric the number of pairs in which the change read better.
+for each workload of a comma list in turn, one run at a time, alternating
+which checkout runs first (the parent on the 1st, 3rd, ... seed of each
+workload).  It prints every end-to-end metric of each run and appends the
+run's metadata and result to a JSON-lines file.  ``assemble`` turns that
+file into a record with, per workload and side, the quartiles of every
+end-to-end metric, and per metric the number of pairs in which the change
+read better.
 
     python tools/bench_pairs.py run --parent ../parent --change . \\
-        --workload fit_nar_mlp --seeds 16001-16010 --raw raw.jsonl
+        --workload simulate_nar,fit_nar_mlp --seeds 16001-16010 --raw raw.jsonl
     python tools/bench_pairs.py assemble --raw raw.jsonl --label LABEL \\
         --tree "what the change is" --out BENCH_LABEL.json
 
@@ -48,16 +50,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 def cmd_run(args) -> int:
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     with open(args.raw, "a", encoding="utf-8") as fh:
-        for pair, seed in enumerate(seed_list(args.seeds)):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                meta, result = run_once(trees[side], args.workload, seed, args.seconds)
-                value = result["metrics"]["command_cal"]["value"]
-                print(f"{args.workload} seed {seed} {side}: command_cal {value:.4f}", flush=True)
-                fh.write(json.dumps({"workload": args.workload, "seed": seed, "side": side,
-                                     "first": order[0], "seconds": args.seconds,
-                                     "meta": meta, "result": result}) + "\n")
-                fh.flush()
+        for workload in args.workload.split(","):
+            for pair, seed in enumerate(seed_list(args.seeds)):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    meta, result = run_once(trees[side], workload, seed, args.seconds)
+                    values = " ".join(f"{m} {v['value']:.4f}"
+                                      for m, v in result["metrics"].items())
+                    print(f"{workload} seed {seed} {side}: {values}", flush=True)
+                    fh.write(json.dumps({"workload": workload, "seed": seed, "side": side,
+                                         "first": order[0], "seconds": args.seconds,
+                                         "meta": meta, "result": result}) + "\n")
+                    fh.flush()
     return 0
 
 
@@ -128,10 +132,11 @@ def cmd_assemble(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(required=True)
-    p = sub.add_parser("run", help="alternated paired runs of one workload")
+    p = sub.add_parser("run", help="alternated paired runs of each listed workload")
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   help="a workload or a comma list, e.g. simulate_nar,fit_nar_mlp")
     p.add_argument("--seeds", required=True, help="e.g. 16001-16010")
     p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--raw", required=True, help="JSON-lines file the runs are appended to")
