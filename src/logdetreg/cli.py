@@ -393,10 +393,13 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         "command": "mc",
         "experiment": "test-size",
         "replications": args.reps,
+        "seed": args.seed,
+        "rng_kind": sim.RNG_KIND,
         "n": n,
         "alpha": alpha,
         "rejection_rate": rate,
         "failures": calib.failures,
+        "statistics": calib.samples.tolist(),
     }
     _emit(doc, args.out)
     return 0

@@ -7,6 +7,12 @@ numeric fields only.  ``save_csv`` ends every line, the header's too, with
 CRLF (``\\r\\n``) and writes each float as its Python ``repr``, the shortest
 string that reads back to the same double, so ``load_csv(save_csv(ds))``
 is exact.  ``load_csv`` accepts LF or CRLF line endings.
+
+``save_csv`` raises DimensionMismatch for a non-finite value before it
+opens the file, so it never writes a file that ``load_csv`` rejects.  It
+formats blocks of rows column by column; when the first d inputs repeat
+the previous row's outputs bit for bit, as in a NAR series, each state is
+formatted once and its text serves as y in row t and as z in row t + 1.
 """
 
 from __future__ import annotations
@@ -55,18 +61,35 @@ class Dataset:
 
 
 def save_csv(path, ds: Dataset) -> None:
+    z, y = ds.inputs, ds.outputs
+    if not (np.isfinite(z).all() and np.isfinite(y).all()):
+        raise DimensionMismatch("dataset must be finite to be saved")
+    d = ds.output_dim
     header = [f"z{i + 1}" for i in range(ds.input_dim)]
-    header += [f"y{i + 1}" for i in range(ds.output_dim)]
+    header += [f"y{i + 1}" for i in range(d)]
+    # a NAR series holds every state twice, as y in row t and as z in row
+    # t + 1; when the first d inputs repeat the previous outputs bit for bit
+    # (a uint64 view, so -0.0 never stands in for 0.0) each state's text is
+    # made once and the z text is the y text one row down
+    lagged = ds.n > 1 and np.array_equal(z[1:, :d].view(np.uint64), y[:-1].view(np.uint64))
+    state = [repr(v) for v in z[0, :d].tolist()] if lagged else None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         # a block of rows at a time, neither a copy of the whole dataset nor
-        # every row as a list held at once: one format string per block,
-        # whose "%r" of a Python float is its repr
-        row = ",".join(["%r"] * len(header)) + "\r\n"
+        # every row as a list held at once, formatted column by column: the
+        # repr of each Python float of the block's transposed lists (numpy
+        # 2's repr of an np.float64 is "np.float64(...)"), then one line per
+        # row.  Lagged, only the first row's state is formatted on its own
         for start in range(0, ds.n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            block = np.hstack([ds.inputs[rows], ds.outputs[rows]])
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            ycols = [list(map(repr, col)) for col in y[rows].T.tolist()]
+            if lagged:
+                zcols = [[s, *col[:-1]] for s, col in zip(state, ycols)]
+                zcols += [list(map(repr, col)) for col in z[rows, d:].T.tolist()]
+                state = [col[-1] for col in ycols]
+            else:
+                zcols = [list(map(repr, col)) for col in z[rows].T.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(*zcols, *ycols))) + "\r\n")
 
 
 def load_csv(path) -> Dataset:

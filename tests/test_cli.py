@@ -7,6 +7,8 @@ from logdetreg import ModelKind, ModelSpec, ParamVector, save_model
 from logdetreg.cli import main, parse_matrix
 from logdetreg.cli import UsageError
 from logdetreg.data import load_csv
+from logdetreg.inference import chi2_sf
+from logdetreg.simulate import RNG_KIND
 
 
 def run(argv, capsys):
@@ -400,6 +402,22 @@ class TestMc:
         assert doc["replications"] == 4
         assert 0.0 <= doc["rejection_rate"] <= 1.0
         assert doc["failures"] == 0
+
+    def test_test_size_report_carries_seed_and_statistics(self, capsys):
+        argv = ["mc", "--experiment", "test-size", "--reps", "6", "--starts", "1", "--n", "120"]
+        docs = []
+        for seed in (3, 4):
+            code, out, _ = run(argv + ["--seed", str(seed)], capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0] != docs[1]
+        for seed, doc in zip((3, 4), docs):
+            assert (doc["seed"], doc["rng_kind"]) == (seed, RNG_KIND)
+            stats = doc["statistics"]
+            assert len(stats) == doc["replications"] - doc["failures"]
+            assert stats == sorted(stats)
+            rejected = [chi2_sf(s, 2) < doc["alpha"] for s in stats]
+            assert doc["rejection_rate"] == np.mean(rejected)
 
 
 class TestExitCodes:
