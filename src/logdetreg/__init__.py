@@ -13,7 +13,7 @@ calibration), ``prune`` (stepwise weight elimination), ``simulate``
 from .data import Dataset
 from .estimate import CostKind, FitResult, fisher_info, fit_fgls, fit_gls, fit_logdet, fit_ols
 from .inference import TestReport, chi2_sf, mc_null_calibrate, sn_statistic, tn_test
-from .linalg import RidgePolicy, SpdMatrix, logdet, spd_from_symmetric
+from .linalg import SpdMatrix, logdet, spd_from_symmetric
 from .model import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from .optimize import OptimOptions, OptimOutcome, bfgs_minimize, multi_start
 from .prune import PruneTrace, bic_penalty, ssm_prune
@@ -31,7 +31,6 @@ __all__ = [
     "OptimOutcome",
     "ParamVector",
     "PruneTrace",
-    "RidgePolicy",
     "SimMode",
     "SimRecipe",
     "SpdMatrix",

@@ -187,10 +187,9 @@ def cmd_simulate(args) -> int:
     )
     ds = sim.gen_series(recipe)
     save_csv(args.out, ds)
-    recipe_path = Path(args.out).with_suffix(".recipe.json")
     doc = {"schema_version": SCHEMA_VERSION, "command": "simulate"}
     doc.update(sim.recipe_to_dict(recipe))
-    recipe_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _emit(doc, str(Path(args.out).with_suffix(".recipe.json")))
     return 0
 
 

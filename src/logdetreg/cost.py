@@ -107,7 +107,7 @@ class CostReport:
 
 
 def _covariance(r: np.ndarray) -> SpdMatrix:
-    """Gamma_n of the (n, d) residuals ``r``, Reject policy.  The Gram
+    """Gamma_n of the (n, d) residuals ``r``.  The Gram
     matrix ``r^T r / n`` is bitwise symmetric (the test suite checks it), so
     it is factored as given."""
     n, d = r.shape
@@ -117,7 +117,7 @@ def _covariance(r: np.ndarray) -> SpdMatrix:
 
 
 def empirical_covariance(rs: ResidualSet) -> SpdMatrix:
-    """Gamma_n(w) = (1/n) sum_t r_t r_t^T, Reject policy.
+    """Gamma_n(w) = (1/n) sum_t r_t r_t^T.
 
     Raises NotPositiveDefinite for n < d or residuals confined to a proper
     subspace (an interpolating or otherwise degenerate model).

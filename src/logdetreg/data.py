@@ -8,11 +8,12 @@ CRLF (``\\r\\n``) and writes each float as its Python ``repr``, the shortest
 string that reads back to the same double, so ``load_csv(save_csv(ds))``
 is exact.  ``load_csv`` accepts LF or CRLF line endings.
 
-``save_csv`` raises DimensionMismatch for a non-finite value before it
-opens the file, so it never writes a file that ``load_csv`` rejects.  It
-formats blocks of rows column by column; when the first d inputs repeat
-the previous row's outputs bit for bit, as in a NAR series, each state is
-formatted once and its text serves as y in row t and as z in row t + 1.
+``save_csv`` raises DimensionMismatch for a dataset with no rows or a
+non-finite value before it opens the file, so it never writes a file that
+``load_csv`` rejects.  It formats blocks of rows column by column; when
+the first d inputs repeat the previous row's outputs bit for bit, as in a
+NAR series, each state is formatted once and its text serves as y in row
+t and as z in row t + 1.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class Dataset:
 
 def save_csv(path, ds: Dataset) -> None:
     z, y = ds.inputs, ds.outputs
+    if ds.n == 0:
+        raise DimensionMismatch("dataset must have rows to be saved")
     if not (np.isfinite(z).all() and np.isfinite(y).all()):
         raise DimensionMismatch("dataset must be finite to be saved")
     d = ds.output_dim

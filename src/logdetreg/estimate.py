@@ -2,7 +2,8 @@
 
 OLS (minimize the MSE), GLS with a supplied weighting matrix, the iterated
 feasible-GLS sequence, the direct log-determinant estimator, and the
-plug-in information matrix with its asymptotic covariance.
+plug-in information matrix with its asymptotic covariance.  A fit's
+Gamma_n that does not factor gets a ridge in :func:`_residual_covariance`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     SingularDesign,
     UnderDetermined,
 )
-from .linalg import RidgePolicy, SpdMatrix, factor_symmetric, logdet, spd_from_symmetric
+from .linalg import SpdMatrix, factor_symmetric, logdet, spd_from_symmetric
 from .optimize import OptimOptions, OptimOutcome, StartRecord, multi_start
 
 
@@ -107,7 +108,7 @@ def _nonsingular(m: np.ndarray, error: type, what: str) -> SpdMatrix:
     largest (an exactly duplicated direction can leave a last-ulp positive
     pivot)."""
     try:
-        spd = spd_from_symmetric(0.5 * (m + m.T))
+        spd = factor_symmetric(0.5 * (m + m.T))
     except NotPositiveDefinite:
         raise error(f"{what} is singular") from None
     pivots = np.diag(spd.chol)
@@ -138,14 +139,31 @@ def _outcome(spec, x, report: cst.CostReport, iterations: int, reason: str) -> O
 
 
 def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
-    """Residual covariance of a fit.
+    """Residual covariance Gamma_n of a fit.
 
     Unlike the log-det cost, the MSE and GLS costs stay defined when the
-    model interpolates the data; the jitter policy (flagging the result as
-    regularized) keeps the fit instead of failing it, and returns the
-    plain factor whenever there is one.
+    model interpolates the data, so a Gamma_n that does not factor gets a
+    ridge ``lam * I`` instead of failing the fit: ``lam = 1e-8 trace / d``
+    (1e-8 when that is not positive and finite), escalated by a factor of
+    100 at most 3 times, and the result is flagged as regularized.
     """
-    return factor_symmetric(rs.residuals.T @ rs.residuals / rs.n, RidgePolicy.JITTER)
+    try:
+        return cst.empirical_covariance(rs)
+    except NotPositiveDefinite:
+        pass
+    # formed again: any overflow was already reported the first time
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = rs.residuals.T @ rs.residuals / rs.n
+    lam = 1e-8 * np.trace(m) / rs.d
+    if not 0.0 < lam < np.inf:
+        lam = 1e-8
+    for _ in range(3):
+        ridged = m + lam * np.eye(rs.d)
+        try:
+            return replace(factor_symmetric(ridged), regularized=True)
+        except NotPositiveDefinite:
+            lam *= 100.0
+    raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
 def _fit(spec, data, opts, kind, terms, x0, linear_fit) -> FitResult:

@@ -9,7 +9,7 @@ come from Monte Carlo null calibration only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -18,7 +18,7 @@ from . import model as mdl
 from .errors import EmptyCalibration, NegativeStatistic, NotNested
 from .estimate import CostKind, FitResult, fit_logdet, fit_ols
 from .optimize import OptimOptions
-from .simulate import gen_series, replicate
+from .simulate import replicate
 
 CLAMP_PER_N = 1e-6
 
@@ -132,8 +132,10 @@ def mc_null_calibrate(
     parameters live inside the restricted mask), regenerated at its own
     ``n``, or a callable ``data_seed -> Dataset`` (e.g. a fixed-design
     parametric bootstrap).
-    Deterministic for a fixed seed; replication r uses sub-seed (seed, r).
-    Aborts when more than 5% of replications fail.
+    Deterministic for a fixed seed; :func:`~logdetreg.simulate.replicate`
+    gives replication r its data seed from the sub-seed (seed, r), and its
+    two fits share the optimizer seed of its one task.  Aborts when more
+    than 5% of replications fail.
     """
     if replications < 1:
         raise EmptyCalibration("calibration needs at least one replication")
@@ -141,19 +143,13 @@ def mc_null_calibrate(
     if statistic not in ("tn", "sn"):
         raise ValueError(f"unknown statistic {statistic!r}")
     fitter = fit_logdet if statistic == "tn" else fit_ols
-    if callable(generator):
-        generate = generator
-    else:
-        def generate(data_seed: int):
-            return gen_series(replace(generator, seed=data_seed))
 
-    def one(data, r: int) -> float:
-        fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r)
+    def one(data, fit_opts: OptimOptions) -> float:
         fr = fitter(spec_restricted, data, fit_opts)
         ff = fitter(spec_full, data, fit_opts)
         return _difference_statistic(fr, ff)
 
-    samples = replicate(generate, {statistic: one}, replications, seed)[statistic]
+    samples = replicate(generator, {statistic: one}, replications, seed, opts)[statistic]
     return CalibrationResult(
         samples=np.sort(np.asarray(samples)), failures=replications - len(samples)
     )

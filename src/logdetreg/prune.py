@@ -44,14 +44,6 @@ class PruneTrace:
     final_fit: FitResult
 
 
-def _refit_frozen(
-    spec: mdl.ModelSpec, data: Dataset, w: mdl.ParamVector, grid_index: int, opts: OptimOptions
-) -> FitResult:
-    """Single warm-started log-det refit with one more entry frozen."""
-    sub = spec.with_frozen(grid_index)
-    return fit_logdet(sub, data, opts, x0=w.full_grid()[sub.effective_mask])
-
-
 def ssm_prune(
     spec: mdl.ModelSpec,
     data: Dataset,
@@ -78,7 +70,9 @@ def ssm_prune(
         best = None  # (criterion_after, grid_index, fit)
         for grid_index in active:
             try:
-                fit = _refit_frozen(cspec, data, current.w_hat, int(grid_index), opts)
+                # one warm-started log-det refit with this entry frozen too
+                sub = cspec.with_frozen(int(grid_index))
+                fit = fit_logdet(sub, data, opts, x0=current.w_hat.full_grid()[sub.effective_mask])
             except LogDetRegError as exc:
                 log.warning("candidate freeze of grid entry %d failed: %s", grid_index, exc)
                 continue

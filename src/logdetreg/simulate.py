@@ -3,8 +3,9 @@
 Gaussian noise with a specified covariance, i.i.d. regression sampling,
 the nonlinear autoregressive (NAR) recursion where outputs feed back as
 next-step inputs (extra input columns beyond the state are filled with
-i.i.d. uniform exogenous draws), and a replication harness with
-counter-based sub-seeds so every replication is reproducible
+i.i.d. uniform exogenous draws), and the replication harness
+:func:`replicate`, which owns every Monte Carlo seed: data and optimizer
+seeds are counter-based, so every replication is reproducible
 independently of execution order.
 
 Normal variates come from numpy's PCG64 ``standard_normal`` (ziggurat);
@@ -150,26 +151,31 @@ ESTIMATORS = {
 }
 
 
-def replicate(generate, tasks: dict, replications: int, seed: int) -> dict[str, list]:
+def replicate(source, tasks, replications: int, seed: int, opts: OptimOptions) -> dict:
     """Run every task on each of ``replications`` generated datasets.
 
-    Replication r generates its data with ``generate(data_seed)``, the
-    data seed derived from the counter-based sub-seed (seed, r), then calls
-    ``task(data, r)`` for every named task.  A task that raises a package
-    error or a linear-algebra failure counts as one failed replication of
-    that task; any other exception propagates.  Returns, per task, the
-    results of its successful replications in replication order; raises
-    McFailure when more than 5% of one task's replications failed.
+    Replication r generates its data at a seed drawn from the counter-based
+    sub-seed (seed, r): ``source`` is a :class:`SimRecipe`, regenerated at
+    that seed, or a callable ``data_seed -> Dataset``.  Task j of the dict
+    ``tasks`` is called as ``task(data, fit_opts)``, ``fit_opts`` being
+    ``opts`` with the optimizer seed ``opts.seed + 1_000_003 r + j``.  A task
+    that raises a package error or a linear-algebra failure counts as one
+    failed replication of that task; any other exception propagates.
+    Returns, per task, the results of its successful replications in
+    replication order; raises McFailure when more than 5% of one task's
+    replications failed.
     """
+    generate = source if callable(source) else lambda s: gen_series(replace(source, seed=s))
     results = {name: [] for name in tasks}
     for r in range(replications):
         data_seed = int(
             np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0] >> 1
         )
         data = generate(data_seed)
-        for name, task in tasks.items():
+        for j, (name, task) in enumerate(tasks.items()):
+            fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
             try:
-                results[name].append(task(data, r))
+                results[name].append(task(data, fit_opts))
             except (LogDetRegError, np.linalg.LinAlgError):
                 pass
     for name, values in results.items():
@@ -188,10 +194,10 @@ def run_mc(
 ) -> McReport:
     """Replicated simulation + estimation.
 
-    Replication r regenerates the recipe with sub-seed (seed, r) and runs
-    every requested estimator on the same dataset; per-estimator optimizer
-    seeds are offset so estimators never share random starts with the data
-    generator.  Aborts when more than 5% of replications fail.
+    Every requested estimator runs on each replication's dataset, the
+    recipe regenerated by :func:`replicate`, which also gives each
+    estimator its own optimizer seed.  Aborts when more than 5% of
+    replications fail.
     """
     if replications < 2:
         raise McFailure("at least 2 replications are required")
@@ -199,15 +205,11 @@ def run_mc(
         if name not in ESTIMATORS:
             raise McFailure(f"unknown estimator {name!r}")
 
-    def estimate(j: int, name: str, data: Dataset, r: int) -> np.ndarray:
-        fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
+    def estimate(name: str, data: Dataset, fit_opts: OptimOptions) -> np.ndarray:
         return ESTIMATORS[name](recipe.spec, data, fit_opts).gamma_hat.entries
 
     results = replicate(
-        lambda data_seed: gen_series(replace(recipe, seed=data_seed)),
-        {name: partial(estimate, j, name) for j, name in enumerate(estimators)},
-        replications,
-        seed,
+        recipe, {name: partial(estimate, name) for name in estimators}, replications, seed, opts
     )
 
     summaries = {}

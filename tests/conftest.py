@@ -14,6 +14,7 @@ from logdetreg import (
     ParamVector,
     SimMode,
     SimRecipe,
+    gen_series,
     logdet,
     sample_gaussian,
     spd_from_symmetric,
@@ -365,6 +366,16 @@ def fisher_info_oracle(spec, x, data):
 def calibration_quantile(result, q: float) -> float:
     """Empirical q-quantile of a CalibrationResult's null samples."""
     return float(np.quantile(result.samples, q))
+
+
+def replication_inputs(source: SimRecipe, seed: int, r: int, opts, j: int = 0):
+    """The dataset and optimizer options of task j of Monte Carlo
+    replication r, by the stated rule: the recipe regenerated at the data
+    seed drawn from SeedSequence([seed, r]), and the optimizer seed
+    ``opts.seed + 1_000_003 r + j``."""
+    data_seed = int(np.random.SeedSequence([seed, r]).generate_state(1, np.uint64)[0] >> 1)
+    data = gen_series(replace(source, seed=data_seed))
+    return data, replace(opts, seed=opts.seed + 1_000_003 * r + j)
 
 
 @pytest.fixture

@@ -51,6 +51,16 @@ class TestEmpiricalCovariance:
             empirical_covariance(ResidualSet(np.array([[1.0, 2.0]])))
 
 
+class TestResidualSet:
+    @pytest.mark.parametrize(
+        "residuals", [np.empty((0, 2)), np.ones(3), [[1.0, np.nan]], [[np.inf, 0.0]]],
+        ids=["no_rows", "one_dimensional", "nan", "inf"],
+    )
+    def test_rejects_empty_or_non_finite(self, residuals):
+        with pytest.raises(DimensionMismatch, match="residuals"):
+            ResidualSet(residuals)
+
+
 class TestMseCost:
     def test_zero(self):
         assert mse_cost(ResidualSet(np.zeros((3, 2)))) == 0.0

@@ -101,6 +101,26 @@ def test_non_finite_field_names_line(tmp_path, field):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("", "line 1: empty file"), ("z1,y1\n1.0,2.0\n1.0\n", "line 3: expected 2 fields, got 1"),
+     ("z1,y1\n\n", "line 2: no data rows")],
+    ids=["empty_file", "wrong_field_count", "no_data_rows"],
+)
+def test_malformed_file_names_line(tmp_path, text, line):
+    with pytest.raises(CsvFormatError, match=line):
+        load_csv(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "inputs, outputs", [(np.ones((3, 2)), np.ones((2, 1))), (np.ones(3), np.ones((3, 1)))],
+    ids=["row_counts", "one_dimensional"],
+)
+def test_dataset_rejects_inconsistent_shapes(inputs, outputs):
+    with pytest.raises(DimensionMismatch, match="inconsistent"):
+        Dataset(inputs, outputs)
+
+
 @pytest.mark.parametrize("name", DATASETS)
 def test_save_csv_bytes_equal_to_oracle(tmp_path, name):
     ds = dataset(name)
@@ -132,4 +152,17 @@ def test_save_csv_rejects_non_finite_before_opening(tmp_path, column, value):
     assert existing.read_bytes() == b"z1,z2,y1,y2\r\n1.0,2.0,3.0,4.0\r\n"
     with pytest.raises(DimensionMismatch, match="finite"):
         save_csv(tmp_path / "new.csv", Dataset(z, y))
+    assert not (tmp_path / "new.csv").exists()
+
+
+def test_save_csv_rejects_no_rows_before_opening(tmp_path):
+    # load_csv rejects a header without rows, so none is written
+    empty = Dataset(np.empty((0, 2)), np.empty((0, 2)))
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"z1,z2,y1,y2\r\n1.0,2.0,3.0,4.0\r\n")
+    with pytest.raises(DimensionMismatch, match="rows"):
+        save_csv(existing, empty)
+    assert existing.read_bytes() == b"z1,z2,y1,y2\r\n1.0,2.0,3.0,4.0\r\n"
+    with pytest.raises(DimensionMismatch, match="rows"):
+        save_csv(tmp_path / "new.csv", empty)
     assert not (tmp_path / "new.csv").exists()

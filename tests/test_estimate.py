@@ -131,6 +131,13 @@ class TestFitOls:
         with pytest.raises(UnderDetermined):
             fit_ols(spec, data, OPTS)
 
+    @pytest.mark.parametrize("input_dim, output_dim", [(3, 2), (2, 1)])
+    def test_data_dims_must_match_spec(self, input_dim, output_dim):
+        spec = ModelSpec(ModelKind.LINEAR, 2, 2)
+        data = Dataset(np.ones((50, input_dim)), np.ones((50, output_dim)))
+        with pytest.raises(UnderDetermined, match="do not match"):
+            fit_ols(spec, data, OPTS)
+
     def test_gamma_hat_consistent(self):
         spec, _, data = linear_dataset()
         fit = fit_ols(spec, data, OPTS)
@@ -233,6 +240,14 @@ class TestFitFgls:
         fit = fit_fgls(spec, data, OptimOptions(n_starts=1, seed=17, max_iters=50))
         assert len(fit.rounds) >= 3
         assert len(calls) == 1
+
+    def test_singular_round_covariance_raises(self):
+        # OLS fits an all-zero second output exactly: the first GLS round's
+        # covariance needs a ridge, which FGLS does not accept
+        spec, _, data = linear_dataset()
+        data = Dataset(data.inputs, np.column_stack([data.outputs[:, 0], np.zeros(data.n)]))
+        with pytest.raises(NotPositiveDefinite, match="GLS residual covariance is singular"):
+            fit_fgls(spec, data, OPTS)
 
     def test_round_sequence_improves(self):
         mask = np.ones(6, dtype=bool)
@@ -438,6 +453,34 @@ class TestResidualCovariance:
         assert fit.gamma_hat.regularized and fit.gamma_hat.entries[1, 1] > 0.0
         with pytest.raises(NotPositiveDefinite):
             empirical_covariance(cost.ResidualSet.from_model(spec, fit.w_hat, data))
+
+    def test_plain_factor_when_it_exists(self):
+        rs = cost.ResidualSet(np.random.default_rng(3).standard_normal((20, 2)))
+        got, want = estimate._residual_covariance(rs), empirical_covariance(rs)
+        assert not got.regularized
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert got.chol.tobytes() == want.chol.tobytes()
+
+    @pytest.mark.parametrize(
+        "residuals", [[[1.0, 1.0], [-1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        ids=["rank_one", "zero"],
+    )
+    def test_singular_gram_ridged(self, residuals):
+        # lam = 1e-8 trace / d, or 1e-8 when that is not positive
+        r = np.array(residuals)
+        m = r.T @ r / r.shape[0]
+        lam = 1e-8 * np.trace(m) / 2 or 1e-8
+        g = estimate._residual_covariance(cost.ResidualSet(r))
+        assert g.regularized
+        assert g.entries.tobytes() == (m + lam * np.eye(2)).tobytes()
+        assert g.chol.tobytes() == np.linalg.cholesky(g.entries).tobytes()
+
+    def test_overflowing_gram_rejected(self):
+        # r^T r / n is [[50.5, inf], [inf, inf]]: its factor holds a NaN,
+        # and so does the factor at every ridge of the escalation
+        r = np.array([[10.0, 1e308], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite):
+            estimate._residual_covariance(cost.ResidualSet(r))
 
 
 class TestPlugInInformation:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from logdetreg import (
 from logdetreg.errors import EmptyCalibration, McFailure, NegativeStatistic, NotNested
 from logdetreg.estimate import CostKind, FitResult
 from logdetreg.inference import TestMethod as Method
+from logdetreg.inference import _difference_statistic
 from logdetreg.optimize import OptimOutcome, StartRecord
-from conftest import calibration_quantile
+from conftest import calibration_quantile, replication_inputs
 
 
 def nested_pair():
@@ -216,6 +219,31 @@ class TestMcNullCalibrate:
         # all draws exceed 0, none exceed +inf: (1 + count) / (R + 1)
         assert res.p_value(0.0) == 1.0
         assert res.p_value(np.inf) == pytest.approx(1.0 / 6.0)
+
+    def test_seed_contract(self):
+        # replication r fits both models on the recipe regenerated at the
+        # data seed of (seed, r), with the optimizer seed opts.seed + 1_000_003 r;
+        # the MLP fits stop early, so another optimizer seed gives other draws
+        full = ModelSpec(ModelKind.MLP, 1, 2, hidden_units=1)
+        mask = np.ones(6, dtype=bool)
+        mask[1] = False  # the hidden bias, zero in the truth
+        restricted = ModelSpec(ModelKind.MLP, 1, 2, hidden_units=1, mask=mask)
+        w = ParamVector(np.array([1.2, 0.9, -0.7, 0.1, -0.2]), restricted)
+        gamma = spd_from_symmetric([[1.0, 0.7], [0.7, 1.0]])
+        recipe = SimRecipe(SimMode.IID_REGRESSION, restricted, w, gamma, n=80, seed=0)
+        opts = OptimOptions(n_starts=2, seed=5, max_iters=30)
+        res = mc_null_calibrate(restricted, full, recipe, 3, 11, opts)
+        direct, other = [], []
+        for r in range(3):
+            data, fit_opts = replication_inputs(recipe, 11, r, opts)
+            for stats, o in ((direct, fit_opts), (other, replace(fit_opts, seed=fit_opts.seed + 1))):
+                fits = (fit_logdet(spec, data, o) for spec in (restricted, full))
+                try:
+                    stats.append(_difference_statistic(*fits))
+                except NegativeStatistic:
+                    stats.append(None)
+        assert res.samples.tobytes() == np.sort(direct).tobytes()
+        assert other != direct
 
     def test_zero_replications_rejected(self):
         restricted, full, recipe = calibration_setup()

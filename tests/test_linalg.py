@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
-from logdetreg.linalg import RidgePolicy, logdet, spd_from_symmetric
+from logdetreg.linalg import logdet, spd_from_symmetric
 from conftest import cho_solve_oracle, spd_inverse, trace_product
 
 
@@ -28,14 +28,13 @@ class TestSpdFromSymmetric:
         with pytest.raises(NotPositiveDefinite):
             spd_from_symmetric([[1.0, 1.0], [1.0, 1.0]])
 
-    @pytest.mark.parametrize("policy", list(RidgePolicy))
     @pytest.mark.parametrize(
         "m", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, np.inf]]]
     )
-    def test_nan_factor_rejected(self, m, policy):
+    def test_nan_factor_rejected(self, m):
         # both factor to a NaN without a factorization error
         with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite):
-            spd_from_symmetric(m, policy)
+            spd_from_symmetric(m)
 
     def test_infinite_diagonal_kept(self):
         # a NaN-free factor: the log-det is +inf, an infinite cost
@@ -55,12 +54,6 @@ class TestSpdFromSymmetric:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             spd_from_symmetric(np.ones((2, 3)))
-
-    def test_jitter_regularizes(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        g = spd_from_symmetric(m, RidgePolicy.JITTER)
-        assert g.regularized
-        assert np.all(np.isfinite(g.chol))
 
     def test_reconstruction_error(self):
         rng = np.random.default_rng(0)
@@ -111,7 +104,7 @@ class TestLogdet:
         g = spd_from_symmetric(a @ a.T + np.eye(3))
         for _ in range(10):
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-            rotated = spd_from_symmetric(q @ g.entries @ q.T, RidgePolicy.REJECT)
+            rotated = spd_from_symmetric(q @ g.entries @ q.T)
             assert logdet(rotated) == pytest.approx(logdet(g), abs=1e-9)
 
 

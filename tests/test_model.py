@@ -32,6 +32,11 @@ class TestModelSpec:
         spec = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask)
         assert spec.param_count == 3
 
+    @pytest.mark.parametrize("input_dim, output_dim", [(0, 2), (2, 0), (-1, 1)])
+    def test_dimensions_must_be_positive(self, input_dim, output_dim):
+        with pytest.raises(DimensionMismatch, match="positive"):
+            ModelSpec(ModelKind.LINEAR, input_dim, output_dim)
+
     def test_mlp_requires_hidden(self):
         with pytest.raises(DimensionMismatch):
             ModelSpec(ModelKind.MLP, 2, 2)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from logdetreg import (
     spd_from_symmetric,
     ssm_prune,
 )
-from logdetreg.errors import InitialFitFailed
+from logdetreg import prune
+from logdetreg.errors import InitialFitFailed, SingularDesign
 
 OPTS = OptimOptions(n_starts=3, seed=17)
 
@@ -100,6 +103,32 @@ class TestSsmPrune:
         full, data = sparse_linear_data(seed=7)
         trace = ssm_prune(full, data, OPTS)
         assert all(step.p_value is None for step in trace.steps)
+
+    def test_gate_rejection_stops(self):
+        # at level 0.99 the test rejects the first elimination the
+        # criterion accepts, so pruning stops before it
+        full, data = sparse_linear_data(seed=6)
+        assert ssm_prune(full, data, OPTS).steps
+        trace = ssm_prune(full, data, OPTS, gate=0.99)
+        assert trace.steps == ()
+        assert trace.final_spec == full
+
+    def test_failed_candidate_skipped_with_warning(self, monkeypatch, caplog):
+        # the refit that freezes grid entry 2 fails; the other candidates run
+        full, data = sparse_linear_data()
+        real = prune.fit_logdet
+
+        def failing(spec, data, opts, x0=None):
+            if x0 is not None and not spec.effective_mask[2]:
+                raise SingularDesign("refit failed")
+            return real(spec, data, opts, x0=x0)
+
+        monkeypatch.setattr(prune, "fit_logdet", failing)
+        with caplog.at_level(logging.WARNING, logger="logdetreg.prune"):
+            trace = ssm_prune(full, data, OPTS)
+        assert "candidate freeze of grid entry 2 failed: refit failed" in caplog.text
+        assert [s.frozen_grid_index for s in trace.steps] == [5]
+        assert trace.final_spec.effective_mask[2]
 
     def test_initial_fit_failed(self):
         spec = ModelSpec(ModelKind.LINEAR, 3, 2)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from logdetreg import (
     ParamVector,
     SimMode,
     SimRecipe,
+    fit_logdet,
+    fit_ols,
     gen_series,
     run_mc,
     sample_gaussian,
@@ -27,7 +30,7 @@ from logdetreg.simulate import (
     recipe_to_dict,
 )
 
-from conftest import nar_oracle, oracle_recipes
+from conftest import nar_oracle, oracle_recipes, replication_inputs
 
 
 class TestSampleGaussian:
@@ -140,6 +143,10 @@ class TestGenSeries:
         data = gen_series(recipe)
         np.testing.assert_allclose(data.inputs, np.array(zs)[4:], rtol=0, atol=1e-12)
         np.testing.assert_allclose(data.outputs, np.array(ys)[4:], rtol=0, atol=1e-12)
+
+    def test_y0_length_checked(self):
+        with pytest.raises(DimensionMismatch, match="y0"):
+            linear_nar_recipe(y0=np.array([0.5, 0.5]))
 
     def test_nar_requires_enough_inputs(self, gamma_strong):
         spec = ModelSpec(ModelKind.LINEAR, 1, 2)
@@ -256,6 +263,12 @@ class TestRecipeRoundTrip:
             gen_series(back).outputs, gen_series(recipe).outputs
         )
 
+    def test_burn_in_and_seed_default(self):
+        doc = recipe_to_dict(linear_nar_recipe(burn_in=10, seed=9))
+        del doc["burn_in"], doc["seed"]
+        back = recipe_from_dict(doc)
+        assert (back.burn_in, back.seed) == (100, 0)
+
     def test_missing_params_rejected(self, gamma_strong):
         doc = recipe_to_dict(linear_nar_recipe())
         del doc["model"]["params"]
@@ -309,6 +322,24 @@ class TestRunMc:
         assert len(short) == 2
         for a, b in zip(short, long[:2]):
             np.testing.assert_array_equal(a, b)
+
+    def test_seed_contract(self):
+        # task j of replication r fits the recipe regenerated at the data
+        # seed of (seed, r) with the optimizer seed opts.seed + 1_000_003 r + j;
+        # the MLP fits stop early, so another optimizer seed gives other gammas
+        spec = ModelSpec(ModelKind.MLP, 1, 2, hidden_units=1)
+        w = ParamVector(np.array([1.2, 0.0, 0.9, -0.7, 0.1, -0.2]), spec)
+        gamma = spd_from_symmetric([[1.0, 0.7], [0.7, 1.0]])
+        recipe = SimRecipe(SimMode.IID_REGRESSION, spec, w, gamma, n=80, seed=0)
+        opts = OptimOptions(n_starts=2, seed=5, max_iters=8)
+        report = run_mc(recipe, ["mse", "logdet"], 2, 7, opts)
+        for r in range(2):
+            for j, (name, fitter) in enumerate((("mse", fit_ols), ("logdet", fit_logdet))):
+                data, fit_opts = replication_inputs(recipe, 7, r, opts, j)
+                got = report.estimators[name].gammas[r]
+                assert got.tobytes() == fitter(spec, data, fit_opts).gamma_hat.entries.tobytes()
+                other = fitter(spec, data, replace(fit_opts, seed=fit_opts.seed + 1))
+                assert got.tobytes() != other.gamma_hat.entries.tobytes()
 
     def test_too_few_replications(self):
         with pytest.raises(McFailure):
