@@ -91,7 +91,7 @@ def factor_symmetric(m: np.ndarray) -> SpdMatrix:
     try:
         return SpdMatrix(entries=m, chol=_cholesky(m))
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Cholesky failed under Reject policy") from None
+        raise NotPositiveDefinite("Cholesky failed") from None
 
 
 def logdet(g: SpdMatrix) -> float:

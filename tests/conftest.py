@@ -225,8 +225,7 @@ def oracle_recipes() -> dict[str, SimRecipe]:
 
 def _factor_oracle(m):
     """(symmetrized m, its Cholesky factor) as ``spd_from_symmetric`` makes
-    them under the Reject policy; a failed factorization raises
-    ``LinAlgError``."""
+    them; a failed factorization raises ``LinAlgError``."""
     m = np.asarray(m, dtype=float)
     asym = np.abs(m - m.T)
     if np.any(asym > ASYMMETRY_RTOL * (1.0 + np.abs(m))):

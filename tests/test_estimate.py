@@ -475,10 +475,16 @@ class TestResidualCovariance:
         assert g.entries.tobytes() == (m + lam * np.eye(2)).tobytes()
         assert g.chol.tobytes() == np.linalg.cholesky(g.entries).tobytes()
 
-    def test_overflowing_gram_rejected(self):
-        # r^T r / n is [[50.5, inf], [inf, inf]]: its factor holds a NaN,
-        # and so does the factor at every ridge of the escalation
-        r = np.array([[10.0, 1e308], [1.0, 0.0]])
+    @pytest.mark.parametrize(
+        "residuals",
+        [[[10.0, 1e308], [1.0, 0.0]], [[1.0, 0.0, 1e308], [0.0, 1.0, 0.0]]],
+        ids=["inf_off_diagonal", "inf_last_pivot"],
+    )
+    def test_overflowing_gram_rejected(self, residuals):
+        # r^T r / n is [[50.5, inf], [inf, inf]], or finite but for its last
+        # diagonal entry, whose pivot is then inf - inf: either factor holds
+        # a NaN, and so does the factor at every ridge of the escalation
+        r = np.array(residuals)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite):
             estimate._residual_covariance(cost.ResidualSet(r))
 
