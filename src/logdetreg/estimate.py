@@ -147,13 +147,11 @@ def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
     (1e-8 when that is not positive and finite), escalated by a factor of
     100 at most 3 times, and the result is flagged as regularized.
     """
+    m = rs.residuals.T @ rs.residuals / rs.n
     try:
-        return cst.empirical_covariance(rs)
+        return factor_symmetric(m)
     except NotPositiveDefinite:
         pass
-    # formed again: any overflow was already reported the first time
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = rs.residuals.T @ rs.residuals / rs.n
     lam = 1e-8 * np.trace(m) / rs.d
     if not 0.0 < lam < np.inf:
         lam = 1e-8

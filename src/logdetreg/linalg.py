@@ -91,7 +91,8 @@ def factor_symmetric(m: np.ndarray) -> SpdMatrix:
     try:
         return SpdMatrix(entries=m, chol=_cholesky(m))
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Cholesky failed") from None
+        # `fit` prints this text on exit 3: rewording it changes its stderr
+        raise NotPositiveDefinite("Cholesky failed under Reject policy") from None
 
 
 def logdet(g: SpdMatrix) -> float:

@@ -196,14 +196,16 @@ def run_mc(
 
     Every requested estimator runs on each replication's dataset, the
     recipe regenerated by :func:`replicate`, which also gives each
-    estimator its own optimizer seed.  Aborts when more than 5% of
-    replications fail.
+    estimator its own optimizer seed.  Rejects an unknown or repeated
+    estimator name, and aborts when more than 5% of replications fail.
     """
     if replications < 2:
         raise McFailure("at least 2 replications are required")
     for name in estimators:
         if name not in ESTIMATORS:
             raise McFailure(f"unknown estimator {name!r}")
+    if len(set(estimators)) < len(estimators):
+        raise McFailure(f"estimator names repeat: {estimators}")
 
     def estimate(name: str, data: Dataset, fit_opts: OptimOptions) -> np.ndarray:
         return ESTIMATORS[name](recipe.spec, data, fit_opts).gamma_hat.entries

@@ -349,6 +349,11 @@ class TestRunMc:
         with pytest.raises(McFailure):
             run_mc(self.recipe(), ["bogus"], 2, 7, self.OPTS)
 
+    def test_repeated_estimator(self):
+        # a repeated name would shift the optimizer seed of every later task
+        with pytest.raises(McFailure, match="repeat"):
+            run_mc(self.recipe(), ["mse", "mse", "logdet"], 2, 7, self.OPTS)
+
     def test_unknown_summary_name(self):
         report = run_mc(self.recipe(), ["mse"], 2, 7, self.OPTS)
         with pytest.raises(KeyError):
