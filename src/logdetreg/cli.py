@@ -22,6 +22,7 @@ from .errors import (
     AsymmetricInput,
     DimensionMismatch,
     LogDetRegError,
+    NonFiniteReport,
     NonIdentifiable,
     NotNested,
     NotPositiveDefinite,
@@ -75,7 +76,12 @@ def _spd_flag(text: str, flag: str, dim: int) -> SpdMatrix:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    """Write ``doc`` as strict JSON; a non-finite number in it raises
+    NonFiniteReport (exit 3), and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteReport("report holds a non-finite number") from None
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -122,6 +128,16 @@ def _only_for(args, mode: str, *flags: str) -> None:
             raise UsageError(f"{flag} applies to {mode} only")
 
 
+def _start_doc(record) -> dict:
+    """A ``per_start`` entry; a start that was not finite at its first point
+    has no cost and no |grad| (null rather than an infinity, which strict
+    JSON cannot carry)."""
+    doc = dataclasses.asdict(record)
+    if record.termination == "nonfinite_at_start":
+        doc.update(final_cost=None, grad_norm=None)
+    return doc
+
+
 def _fit_report(fit: FitResult, plug_in: tuple, extra: dict) -> dict:
     """The ``fit`` report; ``plug_in`` is (info_hat, asymptotic_cov, identifiable)."""
     info_hat, asymptotic_cov, identifiable = plug_in
@@ -137,7 +153,7 @@ def _fit_report(fit: FitResult, plug_in: tuple, extra: dict) -> dict:
         "identifiable": identifiable,
         "converged": fit.optim.converged,
         "n": fit.n,
-        "per_start": [dataclasses.asdict(r) for r in fit.optim.per_start],
+        "per_start": [_start_doc(r) for r in fit.optim.per_start],
     }
     if fit.rounds is not None:
         doc["rounds"] = list(fit.rounds)

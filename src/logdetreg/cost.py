@@ -18,7 +18,9 @@ trial point.  The ``*_gradient`` functions apply them to a
 build Jacobians (once per residual set).  ``Gamma_n = r^T r / n`` is
 bitwise symmetric, so it is factored as given, without the asymmetry test
 and symmetrizing of :func:`~logdetreg.linalg.spd_from_symmetric`.  The GLS
-and log-det rows are tested for finiteness where they are solved.
+and log-det rows are ``r @ G`` with ``G`` the cached inverse of the weight
+or of ``Gamma_n``; the terms do not test ``r`` for finiteness, since both of
+their callers have (the BFGS objective and :class:`ResidualSet`).
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -138,14 +140,14 @@ def gls_terms(r: np.ndarray, weight: SpdMatrix) -> tuple[float, np.ndarray, None
     """(1/n) sum_t r_t^T weight^{-1} r_t, and the rows weight^{-1} r_t."""
     if weight.dim != r.shape[1]:
         raise DimensionMismatch(f"weight dim {weight.dim} != residual dim {r.shape[1]}")
-    wr = weight.solve(r.T).T
+    wr = r @ weight.inverse
     return float(np.sum(r * wr) / r.shape[0]), wr, None
 
 
 def logdet_terms(r: np.ndarray) -> tuple[float, np.ndarray, SpdMatrix]:
     """U_n = log det Gamma_n, the rows Gamma_n^{-1} r_t, and Gamma_n."""
     gamma = _covariance(r)
-    return logdet(gamma), gamma.solve(r.T).T, gamma
+    return logdet(gamma), r @ gamma.inverse, gamma
 
 
 def chain(pullback: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -158,14 +160,6 @@ def report(rs: ResidualSet, terms) -> CostReport:
     """The value, gradient and covariance of the cost with these terms."""
     value, v, gamma = terms(rs.residuals)
     return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
-
-
-def mse_cost(rs: ResidualSet) -> float:
-    return mse_terms(rs.residuals)[0]
-
-
-def mse_gradient(rs: ResidualSet) -> CostReport:
-    return report(rs, mse_terms)
 
 
 def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
@@ -184,7 +178,7 @@ def _a_tensor(rs: ResidualSet) -> np.ndarray:
 def information(rs: ResidualSet, gamma: SpdMatrix) -> np.ndarray:
     """(1/n) sum_t J_t^T gamma^{-1} J_t, the (K, K) information matrix
     ``tr(gamma^{-1} B_kl)``."""
-    g = gamma.solve(np.eye(gamma.dim))
+    g = gamma.inverse
     jac = rs.jacobians
     gj = np.einsum("ij,tjk->tik", g, jac)
     return np.einsum("tik,til->kl", jac, gj) / rs.n
@@ -192,7 +186,7 @@ def information(rs: ResidualSet, gamma: SpdMatrix) -> np.ndarray:
 
 def logdet_hessian(rs: ResidualSet) -> CostReport:
     report = logdet_gradient(rs)
-    g = report.gamma_n.solve(np.eye(report.gamma_n.dim))
+    g = report.gamma_n.inverse
     a = _a_tensor(rs)
     asym = a + a.transpose(0, 2, 1)
     # term 1: derivative of G, -2 tr(G (A_l + A_l^T) G A_k)

@@ -59,6 +59,11 @@ class NonFiniteState(LogDetRegError):
     """Simulated recursion diverged to a non-finite state."""
 
 
+class NonFiniteReport(LogDetRegError):
+    """A report to be written holds an infinite or NaN number, which strict
+    JSON cannot carry."""
+
+
 class InitialFitFailed(LogDetRegError):
     """Pruning could not obtain a baseline fit."""
 

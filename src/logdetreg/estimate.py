@@ -272,7 +272,7 @@ def fisher_info(
     rs = cst.ResidualSet.from_model(spec, w, data)
     info = cst.information(rs, cst.empirical_covariance(rs))
     info_spd = _nonsingular(info, NonIdentifiable, "information matrix")
-    cov = info_spd.solve(np.eye(info_spd.dim)) / data.n
+    cov = info_spd.inverse / data.n
     return info_spd, cov
 
 

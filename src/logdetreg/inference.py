@@ -9,10 +9,10 @@ come from Monte Carlo null calibration only.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import model as mdl
 from .errors import EmptyCalibration, NegativeStatistic, NotNested
@@ -39,12 +39,44 @@ class TestReport:
 
 
 def chi2_sf(x: float, k: int) -> float:
-    """Upper-tail probability of chi-square with k degrees of freedom."""
+    """Upper-tail probability Q of chi-square with an integer number k of
+    degrees of freedom.  With y = x / 2 and ``t(j) = exp(-y) y^j / Gamma(j + 1)``:
+
+    * for x >= k, the finite sums of Abramowitz & Stegun 26.4.4-26.4.5,
+      ``Q = [erfc(sqrt(y)) if k is odd] + sum t(j)`` over the k // 2 values
+      j = 0, 1, ... (k even) or j = 1/2, 3/2, ... (k odd) below k / 2;
+    * for x < k, where Q is above about 0.3, ``Q = 1 - P`` with the lower
+      tail ``P = sum t(j)`` over j = k/2, k/2 + 1, ... (A&S 6.5.29), summed
+      until a term falls below 1e-17 of the first.  Near Q = 1 the finite
+      sum wobbles in its last bits, and Q would not decrease monotonically.
+
+    Each term is formed in log space with ``lgamma``, so no power or
+    factorial overflows at a large k or x.
+    """
     if x < 0:
         raise ValueError(f"chi2_sf requires x >= 0, got {x}")
-    if k < 1:
-        raise ValueError("degrees of freedom must be positive")
-    return float(gammaincc(k / 2.0, x / 2.0))
+    if k < 1 or not float(k).is_integer():
+        raise ValueError(f"degrees of freedom must be a positive integer, got {k}")
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y, log_y = 0.5 * x, math.log(0.5 * x)
+
+    def t(j: float) -> float:
+        return math.exp(j * log_y - y - math.lgamma(j + 1))
+
+    if x < k:
+        terms, j = [t(0.5 * k)], 0.5 * k + 1
+        while terms[-1] > 1e-17 * terms[0]:
+            terms.append(t(j))
+            j += 1
+        return 1.0 - math.fsum(terms)
+    first = 0.5 * (k % 2)
+    terms = [t(first + i) for i in range(int(k) // 2)]
+    if k % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
 
 
 def _check_nested(restricted: mdl.ModelSpec, full: mdl.ModelSpec) -> int:

@@ -1,9 +1,11 @@
 """Small dense symmetric-matrix kernel.
 
 Everything the cost and inference layers need from linear algebra:
-Cholesky-backed SPD matrices, their solves and log-determinants.
-Matrices here are tiny (the output dimension of the regression,
-typically 2), so everything is dense.  The kernel has no ridge policy: a
+Cholesky-backed SPD matrices, their inverses, solves and
+log-determinants, in numpy alone.  Matrices here are tiny (the output
+dimension of the regression, typically 2), so everything is dense, and a
+solve multiplies by the inverse ``L^{-T} L^{-1}`` formed once from the
+Cholesky factor ``L``.  The kernel has no ridge policy: a
 matrix that does not factor raises NotPositiveDefinite, and the one
 caller that regularizes instead,
 :func:`~logdetreg.estimate._residual_covariance`, adds its ridge itself.
@@ -13,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import AsymmetricInput, DimensionMismatch, NotPositiveDefinite
 
@@ -41,24 +43,35 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """``self^{-1} = L^{-T} L^{-1}`` from the cached factor ``L``,
+        formed on first use; bitwise symmetric, as numpy forms
+        ``linv.T @ linv`` by a symmetric rank-k update.  A product with it
+        has a forward error of order ``cond(self) * eps``, as the two
+        triangular solves with ``L`` have, but not their small backward
+        error; the test suite bounds both by ``4 d eps cond(self)`` up to
+        cond 1e12, the limit ``_nonsingular`` lets through."""
+        linv = np.linalg.inv(self.chol)
+        return linv.T @ linv
+
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``self @ x = b`` using the cached factor: LAPACK ``potrs``,
-        as ``scipy.linalg.cho_solve`` calls it.  A non-finite ``b`` or a
-        mismatched dimension raises ValueError."""
+        """``x`` with ``self @ x = b``, as ``self.inverse @ b``.  A
+        non-finite ``b`` or a mismatched dimension raises ValueError."""
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must be finite")
-        return lapack.dpotrs(self.chol, b, lower=1)[0]
+        return self.inverse @ b
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``a``.  The factorization can return a NaN
-    factor for a NaN input instead of failing; that fails here too.  A NaN
-    anywhere in the factor reaches its last pivot (each pivot sums the
-    squares of its row, and later rows divide by earlier pivots), so that
-    one entry is tested."""
+    """Lower Cholesky factor of ``a``.  The factorization can return a
+    non-finite factor for a NaN or infinite input instead of failing; that
+    fails here too.  A non-finite entry anywhere in the factor leaves a
+    non-finite pivot (each pivot sums the squares of its row, and later
+    rows divide by earlier pivots), so the diagonal is tested."""
     chol = np.linalg.cholesky(a)
-    if math.isnan(chol[-1, -1]):
-        raise np.linalg.LinAlgError("Cholesky factor holds a NaN")
+    if not all(map(math.isfinite, chol.diagonal().tolist())):
+        raise np.linalg.LinAlgError("Cholesky factor is not finite")
     return chol
 
 
@@ -84,9 +97,9 @@ def factor_symmetric(m: np.ndarray) -> SpdMatrix:
     ``(m + m.T) / 2`` would return ``m`` bit for bit).
 
     Any Cholesky failure raises :class:`NotPositiveDefinite` (a meaningful
-    signal: degenerate residuals).  A factor that holds a NaN counts as a
-    failed factorization, so a NaN matrix raises it too; an infinite
-    diagonal entry with a NaN-free factor is kept (its log-det is +inf).
+    signal: degenerate residuals).  A factor that is not finite counts as a
+    failed factorization, so a matrix with a NaN or infinite entry raises
+    it too.
     """
     try:
         return SpdMatrix(entries=m, chol=_cholesky(m))

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, lapack
 
 from logdetreg import (
     Dataset,
@@ -19,7 +18,15 @@ from logdetreg import (
     sample_gaussian,
     spd_from_symmetric,
 )
-from logdetreg.cost import CostReport, ResidualSet, _a_tensor, empirical_covariance, gls_terms
+from logdetreg.cost import (
+    CostReport,
+    ResidualSet,
+    _a_tensor,
+    empirical_covariance,
+    gls_terms,
+    mse_terms,
+    report,
+)
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteState
 from logdetreg.linalg import ASYMMETRY_RTOL, SpdMatrix
 from logdetreg.model import _mlp_blocks, eval_batch
@@ -87,14 +94,23 @@ def residual_set(spec, w, data):
 
 # --- oracles: independent routes to values the library computes otherwise ---
 
+def inverse_oracle(chol) -> np.ndarray:
+    """``(L L^T)^{-1} = L^{-T} L^{-1}`` of a lower Cholesky factor ``L``,
+    spelled out as ``SpdMatrix.inverse`` forms it, so that every solve of
+    the library can be checked bit for bit."""
+    linv = np.linalg.inv(chol)
+    return linv.T @ linv
+
+
 def cho_solve_oracle(g: SpdMatrix, b) -> np.ndarray:
-    """``g^{-1} b`` by scipy's ``cho_solve`` on the cached factor."""
-    return cho_solve((g.chol, True), b)
+    """The solve ``g^{-1} b`` through the cached Cholesky factor, by
+    :func:`inverse_oracle`."""
+    return inverse_oracle(g.chol) @ np.asarray_chkfinite(b)
 
 
 def spd_inverse(g: SpdMatrix) -> SpdMatrix:
     """Inverse of an SPD matrix, returned as a valid :class:`SpdMatrix`."""
-    inv = cho_solve_oracle(g, np.eye(g.dim))
+    inv = inverse_oracle(g.chol)
     return spd_from_symmetric(0.5 * (inv + inv.T))
 
 
@@ -104,6 +120,14 @@ def trace_product(g_inv: SpdMatrix, a: np.ndarray) -> float:
     if a.shape != g_inv.entries.shape:
         raise DimensionMismatch(f"trace_product: {g_inv.entries.shape} vs {a.shape}")
     return float(np.sum(g_inv.entries * a.T))
+
+
+def mse_cost(rs: ResidualSet) -> float:
+    return mse_terms(rs.residuals)[0]
+
+
+def mse_gradient(rs: ResidualSet) -> CostReport:
+    return report(rs, mse_terms)
 
 
 def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
@@ -225,17 +249,17 @@ def oracle_recipes() -> dict[str, SimRecipe]:
 
 def _factor_oracle(m):
     """(symmetrized m, its Cholesky factor) as ``spd_from_symmetric`` makes
-    them; a failed factorization raises ``LinAlgError``."""
+    them; a failed factorization, or a factor with a non-finite entry,
+    raises ``LinAlgError``."""
     m = np.asarray(m, dtype=float)
     asym = np.abs(m - m.T)
     if np.any(asym > ASYMMETRY_RTOL * (1.0 + np.abs(m))):
         raise AsymmetricInput("matrix asymmetry exceeds tolerance")
     sym = 0.5 * (m + m.T)
-    return sym, np.linalg.cholesky(sym)
-
-
-def _solve_oracle(chol, b):
-    return lapack.dpotrs(chol, np.asarray_chkfinite(b), lower=1)[0]
+    chol = np.linalg.cholesky(sym)
+    if not np.all(np.isfinite(chol)):
+        raise np.linalg.LinAlgError("non-finite factor")
+    return sym, chol
 
 
 def linearize_oracle(spec, x, z):
@@ -308,7 +332,7 @@ def logdet_objective_oracle(spec, data):
             _, chol = _factor_oracle(r.T @ r / n)
         except np.linalg.LinAlgError:
             return np.inf, None
-        gr = _solve_oracle(chol, r.T).T
+        gr = r @ inverse_oracle(chol)
         grad = -2.0 / n * pullback(gr)
         if not np.all(np.isfinite(grad)):
             return np.inf, None
@@ -331,7 +355,7 @@ def weighted_objective_oracle(spec, data, weight=None):
         if weight is None:
             value, v = float(np.sum(r**2) / n), r
         else:
-            v = _solve_oracle(weight.chol, r.T).T
+            v = r @ inverse_oracle(weight.chol)
             value = float(np.sum(r * v) / n)
         grad = -2.0 / n * pullback(v)
         if not np.all(np.isfinite(grad)):
@@ -349,7 +373,7 @@ def fisher_info_oracle(spec, x, data):
     r, _, jacobian = _residuals_oracle(spec, data, x)
     n = r.shape[0]
     _, chol = _factor_oracle(r.T @ r / n)
-    g = _solve_oracle(chol, np.eye(r.shape[1]))
+    g = inverse_oracle(chol)
     jac = jacobian()
     info = np.einsum("tik,til->kl", jac, np.einsum("ij,tjk->tik", g, jac)) / n
     try:
@@ -359,7 +383,7 @@ def fisher_info_oracle(spec, x, data):
     pivots = np.diag(ichol)
     if np.min(pivots) ** 2 <= 1e-12 * np.max(pivots) ** 2:
         return info, None, None
-    return info, sym, _solve_oracle(ichol, np.eye(info.shape[0])) / n
+    return info, sym, inverse_oracle(ichol) / n
 
 
 def calibration_quantile(result, q: float) -> float:

@@ -1,14 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logdetreg import ModelKind, ModelSpec, ParamVector, save_model
-from logdetreg.cli import main, parse_matrix
+import logdetreg
+from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, save_model
+from logdetreg.cli import _emit, _start_doc, main, parse_matrix
 from logdetreg.cli import UsageError
-from logdetreg.data import load_csv
+from logdetreg.data import load_csv, save_csv
+from logdetreg.errors import NonFiniteReport
 from logdetreg.inference import chi2_sf
+from logdetreg.optimize import StartRecord
 from logdetreg.simulate import RNG_KIND
+
+SRC = Path(logdetreg.__file__).resolve().parent.parent
 
 
 def run(argv, capsys):
@@ -673,3 +682,92 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "fit_logdet", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["fit", "--model", linear22, "--data", data])
+
+
+class TestNonFiniteReports:
+    """A report is strict JSON or absent: no Infinity or NaN token."""
+
+    @pytest.mark.parametrize("cost", ["mse", "gls", "fgls", "logdet"])
+    def test_overflowing_outputs_exit_3(self, tmp_path, linear22, cost, capsys):
+        # outputs of order 1e200: r^T r / n overflows, so Gamma_n does not
+        # factor, with or without the ridge
+        rng = np.random.default_rng(0)
+        data = tmp_path / "huge.csv"
+        save_csv(data, Dataset(rng.standard_normal((50, 2)), 1e200 * rng.standard_normal((50, 2))))
+        out = tmp_path / "fit.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, err = run(
+                ["fit", "--cost", cost, "--model", linear22, "--data", str(data),
+                 "--out", str(out)],
+                capsys,
+            )
+        assert (code, stdout) == (3, "")
+        assert "Cholesky failed" in err
+        assert not out.exists()
+
+    def test_emit_refuses_non_finite(self, tmp_path):
+        out = tmp_path / "report.json"
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NonFiniteReport):
+                _emit({"value": [1.0, float(bad)]}, str(out))
+        assert not out.exists()
+
+    def test_non_finite_report_exit_3(self, tmp_path, linear22, capsys, monkeypatch):
+        import logdetreg.cli as cli
+
+        data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50)
+        monkeypatch.setattr(cli, "_fit_report", lambda *args: {"cost_value": float("nan")})
+        code, stdout, err = run(["fit", "--model", linear22, "--data", data], capsys)
+        assert (code, stdout) == (3, "")
+        assert "non-finite" in err
+
+    def test_failed_start_written_as_null(self):
+        doc = _start_doc(StartRecord(1, np.inf, 0, 1, np.inf, "nonfinite_at_start"))
+        assert (doc["final_cost"], doc["grad_norm"]) == (None, None)
+        assert json.loads(json.dumps(doc, allow_nan=False))["termination"] == "nonfinite_at_start"
+        kept = StartRecord(0, 0.5, 3, 4, 1e-7, "grad_tol")
+        assert _start_doc(kept) == {"start_index": 0, "final_cost": 0.5, "iterations": 3,
+                                    "evaluations": 4, "grad_norm": 1e-7,
+                                    "termination": "grad_tol"}
+
+
+def run_python(code: str, *args: str, cwd) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+class TestNumpyOnlyRuntime:
+    """numpy is the only runtime dependency; scipy is a test oracle."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        done = run_python(
+            "import sys, logdetreg.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+            cwd=tmp_path,
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path, nested_files):
+        restricted, full = nested_files
+        commands = [
+            ["simulate", "--mode", "iid", "--model", restricted, "--gamma", "1,0.4;0.4,1",
+             "--n", "80", "--out", "d.csv"],
+            ["fit", "--cost", "logdet", "--model", full, "--data", "d.csv", "--out", "fit.json"],
+            ["test", "--restricted", restricted, "--full", full, "--data", "d.csv",
+             "--out", "test.json"],
+            ["mc", "--experiment", "test-size", "--reps", "2", "--n", "60", "--out", "mc.json"],
+        ]
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "from logdetreg.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        done = run_python(script, json.dumps(commands), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        for name in ("d.csv", "d.recipe.json", "fit.json", "test.json", "mc.json"):
+            assert (tmp_path / name).exists()
+        assert 0.0 <= json.loads((tmp_path / "test.json").read_text())["p_value"] <= 1.0

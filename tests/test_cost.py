@@ -14,8 +14,6 @@ from logdetreg.cost import (
     logdet_gradient,
     logdet_hessian,
     logdet_terms,
-    mse_cost,
-    mse_gradient,
     mse_terms,
 )
 from logdetreg.errors import DimensionMismatch, NonIdentifiable, NotPositiveDefinite
@@ -30,6 +28,8 @@ from conftest import (
     logdet_gradient_entrywise,
     logdet_objective_oracle,
     make_instance,
+    mse_cost,
+    mse_gradient,
     residual_set,
     spd_inverse,
     trace_product,

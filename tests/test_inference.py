@@ -50,9 +50,32 @@ def fake_fit(spec, cost_value, n=100, kind=CostKind.LOGDET):
 
 
 class TestChi2Sf:
+    # x from 0 to 1e4: a fine grid where the tail is of order one, and a
+    # geometric one out to where it underflows for every k here
+    XS = np.unique(np.concatenate([np.linspace(0.0, 20.0, 401), np.geomspace(1e-10, 1e4, 1500)]))
+
     def test_at_zero(self):
         assert chi2_sf(0.0, 1) == 1.0
         assert chi2_sf(0.0, 5) == 1.0
+        assert all(chi2_sf(0.0, k) == 1.0 for k in range(1, 61))
+
+    @pytest.mark.parametrize("k", range(1, 61))
+    def test_matches_scipy_gammaincc(self, k):
+        from scipy.special import gammaincc
+
+        vals = np.array([chi2_sf(float(x), k) for x in self.XS])
+        ref = gammaincc(k / 2.0, self.XS / 2.0)
+        live = ref > 1e-300
+        assert np.all(np.abs(vals[live] - ref[live]) <= 1e-12 * ref[live])
+        assert np.all(vals[~live] <= 1e-299)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) <= 0.0)
+
+    def test_large_k_and_x_do_not_overflow(self):
+        assert chi2_sf(1e4, 60) == 0.0
+        assert chi2_sf(1e300, 3) == 0.0
+        assert chi2_sf(np.inf, 2) == 0.0
+        assert chi2_sf(1e-300, 400) == 1.0
 
     def test_k2_closed_form(self):
         # k = 2 is exponential(1/2): sf(x) = exp(-x/2)
@@ -82,6 +105,8 @@ class TestChi2Sf:
             chi2_sf(-0.1, 2)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
+        with pytest.raises(ValueError, match="integer"):
+            chi2_sf(1.0, 2.5)
 
 
 class TestNesting:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
@@ -155,7 +155,10 @@ class TestJacobian:
 def check_linearize(spec, seed, n=50):
     """linearize at a seeded random point: the prediction is bitwise
     eval_batch's, and the pullback matches the contraction of the record's
-    Jacobians."""
+    Jacobians up to rounding.  The rounding of entry k scales with
+    sum_t |J_t[:, k]| . |v_t|, not with the entry, which can cancel to far
+    below it; over every seed test_random_masks can draw, the worst error
+    is 2.4 eps of that sum, and the bound is 16 eps."""
     rng = np.random.default_rng(seed)
     w = ParamVector(rng.uniform(-1.5, 1.5, spec.param_count), spec)
     z = rng.standard_normal((n, spec.input_dim))
@@ -163,9 +166,11 @@ def check_linearize(spec, seed, n=50):
     lin = linearize(spec, w, z)
     np.testing.assert_array_equal(lin.pred, eval_batch(spec, w, z))
     grad = lin.pullback(v)
-    ref = np.einsum("tik,ti->k", lin.jacobian(), v)
+    jac = lin.jacobian()
+    ref = np.einsum("tik,ti->k", jac, v)
+    scale = np.einsum("tik,ti->k", np.abs(jac), np.abs(v))
     assert grad.shape == (spec.param_count,)
-    assert np.max(np.abs(grad - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(np.abs(grad - ref) <= 16 * np.finfo(float).eps * scale)
 
 
 class TestLinearize:
@@ -185,6 +190,7 @@ class TestLinearize:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(5523)  # masked linear, 1 input, 2 outputs: an entry that cancels
     def test_random_masks(self, seed):
         rng = np.random.default_rng(seed)
         din, dout = int(rng.integers(1, 4)), int(rng.integers(1, 4))

@@ -5,9 +5,11 @@ Each command runs in its own subprocess, ``python -m logdetreg.cli`` with
 ``PYTHONPATH`` set to ``--src``, in the directory ``--out`` (which must
 not exist yet).  The inputs are written here without the package: the
 model files (an MLP(2, 3, 2) and a masked/full linear pair, each also with
-true weights for ``simulate``) and ``ridge.csv``, the simulated
-``iid.csv`` with its second output set to zero (its MSE fit needs a ridge
-on the residual covariance, and its FGLS and log-det fits exit 3).  Each command's stdout and stderr are
+true weights for ``simulate``), ``huge.csv``, 50 rows of outputs
+``1e200 N(0, 1)`` (the residual covariance of its MSE fit overflows, and
+the fit exits 3), and ``ridge.csv``, the simulated ``iid.csv`` with its
+second output set to zero (its MSE fit needs a ridge on the residual
+covariance, and its FGLS and log-det fits exit 3).  Each command's stdout and stderr are
 saved as ``NAME.stdout`` and ``NAME.stderr`` in ``--out``, next to the
 files it writes, and one line ``sha256  file  rc`` is printed per output,
 in command order.  Compare two trees with ``diff``:
@@ -24,6 +26,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +68,8 @@ def commands() -> list[tuple[str, list[str]]]:
         *((f"fit_ridge_{cost}", [*fit, "ridge.csv", "--model", "linear.json", "--cost", cost,
                                  "--out", f"fit_ridge_{cost}.json"])
           for cost in ("mse", "fgls", "logdet")),
+        ("fit_huge_mse", [*fit, "huge.csv", "--model", "linear.json", "--cost", "mse",
+                          "--out", "fit_huge_mse.json"]),
         *((f"test_{cost}", ["test", "--restricted", "restricted.json", "--full", "linear.json",
                             "--data", "iid.csv", "--cost", cost, "--calibrate", "20",
                             "--out", f"test_{cost}.json"])
@@ -86,6 +91,15 @@ def write_ridge_data(work: Path) -> None:
     (work / "ridge.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
+def write_huge_data(work: Path) -> None:
+    """``huge.csv``: 50 rows of three inputs N(0, 1) and two outputs
+    1e200 N(0, 1), drawn from a seeded ``random.Random``."""
+    rng = random.Random(21)
+    rows = [",".join(repr(rng.gauss(0.0, scale)) for scale in (1.0, 1.0, 1.0, 1e200, 1e200))
+            for _ in range(50)]
+    (work / "huge.csv").write_text("\n".join(["z1,z2,z3,y1,y2", *rows]) + "\n", encoding="utf-8")
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -94,6 +108,7 @@ def run(src: Path, work: Path) -> list[str]:
     """Run every command in ``work``; one ``sha256  file  rc`` line per output."""
     for name, doc in MODELS.items():
         (work / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    write_huge_data(work)
     env = dict(os.environ, PYTHONPATH=str(src))
     lines = []
     for name, argv in commands():
