@@ -169,13 +169,15 @@ def _fit(spec, data, opts, kind, terms, x0, linear_fit) -> FitResult:
     without a search that returns its outcome and the residual covariance
     at its solution, for a linear spec; for the MLP, BFGS on the cost with
     these ``terms``: one run from ``x0`` when given, else the multi-start."""
-    if spec.kind is mdl.ModelKind.MLP:
-        # an overflowing trial point is worth +inf by design, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow is an outcome by design, not a warning: a BFGS trial point
+    # that overflows is worth +inf, and a residual covariance that does is
+    # not finite and fails to factor (NotPositiveDefinite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind is mdl.ModelKind.MLP:
             outcome = multi_start(_objective(spec, data, terms), spec, opts, x0=x0)
-        gamma_hat = _residual_covariance(_residuals_at(spec, data, outcome.w_best.values))
-    else:
-        outcome, gamma_hat = linear_fit()
+            gamma_hat = _residual_covariance(_residuals_at(spec, data, outcome.w_best.values))
+        else:
+            outcome, gamma_hat = linear_fit()
     return FitResult(
         w_hat=outcome.w_best,
         cost_kind=kind,
