@@ -43,15 +43,19 @@ def chi2_sf(x: float, k: int) -> float:
     degrees of freedom.  With y = x / 2 and ``t(j) = exp(-y) y^j / Gamma(j + 1)``:
 
     * for x >= k, the finite sums of Abramowitz & Stegun 26.4.4-26.4.5,
-      ``Q = [erfc(sqrt(y)) if k is odd] + sum t(j)`` over the k // 2 values
-      j = 0, 1, ... (k even) or j = 1/2, 3/2, ... (k odd) below k / 2;
+      ``Q = [erfc(sqrt(y)) if k is odd] + sum t(j)`` over j = 0, 1, ...
+      (k even) or j = 1/2, 3/2, ... (k odd) below k / 2;
     * for x < k, where Q is above about 0.3, ``Q = 1 - P`` with the lower
-      tail ``P = sum t(j)`` over j = k/2, k/2 + 1, ... (A&S 6.5.29), summed
-      until a term falls below 1e-17 of the first.  Near Q = 1 the finite
-      sum wobbles in its last bits, and Q would not decrease monotonically.
+      tail ``P = sum t(j)`` over j = k/2, k/2 + 1, ... (A&S 6.5.29).  Near
+      Q = 1 the finite sum wobbles in its last bits, and Q would not
+      decrease monotonically.
 
+    Each sum starts at its largest term, next to j = k / 2, and stops once
+    a term falls below 1e-17 of it, so a large k costs about sqrt(k) terms.
     Each term is formed in log space with ``lgamma``, so no power or
-    factorial overflows at a large k or x.
+    factorial overflows at a large k or x; the relative error grows as
+    about eps * x (the tests hold it within 1e-12 of scipy's ``gammaincc``
+    for k <= 60).
     """
     if x < 0:
         raise ValueError(f"chi2_sf requires x >= 0, got {x}")
@@ -62,18 +66,14 @@ def chi2_sf(x: float, k: int) -> float:
     if x == math.inf:
         return 0.0
     y, log_y = 0.5 * x, math.log(0.5 * x)
-
-    def t(j: float) -> float:
-        return math.exp(j * log_y - y - math.lgamma(j + 1))
-
-    if x < k:
-        terms, j = [t(0.5 * k)], 0.5 * k + 1
-        while terms[-1] > 1e-17 * terms[0]:
-            terms.append(t(j))
-            j += 1
+    lower = x < k
+    j, step = (0.5 * k, 1.0) if lower else (0.5 * k - 1.0, -1.0)
+    terms = []
+    while j >= 0 and (not terms or terms[-1] > 1e-17 * terms[0]):
+        terms.append(math.exp(j * log_y - y - math.lgamma(j + 1)))
+        j += step
+    if lower:
         return 1.0 - math.fsum(terms)
-    first = 0.5 * (k % 2)
-    terms = [t(first + i) for i in range(int(k) // 2)]
     if k % 2:
         terms.append(math.erfc(math.sqrt(y)))
     return math.fsum(terms)

@@ -72,6 +72,11 @@ class TestChi2Sf:
         assert np.all(np.diff(vals) <= 0.0)
 
     def test_large_k_and_x_do_not_overflow(self):
+        from scipy.special import gammaincc
+
+        # about sqrt(k) terms around j = k / 2, each of relative error ~ eps * x
+        for x in (9.99e5, 1e6, 1.003e6):
+            assert chi2_sf(x, 10**6) == pytest.approx(gammaincc(5e5, x / 2.0), rel=1e-9)
         assert chi2_sf(1e4, 60) == 0.0
         assert chi2_sf(1e300, 3) == 0.0
         assert chi2_sf(np.inf, 2) == 0.0
