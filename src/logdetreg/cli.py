@@ -45,7 +45,11 @@ USAGE_ERRORS = (
     DimensionMismatch,
     NotNested,
     UnderDetermined,
+    # an input path that is missing, a directory or unreadable; the message
+    # names the path
     FileNotFoundError,
+    IsADirectoryError,
+    PermissionError,
 )
 
 

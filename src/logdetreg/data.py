@@ -6,7 +6,8 @@ observation, z fields before y fields, with dot decimals and finite
 numeric fields only.  ``save_csv`` ends every line, the header's too, with
 CRLF (``\\r\\n``) and writes each float as its Python ``repr``, the shortest
 string that reads back to the same double, so ``load_csv(save_csv(ds))``
-is exact.  ``load_csv`` accepts LF or CRLF line endings.
+is exact.  ``load_csv`` accepts LF or CRLF line endings, and raises
+CsvFormatError for a file that is not UTF-8 text.
 
 ``save_csv`` raises DimensionMismatch for a dataset with no rows or a
 non-finite value before it opens the file, so it never writes a file that
@@ -96,32 +97,40 @@ def save_csv(path, ds: Dataset) -> None:
 
 
 def load_csv(path) -> Dataset:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("line 1: empty file, header required") from None
-        names = [name.strip() for name in header]
-        din = sum(1 for name in names if name.startswith("z"))
-        dout = len(names) - din
-        expected = [f"z{i + 1}" for i in range(din)] + [f"y{i + 1}" for i in range(dout)]
-        if din < 1 or dout < 1 or names != expected:
-            raise CsvFormatError(f"line 1: header must be z1..z{{d'}},y1..y{{d}}, got {header}")
-        zs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != din + dout:
-                raise CsvFormatError(f"line {lineno}: expected {din + dout} fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise CsvFormatError(f"line {lineno}: non-numeric field") from None
-            if not all(map(math.isfinite, vals)):
-                raise CsvFormatError(f"line {lineno}: non-finite field")
-            zs.append(vals[:din])
-            ys.append(vals[din:])
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            zs, ys = _read_rows(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"file is not UTF-8 text ({exc.reason})") from None
     if not zs:
         raise CsvFormatError("line 2: no data rows")
     return Dataset(np.asarray(zs), np.asarray(ys))
+
+
+def _read_rows(reader) -> tuple[list, list]:
+    """The z and y fields of every data row, after the header is checked."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError("line 1: empty file, header required") from None
+    names = [name.strip() for name in header]
+    din = sum(1 for name in names if name.startswith("z"))
+    dout = len(names) - din
+    expected = [f"z{i + 1}" for i in range(din)] + [f"y{i + 1}" for i in range(dout)]
+    if din < 1 or dout < 1 or names != expected:
+        raise CsvFormatError(f"line 1: header must be z1..z{{d'}},y1..y{{d}}, got {header}")
+    zs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != din + dout:
+            raise CsvFormatError(f"line {lineno}: expected {din + dout} fields, got {len(row)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, vals)):
+            raise CsvFormatError(f"line {lineno}: non-finite field")
+        zs.append(vals[:din])
+        ys.append(vals[din:])
+    return zs, ys

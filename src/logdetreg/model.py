@@ -186,10 +186,13 @@ class Linearization(NamedTuple):
 
     Linear families: the pullback is ``v^T z`` on the mask and the second
     derivatives are exact zeros.  MLP, with hidden values ``t``,
-    ``dt = 1 - t^2`` and ``beta = v b^T``: the pullback's a, c, b and bias
-    blocks are ``(beta dt)^T z``, ``sum_t (beta dt)_t``, ``t^T v`` and
-    ``sum_t v_t``.  Second derivatives couple only parameters of one hidden
-    unit; with ``zt = [z, 1]`` (its ``a_h`` entries and ``c_h``) they are
+    ``dt = 1 - t^2``, ``beta = v b^T`` and ``zt = [z, 1]``, built once per
+    fit: the pullback's a and c blocks are the columns of one product
+    ``(beta dt)^T zt`` (the c block, ``sum_t (beta dt)_t``, is its last
+    column), the b block is ``t^T v`` and the bias block ``sum_t v_t`` is
+    the product ``1^T v``; sums over the rows are products, not
+    ``sum(0)`` reductions.  Second derivatives couple only parameters of one
+    hidden unit; with ``zt`` (its ``a_h`` entries and ``c_h``) they are
     ``sum_t tanh''(u_th) beta_th zt_t zt_t^T`` on ``(a|c, a|c)`` and
     ``sum_t dt_th zt_t v_t^T`` on ``(a|c, b_h)``.
     """
@@ -236,6 +239,10 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
     (sa, ha), (sc, _), (sb, hb), (sz, _) = [
         (slice(int(ix.flat[0]), int(ix.flat[-1]) + 1), ix.shape)
         for ix in _mlp_blocks(spec, np.arange(size))]
+    # sums over the rows as products: [z | 1] gives the a and c blocks in one
+    # product, and a row of ones the bias block
+    ones = np.ones(n)
+    z1 = np.concatenate([z, ones[:, None]], axis=1)
 
     def mlp_at(x):
         grid = _full_grid(x, spec.mask, size) if masked else x  # unmasked: x is the grid
@@ -244,10 +251,9 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
         dt = 1.0 - t * t
 
         def pullback(v):
-            delta = (v @ b.T) * dt
+            ac = (v @ b.T * dt).T @ z1
             # the a, c, b and bias blocks, in the order of _mlp_blocks
-            grad = np.concatenate([(delta.T @ z).ravel(), delta.sum(0), (t.T @ v).ravel(),
-                                   v.sum(0)])
+            grad = np.concatenate([ac[:, :-1], ac[:, -1], t.T @ v, ones @ v], axis=None)
             return grad[mask] if masked else grad
 
         def jacobian():
@@ -265,9 +271,8 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
 
         def second_vdot(v):
             ddt = -2.0 * t * dt  # tanh'' reusing the forward value
-            zt = np.concatenate([z, np.ones((n, 1))], axis=1)
-            acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), zt, zt)
-            acb = np.einsum("th,tj,ti->hji", dt, zt, v)
+            acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), z1, z1)
+            acb = np.einsum("th,tj,ti->hji", dt, z1, v)
             # grid indices of unit h's [a_h | c_h] and b_h entries
             ia, ic, bh, _ = _mlp_blocks(spec, np.arange(size))
             ac = np.concatenate([ia, ic[:, None]], axis=1)

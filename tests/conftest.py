@@ -1,6 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -262,11 +263,55 @@ def _factor_oracle(m):
     return sym, chol
 
 
+def small_factor_oracle(m):
+    """(L, L^{-T} L^{-1}, log det) of a bitwise-symmetric matrix as
+    ``linalg.factor_small`` forms them, spelled out on index loops over
+    Python floats: each entry left of the diagonal times the reciprocal of
+    its column's pivot, each sum in index order from its first term, and
+    the inverse's lower triangle from the same sums as its upper one.  A
+    pivot that is not positive and finite raises ``LinAlgError``."""
+    a = np.asarray(m, dtype=float).tolist()
+    d = len(a)
+    chol = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1):
+            s = a[i][j]
+            for k in range(j):
+                s -= chol[i][k] * chol[j][k]
+            if j < i:
+                chol[i][j] = s * (1.0 / chol[j][j])
+            elif 0.0 < s < math.inf:
+                chol[i][i] = math.sqrt(s)
+            else:
+                raise np.linalg.LinAlgError("pivot is not positive and finite")
+    linv = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        linv[i][i] = 1.0 / chol[i][i]
+        for j in range(i):
+            s = 0.0
+            for k in range(j, i):
+                s += chol[i][k] * linv[k][j]
+            linv[i][j] = -s * linv[i][i]
+    inv = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            s = 0.0
+            for k in range(max(i, j), d):
+                s += linv[k][i] * linv[k][j]
+            inv[i][j] = s
+    total = 0.0
+    for i in range(d):
+        total += math.log(chol[i][i])
+    return np.array(chol).reshape(d, d), np.array(inv).reshape(d, d), 2.0 * total
+
+
 def linearize_oracle(spec, x, z):
     """(prediction, pullback, Jacobian builder) of ``model.linearize`` at the
     free parameters ``x``: the grid is zeros filled through the mask (all
     True when unmasked), and the MLP pullback writes its blocks through
-    ``_mlp_blocks`` views and then selects the mask."""
+    ``_mlp_blocks`` views and then selects the mask, taking the a and c
+    blocks from one product with ``[z | 1]`` and the bias block as the
+    product of a row of ones with ``v``."""
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DimensionMismatch("parameters must be finite")
@@ -288,11 +333,15 @@ def linearize_oracle(spec, x, z):
     t = np.tanh(z @ a.T + c)
     dt = 1.0 - t * t
 
+    ones = np.ones(n)
+    z1 = np.column_stack([z, ones])
+
     def pullback(v):
         delta = (v @ b.T) * dt
+        ac = delta.T @ z1
         grad = np.empty(grid.size)
         ga, gc, gb, gbias = _mlp_blocks(spec, grad)
-        ga[...], gc[...], gb[...], gbias[...] = delta.T @ z, delta.sum(0), t.T @ v, v.sum(0)
+        ga[...], gc[...], gb[...], gbias[...] = ac[:, :-1], ac[:, -1], t.T @ v, ones @ v
         return grad[mask]
 
     def jacobian():
@@ -320,7 +369,8 @@ def _residuals_oracle(spec, data, x):
 def logdet_objective_oracle(spec, data):
     """The BFGS log-det objective ``x -> (U_n, gradient)``, ``(inf, None)``
     where the prediction overflows, Gamma_n is not positive definite or the
-    gradient is not finite."""
+    gradient is not finite; Gamma_n is factored by
+    :func:`small_factor_oracle`."""
 
     def objective(x):
         found = _residuals_oracle(spec, data, x)
@@ -329,14 +379,13 @@ def logdet_objective_oracle(spec, data):
         r, pullback, _ = found
         n = r.shape[0]
         try:
-            _, chol = _factor_oracle(r.T @ r / n)
+            _, inv, value = small_factor_oracle(r.T @ r / n)
         except np.linalg.LinAlgError:
             return np.inf, None
-        gr = r @ inverse_oracle(chol)
-        grad = -2.0 / n * pullback(gr)
+        grad = -2.0 / n * pullback(r @ inv)
         if not np.all(np.isfinite(grad)):
             return np.inf, None
-        return 2.0 * float(np.sum(np.log(np.diag(chol)))), grad
+        return value, grad
 
     return objective
 
@@ -369,11 +418,11 @@ def fisher_info_oracle(spec, x, data):
     """(information matrix at Gamma_n, its symmetrized SPD entries and the
     asymptotic covariance ``I^{-1} / n``) at the free parameters ``x``; the
     last two are None when the information matrix is singular by
-    ``fisher_info``'s pivot rule."""
+    ``fisher_info``'s pivot rule.  Gamma_n is factored by
+    :func:`small_factor_oracle`, the information matrix by LAPACK."""
     r, _, jacobian = _residuals_oracle(spec, data, x)
     n = r.shape[0]
-    _, chol = _factor_oracle(r.T @ r / n)
-    g = inverse_oracle(chol)
+    _, g, _ = small_factor_oracle(r.T @ r / n)
     jac = jacobian()
     info = np.einsum("tik,til->kl", jac, np.einsum("ij,tjk->tik", g, jac)) / n
     try:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import logdetreg
+import logdetreg.cli
+import logdetreg.data
 from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, save_model
 from logdetreg.cli import _emit, _start_doc, main, parse_matrix
 from logdetreg.cli import UsageError
-from logdetreg.data import load_csv, save_csv
+from logdetreg.data import CsvFormatError, load_csv, save_csv
 from logdetreg.errors import NonFiniteReport
 from logdetreg.inference import chi2_sf
 from logdetreg.optimize import StartRecord
@@ -449,6 +451,56 @@ class TestExitCodes:
         code, _, err = run(["fit", "--model", str(path), "--data", str(data)], capsys)
         assert code == 2
         assert str(path) in err and detail in err
+
+    @staticmethod
+    def input_paths(tmp_path, linear22, nested_files, capsys):
+        """A valid argument list of each command that reads files, keyed by
+        the flag of each input path it reads."""
+        data = simulate(capsys, linear22, str(tmp_path / "d.csv"), n=60)
+        restricted, full = nested_files
+        three = simulate(capsys, restricted, str(tmp_path / "d3.csv"), n=60)
+        fit = ["fit", "--model", linear22, "--data", data]
+        test = ["test", "--restricted", restricted, "--full", full, "--data", three]
+        mc = ["mc", "--recipe", str(tmp_path / "d.recipe.json"), "--reps", "2"]
+        return {("fit", "--model"): fit, ("fit", "--data"): fit,
+                ("test", "--restricted"): test, ("test", "--full"): test,
+                ("test", "--data"): test, ("mc", "--recipe"): mc}
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "unreadable"])
+    def test_unusable_input_path(self, tmp_path, linear22, nested_files, kind, capsys,
+                                 monkeypatch):
+        # each input path that is missing, a directory or unreadable exits 2
+        # with one error line naming it, not a traceback
+        cases = self.input_paths(tmp_path, linear22, nested_files, capsys)
+        bad = tmp_path / "bad_input"
+        if kind == "directory":
+            bad.mkdir()
+        for (command, flag), argv in cases.items():
+            argv = list(argv)
+            argv[argv.index(flag) + 1] = str(bad)
+            with monkeypatch.context() as patch:
+                if kind == "unreadable":
+                    # root may read a file without read permission, so the
+                    # denial is raised by the file-opening call itself
+                    def denied(path, *args, **kwargs):
+                        if str(path) == str(bad):
+                            raise PermissionError(13, "Permission denied", str(path))
+                        return open(path, *args, **kwargs)
+
+                    patch.setattr(logdetreg.cli, "open", denied, raising=False)
+                    patch.setattr(logdetreg.data, "open", denied, raising=False)
+                code, out, err = run(argv, capsys)
+            assert (code, out) == (2, ""), (command, flag, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, flag, err)
+            assert repr(str(bad)) in err, (command, flag, err)
+
+    def test_utf16_csv(self, tmp_path, linear22, capsys):
+        path = tmp_path / "utf16.csv"
+        path.write_text("z1,z2,y1,y2\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n", encoding="utf-16")
+        with pytest.raises(CsvFormatError, match=r"^file is not UTF-8 text \(invalid start byte\)$"):
+            load_csv(path)
+        code, out, err = run(["fit", "--model", linear22, "--data", str(path)], capsys)
+        assert (code, out, err) == (2, "", "error: file is not UTF-8 text (invalid start byte)\n")
 
     @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None], ids=repr)
     @pytest.mark.parametrize("field", ["input_dim", "output_dim", "hidden_units"])

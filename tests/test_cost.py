@@ -272,8 +272,9 @@ def oracle_instance(index):
 class TestEvaluationPathOracle:
     """The BFGS log-det objective, ``information`` and ``fisher_info`` are
     bitwise those of the oracle path through the general-purpose wrappers
-    (zero-filled grid, block-written pullback, ``np.diag`` log-det), on
-    unmasked and masked linear specs and on masked and unmasked MLPs."""
+    (zero-filled grid, block-written pullback, Gamma_n factored on index
+    loops by ``small_factor_oracle``), on unmasked and masked linear specs
+    and on masked and unmasked MLPs."""
 
     @staticmethod
     def points(spec, w):

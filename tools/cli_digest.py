@@ -9,7 +9,10 @@ true weights for ``simulate``), ``huge.csv``, 50 rows of outputs
 ``1e200 N(0, 1)`` (the residual covariance of its MSE fit overflows, and
 the fit exits 3), and ``ridge.csv``, the simulated ``iid.csv`` with its
 second output set to zero (its MSE fit needs a ridge on the residual
-covariance, and its FGLS and log-det fits exit 3).  Each command's stdout and stderr are
+covariance, and its FGLS and log-det fits exit 3).  Two commands pin the
+exit code and error line of bad input paths: ``fit_dir_data`` passes the
+work directory as ``--data`` and ``fit_utf16_data`` a UTF-16 copy of a
+small CSV, ``utf16.csv``; both exit 2.  Each command's stdout and stderr are
 saved as ``NAME.stdout`` and ``NAME.stderr`` in ``--out``, next to the
 files it writes, and one line ``sha256  file  rc`` is printed per output,
 in command order.  Compare two trees with ``diff``:
@@ -80,6 +83,8 @@ def commands() -> list[tuple[str, list[str]]]:
                            "--out", "mc_covariance.json"]),
         ("mc_test_size", ["mc", "--experiment", "test-size", "--reps", "20", "--n", "200",
                           "--out", "mc_test_size.json"]),
+        ("fit_dir_data", [*fit, ".", "--model", "linear.json"]),
+        ("fit_utf16_data", [*fit, "utf16.csv", "--model", "linear.json"]),
     ]
 
 
@@ -100,6 +105,13 @@ def write_huge_data(work: Path) -> None:
     (work / "huge.csv").write_text("\n".join(["z1,z2,z3,y1,y2", *rows]) + "\n", encoding="utf-8")
 
 
+def write_utf16_data(work: Path) -> None:
+    """``utf16.csv``: a header and two rows of a linear model's CSV, in
+    UTF-16 with its byte-order mark."""
+    text = "z1,z2,z3,y1,y2\n0.1,0.2,0.3,1.0,2.0\n0.4,0.5,0.6,3.0,4.0\n"
+    (work / "utf16.csv").write_text(text, encoding="utf-16")
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -109,6 +121,7 @@ def run(src: Path, work: Path) -> list[str]:
     for name, doc in MODELS.items():
         (work / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
     write_huge_data(work)
+    write_utf16_data(work)
     env = dict(os.environ, PYTHONPATH=str(src))
     lines = []
     for name, argv in commands():
