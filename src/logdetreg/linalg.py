@@ -129,15 +129,15 @@ def factor_small(m: np.ndarray) -> SpdMatrix:
 
     The factor is made row by row, each entry left of the diagonal scaled
     by the reciprocal of its column's pivot, as LAPACK's unblocked
-    factorization does (for d <= 2 the two factors agree bit for bit);
-    ``L^{-1}`` follows by forward substitution and the inverse as
+    factorization does (with OpenBLAS the two factors agree bit for bit at
+    d <= 2); ``L^{-1}`` follows by forward substitution and the inverse as
     ``L^{-T} L^{-1}``, each entry summed in index order and mirrored, so it
     is bitwise symmetric.  The work grows as d^3 Python operations: at
     d = 2 it takes about 0.6 of the time of the LAPACK route with its
-    inverse, at d = 4 about 1.4 times it.  A pivot that is not positive and finite raises
-    :class:`NotPositiveDefinite`: an entry that is NaN or infinite, or an
-    overflow, leaves one, since each pivot subtracts the squares of its
-    row.
+    inverse, at d = 4 about 1.4 times it.  A pivot that is not positive
+    and finite raises :class:`NotPositiveDefinite`: an entry that is NaN
+    or infinite, or an overflow, leaves one, since each pivot subtracts
+    the squares of its row.
     """
     a = m.tolist()
     d = len(a)
