@@ -302,6 +302,7 @@ def cmd_test(args) -> int:
         doc["mc_p_value"] = calib.p_value(observed)
         doc["mc_samples"] = int(calib.samples.size)
         doc["mc_failures"] = calib.failures
+        doc["mc_failure_causes"] = calib.failure_causes
         if args.cost == "mse":
             doc["p_value"] = doc["mc_p_value"]
             doc["reject"] = doc["p_value"] < args.alpha
@@ -361,6 +362,7 @@ def cmd_mc(args) -> int:
                 "det_mean_gamma": s.det_mean_gamma,
                 "mean_det": s.mean_det,
                 "failures": s.failures,
+                "failure_causes": s.failure_causes,
             }
             for s in report.estimators.values()
         },
@@ -418,6 +420,7 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         "alpha": alpha,
         "rejection_rate": rate,
         "failures": calib.failures,
+        "failure_causes": calib.failure_causes,
         "statistics": calib.samples.tolist(),
     }
     _emit(doc, args.out)

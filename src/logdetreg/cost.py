@@ -22,8 +22,12 @@ Python floats by :func:`~logdetreg.linalg.factor_small`, which forms its
 inverse at once: every log-det trial point pays for it, and at d = 2 it
 takes about 0.6 of the time of numpy's LAPACK route.  The GLS and log-det rows
 are ``r @ G`` with ``G`` the cached inverse of the weight or of
-``Gamma_n``; the terms do not test ``r`` for finiteness, since both of
-their callers have (the BFGS objective and :class:`ResidualSet`).
+``Gamma_n``.  The terms do not test ``r`` for finiteness.
+:class:`ResidualSet` rejects non-finite residuals; the BFGS objective
+hands over its residuals formed feature-major, as the (n, d) transposed
+view of ``y^T - pred^T``, and tests only the value: a non-finite residual
+makes the MSE and GLS values non-finite and fails the factorization of
+``Gamma_n``.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are

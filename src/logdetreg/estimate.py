@@ -9,6 +9,7 @@ Gamma_n that does not factor gets a ridge in :func:`_residual_covariance`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -75,24 +76,26 @@ def _residuals_at(spec, data, x) -> cst.ResidualSet:
 def _objective(spec, data, terms):
     """BFGS objective x -> (value, gradient) of the cost with these
     ``terms`` (``cost.mse_terms``, ``cost.gls_terms`` at a weight or
-    ``cost.logdet_terms``), with the model's inputs checked once.
+    ``cost.logdet_terms``), with the model's inputs checked once.  The
+    residuals are formed feature-major, ``y^T - pred^T`` with ``y^T`` held
+    once, and handed to the terms as their (n, d) transposed view.
 
-    Trial points where the residuals overflow, the cost hits a
-    degenerate residual covariance or the gradient is not finite are worth
-    +inf; the line search backtracks away from them.  A wrong-length or
-    non-finite ``x`` raises DimensionMismatch.
+    Trial points where the cost value is not finite (a residual that
+    overflows makes the MSE and GLS values non-finite, and Gamma_n fail to
+    factor), the cost hits a degenerate residual covariance or the gradient
+    is not finite are worth +inf; the line search backtracks away from
+    them.  A wrong-length or non-finite ``x`` raises DimensionMismatch.
     """
-    linearize_at, y = mdl.linearizer(spec, data.inputs), data.outputs
+    linearize_at, y_t = mdl.linearizer(spec, data.inputs), np.ascontiguousarray(data.outputs.T)
 
     def objective(x):
         mdl.check_params(x, spec)
         lin = linearize_at(x)
-        r = y - lin.pred
-        if not np.isfinite(r).all():
-            return np.inf, None
         try:
-            value, v, _ = terms(r)
+            value, v, _ = terms((y_t - lin.pred.T).T)
         except NotPositiveDefinite:
+            return np.inf, None
+        if not math.isfinite(value):
             return np.inf, None
         grad = cst.chain(lin.pullback, v)
         if not np.isfinite(grad).all():

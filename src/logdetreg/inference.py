@@ -140,6 +140,7 @@ def sn_statistic(fit_restricted: FitResult, fit_full: FitResult) -> float:
 class CalibrationResult:
     samples: np.ndarray  # sorted statistic draws under H0
     failures: int
+    failure_causes: dict[str, int]  # failed replications by exception class, sorted
 
     def p_value(self, observed: float) -> float:
         # (1 + count >= observed) / (R + 1): valid finite-sample p-value,
@@ -166,8 +167,9 @@ def mc_null_calibrate(
     parametric bootstrap).
     Deterministic for a fixed seed; :func:`~logdetreg.simulate.replicate`
     gives replication r its data seed from the sub-seed (seed, r), and its
-    two fits share the optimizer seed of its one task.  Aborts when more
-    than 5% of replications fail.
+    two fits share the optimizer seed of its one task.  Failed replications
+    are counted by exception class; aborts when more than 5% of
+    replications fail.
     """
     if replications < 1:
         raise EmptyCalibration("calibration needs at least one replication")
@@ -181,7 +183,10 @@ def mc_null_calibrate(
         ff = fitter(spec_full, data, fit_opts)
         return _difference_statistic(fr, ff)
 
-    samples = replicate(generator, {statistic: one}, replications, seed, opts)[statistic]
+    results, causes = replicate(generator, {statistic: one}, replications, seed, opts)
+    samples = results[statistic]
     return CalibrationResult(
-        samples=np.sort(np.asarray(samples)), failures=replications - len(samples)
+        samples=np.sort(np.asarray(samples)),
+        failures=replications - len(samples),
+        failure_causes=causes[statistic],
     )

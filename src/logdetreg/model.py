@@ -14,11 +14,14 @@ Flattening order (stable contract for JSON round trips and pruning masks):
   block shaped ``(H, d)`` row-major, and the bias shaped ``(d,)``, for
   ``F_w(z) = sum_h b_h tanh(a_h . z + c_h) + bias``.
 
-:func:`predictor` is the forward map (``w`` unpacked once; a batch or one
-row); :func:`linearize` adds, from the same forward pass, every derivative
-the costs use (a :class:`Linearization`).  :func:`linearizer` resolves the input check and the
-mask once for a fit, and maps each parameter point to its linearization;
-``_mlp_blocks`` is the one statement of the MLP grid layout.
+:func:`predictor` is the one-row forward map (``w`` unpacked once) of the
+NAR recursion; :func:`eval_batch` evaluates a batch, the MLP through the
+feature-major forward map :func:`_mlp_forward` (n on the fast axis).
+:func:`linearize` adds, from the same forward pass, every derivative the
+costs use (a :class:`Linearization`).  :func:`linearizer` resolves the
+input check, the mask and the MLP layout once for a fit, and maps each
+parameter point to its linearization; ``_mlp_blocks`` is the one
+statement of the MLP grid layout.
 """
 
 from __future__ import annotations
@@ -156,9 +159,9 @@ def _check_inputs(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
 
 def predictor(spec: ModelSpec, w: ParamVector):
     """The map ``z -> F_w(z)``, with ``w`` unpacked and its weight blocks
-    transposed once: an (n, d') batch gives (n, d) outputs and one (d',)
-    row, such as a NAR step's input, its (d,) output, both through
-    ``ndarray.dot``.  The map does not check its input."""
+    transposed once: one (d',) row, such as a NAR step's input, gives its
+    (d,) output, and a linear family's (n, d') batch its (n, d) outputs,
+    both through ``ndarray.dot``.  The map does not check its input."""
     grid = w.full_grid()
     if spec.kind is ModelKind.MLP:
         a, c, b, bias = _mlp_blocks(spec, grid)
@@ -168,9 +171,31 @@ def predictor(spec: ModelSpec, w: ParamVector):
     return lambda z: z.dot(w_t)
 
 
+def _feature_major(z: np.ndarray) -> np.ndarray:
+    """The (d', n) inputs ``z^T`` of an (n, d') batch, C-contiguous, so that
+    n is the fast axis of every MLP array."""
+    return np.ascontiguousarray(z.T)
+
+
+def _mlp_forward(a, c, b, bias, zt):
+    """The MLP's batch forward map, feature-major: the (H, n) hidden values
+    ``t = tanh(a zt + c)`` and the (d, n) prediction ``b^T t + bias`` of
+    the (d', n) inputs ``zt``, each bias added down the columns."""
+    t = a @ zt
+    t += c[:, None]
+    np.tanh(t, out=t)
+    out = b.T @ t
+    out += bias[:, None]
+    return t, out
+
+
 def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the model on an (n, d') input batch; returns (n, d)."""
-    return predictor(spec, w)(_check_inputs(spec, inputs))
+    """Evaluate the model on an (n, d') input batch; returns (n, d), for the
+    MLP the transpose of :func:`_mlp_forward`'s prediction."""
+    z = _check_inputs(spec, inputs)
+    if spec.kind is ModelKind.MLP:
+        return _mlp_forward(*_mlp_blocks(spec, w.full_grid()), _feature_major(z))[1].T
+    return predictor(spec, w)(z)
 
 
 class Linearization(NamedTuple):
@@ -185,16 +210,20 @@ class Linearization(NamedTuple):
     its per-row tensors.
 
     Linear families: the pullback is ``v^T z`` on the mask and the second
-    derivatives are exact zeros.  MLP, with hidden values ``t``,
-    ``dt = 1 - t^2``, ``beta = v b^T`` and ``zt = [z, 1]``, built once per
-    fit: the pullback's a and c blocks are the columns of one product
-    ``(beta dt)^T zt`` (the c block, ``sum_t (beta dt)_t``, is its last
-    column), the b block is ``t^T v`` and the bias block ``sum_t v_t`` is
-    the product ``1^T v``; sums over the rows are products, not
-    ``sum(0)`` reductions.  Second derivatives couple only parameters of one
-    hidden unit; with ``zt`` (its ``a_h`` entries and ``c_h``) they are
-    ``sum_t tanh''(u_th) beta_th zt_t zt_t^T`` on ``(a|c, a|c)`` and
-    ``sum_t dt_th zt_t v_t^T`` on ``(a|c, b_h)``.
+    derivatives are exact zeros.  The MLP works feature-major, with n on
+    the fast axis: from ``z^T``, held once per fit, the forward pass of
+    :func:`_mlp_forward` gives the (H, n) hidden values ``t`` and the (d, n)
+    prediction, and ``pred`` is its transposed (n, d) view.  With
+    ``dt = 1 - t^2``, ``beta = b v^T`` (H, n) and ``zt = [z | 1]``, the
+    pullback's a and c blocks are the columns of one product
+    ``(beta dt) zt`` (the c block, ``sum_t (beta dt)_t``, is its last
+    column), the b block is ``t v`` and the bias block ``sum_t v_t`` is the
+    product ``v^T 1``; sums over the rows are products, not ``sum``
+    reductions.  Second derivatives couple only parameters of one hidden
+    unit; with ``zt`` (its ``a_h`` entries and ``c_h``) they are
+    ``sum_t tanh''(u_ht) beta_ht zt_t zt_t^T`` on ``(a|c, a|c)`` and
+    ``sum_t dt_ht zt_t v_t^T`` on ``(a|c, b_h)``.  ``dt`` is formed only by
+    the Jacobian and the second derivatives, which few callers ask for.
     """
 
     pred: np.ndarray
@@ -210,8 +239,9 @@ def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> Linearizat
 
 def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Linearization]:
     """The map from free parameters ``x`` to :func:`linearize` at
-    ``ParamVector(x, spec)``, with the input check and the mask resolved
-    once for every point; the map does not check ``x``."""
+    ``ParamVector(x, spec)``, with the input check, the mask and (MLP) the
+    feature-major inputs and grid layout resolved once for every point; the
+    map does not check ``x``."""
     z = _check_inputs(spec, inputs)
     n, d, size = z.shape[0], spec.output_dim, spec.full_param_count
     mask, masked = spec.effective_mask, spec.mask is not None
@@ -235,54 +265,61 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
 
         return linear_at
 
-    # the grid slices and block shapes of _mlp_blocks, fixed once per fit
+    # the grid layout of _mlp_blocks, fixed once per fit: the slices and
+    # block shapes of the a, c, b and bias blocks, and the grid indices of
+    # unit h's [a_h | c_h] and b_h entries, where its second derivatives go
+    ia, ic, ib, ibias = _mlp_blocks(spec, np.arange(size))
     (sa, ha), (sc, _), (sb, hb), (sz, _) = [
-        (slice(int(ix.flat[0]), int(ix.flat[-1]) + 1), ix.shape)
-        for ix in _mlp_blocks(spec, np.arange(size))]
+        (slice(int(ix.flat[0]), int(ix.flat[-1]) + 1), ix.shape) for ix in (ia, ic, ib, ibias)]
+    iac = np.concatenate([ia, ic[:, None]], axis=1)
+    at_acac, at_acb, at_bac = ((iac[:, :, None], iac[:, None, :]),
+                               (iac[:, :, None], ib[:, None, :]),
+                               (ib[:, :, None], iac[:, None, :]))
+    free = np.ix_(mask, mask)
     # sums over the rows as products: [z | 1] gives the a and c blocks in one
-    # product, and a row of ones the bias block
-    ones = np.ones(n)
+    # product, and a column of ones the bias block
+    zt, ones = _feature_major(z), np.ones(n)
     z1 = np.concatenate([z, ones[:, None]], axis=1)
 
     def mlp_at(x):
         grid = _full_grid(x, spec.mask, size) if masked else x  # unmasked: x is the grid
         a, c, b, bias = grid[sa].reshape(ha), grid[sc], grid[sb].reshape(hb), grid[sz]
-        t = np.tanh(z @ a.T + c)
-        dt = 1.0 - t * t
+        t, out = _mlp_forward(a, c, b, bias, zt)
 
         def pullback(v):
-            ac = (v @ b.T * dt).T @ z1
+            delta = b @ v.T
+            delta *= 1.0 - t * t
+            ac = delta @ z1
             # the a, c, b and bias blocks, in the order of _mlp_blocks
-            grad = np.concatenate([ac[:, :-1], ac[:, -1], t.T @ v, ones @ v], axis=None)
+            grad = np.concatenate([ac[:, :-1], ac[:, -1], t @ v, v.T @ ones], axis=None)
             return grad[mask] if masked else grad
 
         def jacobian():
+            dt = 1.0 - t * t
             jac, idx = np.zeros((n, d, size)), np.arange(d)
             ja, jc, jb, jbias = _mlp_blocks(spec, jac)
-            # a block: dF_i/da_{hj} = b[h,i] * dt[t,h] * z[t,j]
-            ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
-            # c block: dF_i/dc_h = b[h,i] * dt[t,h]
-            jc[...] = np.einsum("hi,th->tih", b, dt)
-            # b block: dF_i/db_{hi'} = delta_{ii'} * t[t,h]
-            jb[:, idx, :, idx] = t
+            # a block: dF_i/da_{hj} = b[h,i] * dt[h,t] * z[t,j]
+            ja[...] = np.einsum("hi,ht,tj->tihj", b, dt, z)
+            # c block: dF_i/dc_h = b[h,i] * dt[h,t]
+            jc[...] = np.einsum("hi,ht->tih", b, dt)
+            # b block: dF_i/db_{hi'} = delta_{ii'} * t[h,t]
+            jb[:, idx, :, idx] = t.T
             # output bias: identity
             jbias[...] = np.eye(d)
             return jac[:, :, mask]
 
         def second_vdot(v):
+            dt = 1.0 - t * t
             ddt = -2.0 * t * dt  # tanh'' reusing the forward value
-            acac = np.einsum("th,tj,tk->hjk", ddt * (v @ b.T), z1, z1)
-            acb = np.einsum("th,tj,ti->hji", dt, z1, v)
-            # grid indices of unit h's [a_h | c_h] and b_h entries
-            ia, ic, bh, _ = _mlp_blocks(spec, np.arange(size))
-            ac = np.concatenate([ia, ic[:, None]], axis=1)
+            acac = np.einsum("ht,tj,tk->hjk", ddt * (b @ v.T), z1, z1)
+            acb = np.einsum("ht,tj,ti->hji", dt, z1, v)
             full = np.zeros((size, size))
-            full[ac[:, :, None], ac[:, None, :]] = acac
-            full[ac[:, :, None], bh[:, None, :]] = acb
-            full[bh[:, :, None], ac[:, None, :]] = acb.transpose(0, 2, 1)
-            return full[np.ix_(mask, mask)]
+            full[at_acac] = acac
+            full[at_acb] = acb
+            full[at_bac] = acb.transpose(0, 2, 1)
+            return full[free]
 
-        return Linearization(t @ b + bias, pullback, jacobian, second_vdot)
+        return Linearization(out.T, pullback, jacobian, second_vdot)
 
     return mlp_at
 

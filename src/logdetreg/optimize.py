@@ -93,6 +93,22 @@ def _line_search(objective, x, f, grad, direction):
     return best
 
 
+def _bfgs_update(hinv: np.ndarray, s: np.ndarray, y: np.ndarray, ys: float) -> np.ndarray:
+    """The BFGS update of the inverse Hessian ``hinv`` for the step ``s``
+    and gradient change ``y`` (``ys = y.s > 0``): the product form
+    ``V H V^T + rho s s^T`` with ``V = I - rho s y^T`` and ``rho = 1 / ys``,
+    computed in the algebraically equal symmetric rank-two form
+    ``H + u s^T + s u^T``, ``u = rho (1 + rho y^T H y) s / 2 - rho H y``.
+    It takes one matrix-vector product, and a bitwise-symmetric ``hinv``
+    stays bitwise symmetric: the rank-two term is a matrix plus its
+    transpose."""
+    rho = 1.0 / ys
+    hy = hinv @ y
+    u = (0.5 * rho * (1.0 + rho * float(y @ hy))) * s - rho * hy
+    us = u[:, None] * s
+    return hinv + (us + us.T)
+
+
 def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
     """Minimize a smooth objective from a single start.
 
@@ -103,8 +119,10 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
     ``line_search_failed``.  ``x`` is the last accepted iterate; the line
     search accepts no increase, so no point visited has a lower value.
 
-    ``hinv is None`` stands for the identity inverse-Hessian, replaced by
-    ``(y.s / y.y) I`` at the next update (Nocedal & Wright 6.1).  The run
+    The inverse Hessian ``hinv`` takes the symmetric rank-two update of
+    :func:`_bfgs_update` after each accepted step.  ``hinv is None`` stands
+    for the identity inverse-Hessian, replaced by ``(y.s / y.y) I`` at the
+    next update (Nocedal & Wright 6.1).  The run
     starts there and returns there when the scale-free curvature condition
     ``y.s > 1e-10 |s| |y|`` fails (the cosine between the step and the
     gradient change is at most 1e-10, whatever their lengths) or a failed
@@ -142,9 +160,7 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
         else:
             if hinv is None:
                 hinv = (ys / float(y @ y)) * eye
-            rho = 1.0 / ys
-            v = eye - rho * (s[:, None] * y)
-            hinv = v @ hinv @ v.T + rho * (s[:, None] * s)
+            hinv = _bfgs_update(hinv, s, y, ys)
         x = x + s
         f, g = f_new, g_new
         iters += 1

@@ -16,6 +16,7 @@ generator name is recorded in Monte Carlo report metadata.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -134,6 +135,7 @@ class EstimatorSummary:
     det_mean_gamma: float
     mean_det: float
     failures: int
+    failure_causes: dict[str, int]  # failed replications by exception class, sorted
     gammas: tuple[np.ndarray, ...]
 
 
@@ -151,7 +153,7 @@ ESTIMATORS = {
 }
 
 
-def replicate(source, tasks, replications: int, seed: int, opts: OptimOptions) -> dict:
+def replicate(source, tasks, replications: int, seed: int, opts: OptimOptions):
     """Run every task on each of ``replications`` generated datasets.
 
     Replication r generates its data at a seed drawn from the counter-based
@@ -161,12 +163,15 @@ def replicate(source, tasks, replications: int, seed: int, opts: OptimOptions) -
     ``opts`` with the optimizer seed ``opts.seed + 1_000_003 r + j``.  A task
     that raises a package error or a linear-algebra failure counts as one
     failed replication of that task; any other exception propagates.
-    Returns, per task, the results of its successful replications in
-    replication order; raises McFailure when more than 5% of one task's
+    Returns ``(results, causes)``: per task, the results of its successful
+    replications in replication order, and its failed replications counted
+    by exception class name, ``{name: count}`` sorted by name.  Raises
+    McFailure, naming the classes, when more than 5% of one task's
     replications failed.
     """
     generate = source if callable(source) else lambda s: gen_series(replace(source, seed=s))
     results = {name: [] for name in tasks}
+    failed = {name: Counter() for name in tasks}
     for r in range(replications):
         data_seed = int(
             np.random.SeedSequence([int(seed), int(r)]).generate_state(1, np.uint64)[0] >> 1
@@ -176,13 +181,17 @@ def replicate(source, tasks, replications: int, seed: int, opts: OptimOptions) -
             fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
             try:
                 results[name].append(task(data, fit_opts))
-            except (LogDetRegError, np.linalg.LinAlgError):
-                pass
-    for name, values in results.items():
-        failures = replications - len(values)
+            except (LogDetRegError, np.linalg.LinAlgError) as exc:
+                failed[name][type(exc).__name__] += 1
+    causes = {name: dict(sorted(counts.items())) for name, counts in failed.items()}
+    for name, counts in causes.items():
+        failures = sum(counts.values())
         if failures > 0.05 * replications:
-            raise McFailure(f"{failures}/{replications} replications failed for {name!r}")
-    return results
+            named = ", ".join(f"{cls}: {count}" for cls, count in counts.items())
+            raise McFailure(
+                f"{failures}/{replications} replications failed for {name!r} ({named})"
+            )
+    return results, causes
 
 
 def run_mc(
@@ -210,7 +219,7 @@ def run_mc(
     def estimate(name: str, data: Dataset, fit_opts: OptimOptions) -> np.ndarray:
         return ESTIMATORS[name](recipe.spec, data, fit_opts).gamma_hat.entries
 
-    results = replicate(
+    results, causes = replicate(
         recipe, {name: partial(estimate, name) for name in estimators}, replications, seed, opts
     )
 
@@ -228,6 +237,7 @@ def run_mc(
             det_mean_gamma=float(np.linalg.det(mean)),
             mean_det=float(np.mean([np.linalg.det(g) for g in stack])),
             failures=failures,
+            failure_causes=causes[name],
             gammas=tuple(gammas),
         )
     return McReport(

@@ -308,10 +308,12 @@ def small_factor_oracle(m):
 def linearize_oracle(spec, x, z):
     """(prediction, pullback, Jacobian builder) of ``model.linearize`` at the
     free parameters ``x``: the grid is zeros filled through the mask (all
-    True when unmasked), and the MLP pullback writes its blocks through
-    ``_mlp_blocks`` views and then selects the mask, taking the a and c
-    blocks from one product with ``[z | 1]`` and the bias block as the
-    product of a row of ones with ``v``."""
+    True when unmasked), and the MLP runs feature-major: hidden values
+    ``tanh(a z^T + c)`` and prediction ``b^T t + bias`` with the biases
+    added down the columns, handed out transposed.  Its pullback writes the
+    blocks through ``_mlp_blocks`` views and then selects the mask, taking
+    the a and c blocks from one product ``((b v^T) (1 - t^2)) [z | 1]``,
+    the b block as ``t v`` and the bias block as ``v^T 1``."""
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DimensionMismatch("parameters must be finite")
@@ -330,57 +332,56 @@ def linearize_oracle(spec, x, z):
         return z @ wmat.T, lambda v: (v.T @ z).ravel()[mask], linear_jacobian
 
     a, c, b, bias = _mlp_blocks(spec, grid)
-    t = np.tanh(z @ a.T + c)
-    dt = 1.0 - t * t
+    t = np.tanh(a @ np.ascontiguousarray(z.T) + c[:, None])
+    pred_t = b.T @ t + bias[:, None]
 
     ones = np.ones(n)
     z1 = np.column_stack([z, ones])
 
     def pullback(v):
-        delta = (v @ b.T) * dt
-        ac = delta.T @ z1
+        delta = (b @ v.T) * (1.0 - t * t)
+        ac = delta @ z1
         grad = np.empty(grid.size)
         ga, gc, gb, gbias = _mlp_blocks(spec, grad)
-        ga[...], gc[...], gb[...], gbias[...] = ac[:, :-1], ac[:, -1], t.T @ v, ones @ v
+        ga[...], gc[...], gb[...], gbias[...] = ac[:, :-1], ac[:, -1], t @ v, v.T @ ones
         return grad[mask]
 
     def jacobian():
+        dt = 1.0 - t * t
         jac, idx = np.zeros((n, d, grid.size)), np.arange(d)
         ja, jc, jb, jbias = _mlp_blocks(spec, jac)
-        ja[...] = np.einsum("hi,th,tj->tihj", b, dt, z)
-        jc[...] = np.einsum("hi,th->tih", b, dt)
-        jb[:, idx, :, idx] = t
+        ja[...] = np.einsum("hi,ht,tj->tihj", b, dt, z)
+        jc[...] = np.einsum("hi,ht->tih", b, dt)
+        jb[:, idx, :, idx] = t.T
         jbias[...] = np.eye(d)
         return jac[:, :, mask]
 
-    return t @ b + bias, pullback, jacobian
+    return pred_t.T, pullback, jacobian
 
 
 def _residuals_oracle(spec, data, x):
+    """(residuals, pullback, Jacobian builder) of the BFGS objective at
+    ``x``: the residuals formed feature-major as ``y^T - pred^T`` and
+    handed out as their (n, d) transposed view, unchecked."""
     pred, pullback, jacobian = linearize_oracle(spec, x, data.inputs)
-    if not np.all(np.isfinite(pred)):
-        return None
-    r = np.asarray(data.outputs - pred, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise DimensionMismatch("residuals must be finite")
+    r = (np.ascontiguousarray(data.outputs.T) - pred.T).T
     return r, pullback, jacobian
 
 
 def logdet_objective_oracle(spec, data):
     """The BFGS log-det objective ``x -> (U_n, gradient)``, ``(inf, None)``
-    where the prediction overflows, Gamma_n is not positive definite or the
-    gradient is not finite; Gamma_n is factored by
+    where Gamma_n is not positive definite (a non-finite residual included),
+    U_n is not finite or the gradient is not finite; Gamma_n is factored by
     :func:`small_factor_oracle`."""
 
     def objective(x):
-        found = _residuals_oracle(spec, data, x)
-        if found is None:
-            return np.inf, None
-        r, pullback, _ = found
+        r, pullback, _ = _residuals_oracle(spec, data, x)
         n = r.shape[0]
         try:
             _, inv, value = small_factor_oracle(r.T @ r / n)
         except np.linalg.LinAlgError:
+            return np.inf, None
+        if not math.isfinite(value):
             return np.inf, None
         grad = -2.0 / n * pullback(r @ inv)
         if not np.all(np.isfinite(grad)):
@@ -392,20 +393,19 @@ def logdet_objective_oracle(spec, data):
 
 def weighted_objective_oracle(spec, data, weight=None):
     """The BFGS MSE objective ``x -> (V_n, gradient)``, or with ``weight``
-    the GLS one, ``(inf, None)`` where the prediction overflows or the
-    gradient is not finite."""
+    the GLS one, ``(inf, None)`` where the value (a sum over the residuals,
+    so non-finite with any of them) or the gradient is not finite."""
 
     def objective(x):
-        found = _residuals_oracle(spec, data, x)
-        if found is None:
-            return np.inf, None
-        r, pullback, _ = found
+        r, pullback, _ = _residuals_oracle(spec, data, x)
         n = r.shape[0]
         if weight is None:
             value, v = float(np.sum(r**2) / n), r
         else:
             v = r @ inverse_oracle(weight.chol)
             value = float(np.sum(r * v) / n)
+        if not math.isfinite(value):
+            return np.inf, None
         grad = -2.0 / n * pullback(v)
         if not np.all(np.isfinite(grad)):
             return np.inf, None
@@ -420,7 +420,10 @@ def fisher_info_oracle(spec, x, data):
     last two are None when the information matrix is singular by
     ``fisher_info``'s pivot rule.  Gamma_n is factored by
     :func:`small_factor_oracle`, the information matrix by LAPACK."""
-    r, _, jacobian = _residuals_oracle(spec, data, x)
+    pred, _, jacobian = linearize_oracle(spec, x, data.inputs)
+    r = data.outputs - pred
+    if not np.all(np.isfinite(r)):
+        raise DimensionMismatch("residuals must be finite")
     n = r.shape[0]
     _, g, _ = small_factor_oracle(r.T @ r / n)
     jac = jacobian()

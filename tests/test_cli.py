@@ -328,6 +328,7 @@ class TestTest:
         doc = json.loads(out)
         assert doc["method"] == "monte_carlo_null"
         assert doc["mc_samples"] == 9
+        assert (doc["mc_failures"], doc["mc_failure_causes"]) == (0, {})
         assert 0.0 < doc["p_value"] <= 1.0
         assert doc["p_value"] == doc["mc_p_value"]
 
@@ -387,7 +388,7 @@ class TestMc:
         assert doc["replications"] == 3
         assert set(doc["estimators"]) == {"logdet", "mse"}
         for s in doc["estimators"].values():
-            assert s["failures"] == 0
+            assert (s["failures"], s["failure_causes"]) == (0, {})
             assert np.asarray(s["mean_gamma"]).shape == (2, 2)
         paired = doc["paired_det_comparison"]
         assert paired["order"] == ["logdet", "mse"]
@@ -412,7 +413,7 @@ class TestMc:
         assert doc["experiment"] == "test-size"
         assert doc["replications"] == 4
         assert 0.0 <= doc["rejection_rate"] <= 1.0
-        assert doc["failures"] == 0
+        assert (doc["failures"], doc["failure_causes"]) == (0, {})
 
     def test_test_size_report_carries_seed_and_statistics(self, capsys):
         argv = ["mc", "--experiment", "test-size", "--reps", "6", "--starts", "1", "--n", "120"]

@@ -303,10 +303,10 @@ class TestWarmStart:
 class TestFitLogdet:
     def test_grad_norm_recomputed_at_best_start(self):
         # the reported |grad| is the gradient at the returned weights; with
-        # this seed (found by a search of seeds 0-399: 71 and 162 qualify)
-        # the best start ends "stalled" above grad_tol and the fit still
-        # counts as converged
-        recipe = bivariate_nar_recipe(seed=71, n=200)
+        # this seed (found by a search of seeds 0-399: 25, 242, 280 and 288
+        # qualify) the best start ends "stalled" above grad_tol and the fit
+        # still counts as converged
+        recipe = bivariate_nar_recipe(seed=25, n=200)
         spec, data = recipe.spec, gen_series(recipe)
         fit = fit_logdet(spec, data, OptimOptions(n_starts=2, seed=0, max_iters=200))
         best = next(r for r in fit.optim.per_start if r.final_cost == fit.cost_value)

@@ -19,7 +19,13 @@ from logdetreg import (
     spd_from_symmetric,
     tn_test,
 )
-from logdetreg.errors import EmptyCalibration, McFailure, NegativeStatistic, NotNested
+from logdetreg.errors import (
+    EmptyCalibration,
+    McFailure,
+    NegativeStatistic,
+    NotNested,
+    NotPositiveDefinite,
+)
 from logdetreg.estimate import CostKind, FitResult
 from logdetreg.inference import TestMethod as Method
 from logdetreg.inference import _difference_statistic
@@ -322,6 +328,25 @@ class TestMcNullCalibrate:
 
         with pytest.raises(McFailure):
             mc_null_calibrate(restricted, full, generator, 4, 1, self.OPTS)
+
+    def test_failures_counted_by_cause(self, monkeypatch):
+        # one of 40 replications fails in its full fit
+        import logdetreg.inference as inf
+
+        restricted, full, recipe = calibration_setup()
+        real, calls = inf.fit_logdet, []
+
+        def fit(spec, data, opts):
+            calls.append(spec)
+            if len(calls) == 6:
+                raise NotPositiveDefinite("planted failure")
+            return real(spec, data, opts)
+
+        monkeypatch.setattr(inf, "fit_logdet", fit)
+        res = mc_null_calibrate(restricted, full, recipe, 40, 1, self.OPTS)
+        assert (res.failures, res.failure_causes) == (1, {"NotPositiveDefinite": 1})
+        assert res.samples.size == 39
+        assert mc_null_calibrate(restricted, full, recipe, 2, 1, self.OPTS).failure_causes == {}
 
     def test_generator_type_error_propagates(self):
         restricted, full, _ = calibration_setup()

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,14 @@ from logdetreg import (
     sample_gaussian,
     spd_from_symmetric,
 )
-from logdetreg import model
-from logdetreg.errors import DimensionMismatch, McFailure, NonFiniteState
+from logdetreg import model, simulate
+from logdetreg.errors import (
+    DimensionMismatch,
+    McFailure,
+    NegativeStatistic,
+    NonFiniteState,
+    NotPositiveDefinite,
+)
 from logdetreg.model import eval_batch
 from logdetreg.optimize import start_rng
 from logdetreg.simulate import (
@@ -28,6 +35,7 @@ from logdetreg.simulate import (
     bivariate_nar_recipe,
     recipe_from_dict,
     recipe_to_dict,
+    replicate,
 )
 
 from conftest import nar_oracle, oracle_recipes, replication_inputs
@@ -345,6 +353,22 @@ class TestRunMc:
         with pytest.raises(McFailure):
             run_mc(self.recipe(), ["logdet"], 1, 7, self.OPTS)
 
+    def test_summary_counts_failures_by_cause(self, monkeypatch):
+        # the logdet task fails on the 4th of 40 replications; mse on none
+        calls = []
+
+        def logdet(spec, data, opts):
+            calls.append(opts.seed)
+            if len(calls) == 4:
+                raise NotPositiveDefinite("planted failure")
+            return SimpleNamespace(gamma_hat=spd_from_symmetric(np.eye(2)))
+
+        monkeypatch.setitem(simulate.ESTIMATORS, "logdet", logdet)
+        report = run_mc(self.recipe(), ["logdet", "mse"], 40, 7, self.OPTS)
+        ld, ms = report.estimators["logdet"], report.estimators["mse"]
+        assert (ld.failures, ld.failure_causes) == (1, {"NotPositiveDefinite": 1})
+        assert (ms.failures, ms.failure_causes) == (0, {})
+
     def test_unknown_estimator(self):
         with pytest.raises(McFailure):
             run_mc(self.recipe(), ["bogus"], 2, 7, self.OPTS)
@@ -358,3 +382,39 @@ class TestRunMc:
         report = run_mc(self.recipe(), ["mse"], 2, 7, self.OPTS)
         with pytest.raises(KeyError):
             report.estimators["logdet"]
+
+
+class TestReplicateFailureCauses:
+    """``replicate`` counts each task's failed replications by exception
+    class, sorted by class name, and names the classes when it aborts."""
+
+    @staticmethod
+    def run(replications, failing):
+        """replicate a task whose replication r raises ``failing[r]``."""
+        def task(data, fit_opts):
+            r = (fit_opts.seed - 5) // 1_000_003
+            if r in failing:
+                raise failing[r]("planted failure")
+            return r
+
+        def source(data_seed):
+            return None
+
+        return replicate(source, {"t": task}, replications, 7, OptimOptions(seed=5))
+
+    def test_two_classes_counted_and_sorted(self):
+        failing = {2: NotPositiveDefinite, 9: NegativeStatistic}
+        results, causes = self.run(40, failing)
+        assert results["t"] == [r for r in range(40) if r not in failing]
+        assert causes == {"t": {"NegativeStatistic": 1, "NotPositiveDefinite": 1}}
+        assert list(causes["t"]) == ["NegativeStatistic", "NotPositiveDefinite"]
+
+    def test_no_failures_is_an_empty_count(self):
+        assert self.run(3, {}) == ({"t": [0, 1, 2]}, {"t": {}})
+
+    def test_abort_names_the_classes(self):
+        failing = {0: NotPositiveDefinite, 4: NegativeStatistic, 7: NegativeStatistic}
+        want = "3/20 replications failed for 't' (NegativeStatistic: 2, NotPositiveDefinite: 1)"
+        with pytest.raises(McFailure) as caught:
+            self.run(20, failing)
+        assert str(caught.value) == want
