@@ -222,8 +222,10 @@ class Linearization(NamedTuple):
     reductions.  Second derivatives couple only parameters of one hidden
     unit; with ``zt`` (its ``a_h`` entries and ``c_h``) they are
     ``sum_t tanh''(u_ht) beta_ht zt_t zt_t^T`` on ``(a|c, a|c)`` and
-    ``sum_t dt_ht zt_t v_t^T`` on ``(a|c, b_h)``.  ``dt`` is formed only by
-    the Jacobian and the second derivatives, which few callers ask for.
+    ``sum_t dt_ht zt_t v_t^T`` on ``(a|c, b_h)``.  A point forms only
+    ``t`` and the prediction; the pullback, the Jacobian and the second
+    derivatives each form ``dt`` when called, so a trial point rejected on
+    its cost value costs the forward pass alone.
     """
 
     pred: np.ndarray

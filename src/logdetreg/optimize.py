@@ -122,11 +122,11 @@ def bfgs_minimize(objective, w0: np.ndarray, opts: OptimOptions):
     The inverse Hessian ``hinv`` takes the symmetric rank-two update of
     :func:`_bfgs_update` after each accepted step.  ``hinv is None`` stands
     for the identity inverse-Hessian, replaced by ``(y.s / y.y) I`` at the
-    next update (Nocedal & Wright 6.1).  The run
-    starts there and returns there when the scale-free curvature condition
-    ``y.s > 1e-10 |s| |y|`` fails (the cosine between the step and the
-    gradient change is at most 1e-10, whatever their lengths) or a failed
-    search falls back to steepest descent.
+    next update (Nocedal & Wright 6.1).  The run starts there and returns
+    there when the scale-free curvature condition ``y.s > 1e-10 |s| |y|``
+    fails (the cosine between the step and the gradient change is at most
+    1e-10, whatever their lengths) or a failed search falls back to
+    steepest descent.
     """
     x = np.asarray(w0, dtype=float).copy()
     f, g = objective(x)
