@@ -153,7 +153,9 @@ ESTIMATORS = {
 }
 
 
-def replicate(source, tasks, replications: int, seed: int, opts: OptimOptions):
+def replicate(
+    source, tasks, replications: int, seed: int, opts: OptimOptions
+) -> tuple[dict, dict]:
     """Run every task on each of ``replications`` generated datasets.
 
     Replication r generates its data at a seed drawn from the counter-based
