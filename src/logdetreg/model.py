@@ -171,16 +171,12 @@ def predictor(spec: ModelSpec, w: ParamVector):
     return lambda z: z.dot(w_t)
 
 
-def _feature_major(z: np.ndarray) -> np.ndarray:
-    """The (d', n) inputs ``z^T`` of an (n, d') batch, C-contiguous, so that
-    n is the fast axis of every MLP array."""
-    return np.ascontiguousarray(z.T)
-
-
 def _mlp_forward(a, c, b, bias, zt):
     """The MLP's batch forward map, feature-major: the (H, n) hidden values
     ``t = tanh(a zt + c)`` and the (d, n) prediction ``b^T t + bias`` of
-    the (d', n) inputs ``zt``, each bias added down the columns."""
+    the (d', n) inputs ``zt``, each bias added down the columns.  ``zt`` is
+    the C-contiguous copy ``np.ascontiguousarray(z.T)`` of an (n, d') batch,
+    so that n is the fast axis of every array."""
     t = a @ zt
     t += c[:, None]
     np.tanh(t, out=t)
@@ -194,7 +190,7 @@ def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarra
     MLP the transpose of :func:`_mlp_forward`'s prediction."""
     z = _check_inputs(spec, inputs)
     if spec.kind is ModelKind.MLP:
-        return _mlp_forward(*_mlp_blocks(spec, w.full_grid()), _feature_major(z))[1].T
+        return _mlp_forward(*_mlp_blocks(spec, w.full_grid()), np.ascontiguousarray(z.T))[1].T
     return predictor(spec, w)(z)
 
 
@@ -280,7 +276,7 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
     free = np.ix_(mask, mask)
     # sums over the rows as products: [z | 1] gives the a and c blocks in one
     # product, and a column of ones the bias block
-    zt, ones = _feature_major(z), np.ones(n)
+    zt, ones = np.ascontiguousarray(z.T), np.ones(n)
     z1 = np.concatenate([z, ones[:, None]], axis=1)
 
     def mlp_at(x):

@@ -41,6 +41,8 @@ def test_compare_lists_terminations_rises_and_counts():
         # a rise of 5e-10 is below the 1e-9 tolerance; 1e-7 and 2e-8 are not
         "U_n rose nar s01: +1e-07 (max_iters -> max_iters)",
         "U_n rose test08 fgls/5000: +2e-08 (grad_tol -> grad_tol)",
-        "nar: 3 fits, U_n equal 1, rose 1, fell 1; evaluations 480 -> 450",
-        "test08: 2 fits, U_n equal 0, rose 2, fell 0; evaluations 1600 -> 1651",
+        "nar: 3 fits, U_n equal 1, rose 1, fell 1; converged 2 -> 2 (stalled 1 -> 0); "
+        "evaluations 480 -> 450",
+        "test08: 2 fits, U_n equal 0, rose 2, fell 0; converged 2 -> 1 (stalled 0 -> 0); "
+        "evaluations 1600 -> 1651",
     ]

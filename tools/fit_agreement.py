@@ -10,10 +10,10 @@ with the termination, start index and iterations of the best start, the
 evaluations summed over the starts of the returned outcome, and
 ``repr`` of the fit's cost value.  The sets:
 
-* ``test07``: the datasets and optimizer seeds of ``simulate.replicate``
-  for acceptance 7's Tier-1 preset: ``bivariate_nar_recipe(seed=0,
+* ``test07``: acceptance 7's Tier-1 preset, ``bivariate_nar_recipe(seed=0,
   n=1000)`` at replication seed 77, 20 replications, ``fit_logdet`` and
-  ``fit_ols`` (tasks 0 and 1) with 5 starts of seed 1;
+  ``fit_ols`` (tasks 0 and 1) with 5 starts of seed 1; the datasets and
+  optimizer seeds are those ``simulate.replicate`` hands its tasks;
 * ``test08``: acceptance 8's MLP(2, 1, 2) family, seeds 5000-5031, each
   an i.i.d. design at n=600, ``fit_logdet`` and ``fit_fgls`` with 8
   starts of seed 17;
@@ -24,8 +24,9 @@ evaluations summed over the starts of the returned outcome, and
 A fit that raises prints its exception class as its termination.
 ``compare A B`` reads two such files and lists every fit whose
 termination changed and every U_n that rose by more than 1e-9, then counts
-per set the fits whose U_n stayed bitwise equal, rose or fell, and the
-evaluations on each side:
+per set the fits whose U_n stayed bitwise equal, rose or fell, and on each
+side the converged fits (best start ``grad_tol`` or ``stalled``, as
+``OptimOutcome.converged``), the ``stalled`` ones and the evaluations:
 
     python tools/fit_agreement.py run --src ../parent/src > parent.txt
     python tools/fit_agreement.py run --src src > change.txt
@@ -43,6 +44,7 @@ from pathlib import Path
 
 SETS = ("test07", "test08", "nar")
 RISE_TOL = 1e-9
+CONVERGED = ("grad_tol", "stalled")  # as multi_start counts them
 
 
 def _best(optim) -> tuple[str, int, int, int]:
@@ -55,23 +57,21 @@ def _best(optim) -> tuple[str, int, int, int]:
 
 def _fits(name: str):
     """(id, thunk -> FitResult or OptimOutcome) of each fit of one set."""
-    from dataclasses import replace
-
     import numpy as np
 
     from logdetreg import ModelKind, ModelSpec, OptimOptions, ParamVector, spd_from_symmetric
     from logdetreg.cost import logdet_terms
     from logdetreg.estimate import _objective, fit_fgls, fit_logdet, fit_ols
     from logdetreg.optimize import initial_point, multi_start
-    from logdetreg.simulate import SimMode, SimRecipe, bivariate_nar_recipe, gen_series
+    from logdetreg.simulate import SimMode, SimRecipe, bivariate_nar_recipe, gen_series, replicate
 
     if name == "test07":
         recipe, opts = bivariate_nar_recipe(seed=0, n=1000), OptimOptions(n_starts=5, seed=1)
-        for r in range(20):
-            state = np.random.SeedSequence([77, r]).generate_state(1, np.uint64)[0]
-            data = gen_series(replace(recipe, seed=int(state >> 1)))
-            for j, (task, fit) in enumerate((("logdet", fit_logdet), ("mse", fit_ols))):
-                fit_opts = replace(opts, seed=opts.seed + 1_000_003 * r + j)
+        fits = {"logdet": fit_logdet, "mse": fit_ols}
+        # replicate's tasks hand back their inputs: its seeding, not a copy
+        inputs, _ = replicate(recipe, {task: lambda d, o: (d, o) for task in fits}, 20, 77, opts)
+        for task, fit in fits.items():
+            for r, (data, fit_opts) in enumerate(inputs[task]):
                 yield f"{task}/r{r:02d}", lambda f=fit, d=data, o=fit_opts: f(recipe.spec, d, o)
     elif name == "test08":
         opts = OptimOptions(n_starts=8, seed=17)
@@ -96,10 +96,10 @@ def _fits(name: str):
 
 
 def cmd_fit(args) -> int:
-    """Fit the listed sets with the ``logdetreg`` on ``sys.path``."""
+    """Fit every set with the ``logdetreg`` on ``sys.path``."""
     from logdetreg.errors import LogDetRegError
 
-    for name in args.sets.split(","):
+    for name in SETS:
         for fit_id, thunk in _fits(name):
             try:
                 result = thunk()
@@ -116,7 +116,7 @@ def cmd_fit(args) -> int:
 
 def cmd_run(args) -> int:
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
-    argv = [sys.executable, str(Path(__file__).resolve()), "fit", "--sets", args.sets]
+    argv = [sys.executable, str(Path(__file__).resolve()), "fit"]
     return subprocess.run(argv, env=env, check=False).returncode
 
 
@@ -133,7 +133,8 @@ def parse(lines) -> dict:
 def compare(a: dict, b: dict) -> list[str]:
     """The report of ``compare``: changed terminations, U_n rises above
     ``RISE_TOL``, then per set the fits whose U_n stayed equal, rose or fell
-    and the evaluations of each side.  Fits in one file only are listed."""
+    and on each side the converged and stalled fits and the evaluations.
+    Fits in one file only are listed."""
     lines = []
     for key in sorted(a.keys() ^ b.keys()):
         lines.append(f"only in {'A' if key in a else 'B'}: {' '.join(key)}")
@@ -153,8 +154,11 @@ def compare(a: dict, b: dict) -> list[str]:
         equal = sum(a[k][4] == b[k][4] for k in keys)
         rose = sum(b[k][4] > a[k][4] for k in keys)
         fell = sum(b[k][4] < a[k][4] for k in keys)
+        conv_a, conv_b = (sum(side[k][0] in CONVERGED for k in keys) for side in (a, b))
+        stall_a, stall_b = (sum(side[k][0] == "stalled" for k in keys) for side in (a, b))
         evals_a, evals_b = (sum(side[k][3] for k in keys) for side in (a, b))
         lines.append(f"{name}: {len(keys)} fits, U_n equal {equal}, rose {rose}, fell {fell}; "
+                     f"converged {conv_a} -> {conv_b} (stalled {stall_a} -> {stall_b}); "
                      f"evaluations {evals_a} -> {evals_b}")
     return lines
 
@@ -168,13 +172,10 @@ def cmd_compare(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(required=True)
-    for cmd, func in (("run", cmd_run), ("fit", cmd_fit)):
-        p = sub.add_parser(cmd, help="fit the sets in a fresh process" if cmd == "run"
-                           else "fit the sets in this process")
-        if cmd == "run":
-            p.add_argument("--src", required=True, help="the tree's src directory")
-        p.add_argument("--sets", default=",".join(SETS), help=f"comma list of {', '.join(SETS)}")
-        p.set_defaults(func=func)
+    p = sub.add_parser("run", help="fit the sets in a fresh process")
+    p.add_argument("--src", required=True, help="the tree's src directory")
+    p.set_defaults(func=cmd_run)
+    sub.add_parser("fit", help="fit the sets in this process").set_defaults(func=cmd_fit)
     p = sub.add_parser("compare", help="compare two files printed by run")
     p.add_argument("a")
     p.add_argument("b")
