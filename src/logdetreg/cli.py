@@ -258,9 +258,13 @@ def cmd_test(args) -> int:
         "cost": args.cost,
         "alpha": args.alpha,
     }
+    if args.cost == "mse" and not args.calibrate:
+        raise UsageError("--cost mse has no pivotal null; pass --calibrate R")
+    dof = inference.nested_dof(spec_r, spec_f)
+    fit = sim.ESTIMATORS[args.cost]
+    fit_r = fit(spec_r, data, opts)
+    fit_f = fit(spec_f, data, opts)
     if args.cost == "logdet":
-        fit_r = fit_logdet(spec_r, data, opts)
-        fit_f = fit_logdet(spec_f, data, opts)
         report = inference.tn_test(fit_r, fit_f, args.alpha)
         doc.update(
             statistic=report.statistic,
@@ -270,13 +274,7 @@ def cmd_test(args) -> int:
             method=report.method.value,
         )
     else:
-        if not args.calibrate:
-            raise UsageError("--cost mse has no pivotal null; pass --calibrate R")
-        fit_r = fit_ols(spec_r, data, opts)
-        fit_f = fit_ols(spec_f, data, opts)
-        stat = inference.sn_statistic(fit_r, fit_f)
-        doc["statistic"] = stat
-        doc["dof"] = int(spec_f.param_count - spec_r.param_count)
+        doc.update(statistic=inference.sn_statistic(fit_r, fit_f), dof=dof)
 
     if args.calibrate:
         # fixed-design parametric bootstrap under H0: keep the observed
@@ -296,7 +294,7 @@ def cmd_test(args) -> int:
             args.calibrate,
             args.seed + 1,
             opts,
-            statistic="tn" if args.cost == "logdet" else "sn",
+            cost=args.cost,
         )
         observed = doc["statistic"]
         doc["mc_p_value"] = calib.p_value(observed)
@@ -368,10 +366,11 @@ def cmd_mc(args) -> int:
         },
     }
     if len(report.estimators) == 2:
+        # paired by replication, over the replications both completed
         a, b = report.estimators.values()
-        diffs = np.array(
-            [np.linalg.det(x) - np.linalg.det(y) for x, y in zip(a.gammas, b.gammas)]
-        )
+        gamma_b = dict(zip(b.indices, b.gammas))
+        diffs = np.array([np.linalg.det(x) - np.linalg.det(gamma_b[r])
+                          for r, x in zip(a.indices, a.gammas) if r in gamma_b])
         se = float(diffs.std(ddof=1) / np.sqrt(diffs.size))
         mean = float(diffs.mean())
         doc["paired_det_comparison"] = {
@@ -405,10 +404,9 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
         gamma0=gamma0,
         n=n,
     )
-    calib = inference.mc_null_calibrate(
-        restricted, full, recipe, args.reps, args.seed, opts, statistic="tn"
-    )
-    rate = float(np.mean([inference.chi2_sf(s, 2) < alpha for s in calib.samples]))
+    dof = inference.nested_dof(restricted, full)
+    calib = inference.mc_null_calibrate(restricted, full, recipe, args.reps, args.seed, opts)
+    rate = float(np.mean([inference.chi2_sf(s, dof) < alpha for s in calib.samples]))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "mc",

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import model as mdl
 from .errors import EmptyCalibration, NegativeStatistic, NotNested
-from .estimate import CostKind, FitResult, fit_logdet, fit_ols
+from .estimate import CostKind, FitResult
 from .optimize import OptimOptions
-from .simulate import replicate
+from .simulate import ESTIMATORS, replicate
 
 CLAMP_PER_N = 1e-6
 
@@ -79,7 +79,9 @@ def chi2_sf(x: float, k: int) -> float:
     return math.fsum(terms)
 
 
-def _check_nested(restricted: mdl.ModelSpec, full: mdl.ModelSpec) -> int:
+def nested_dof(restricted: mdl.ModelSpec, full: mdl.ModelSpec) -> int:
+    """s - q, the degrees of freedom of the nested test; raises NotNested
+    unless ``restricted`` frees a strict subset of ``full``'s grid entries."""
     same_family = (
         restricted.input_dim == full.input_dim
         and restricted.output_dim == full.output_dim
@@ -115,7 +117,7 @@ def tn_test(fit_restricted: FitResult, fit_full: FitResult, alpha: float) -> Tes
     """Log-det ratio test of the restricted model against the full one."""
     if fit_restricted.cost_kind is not CostKind.LOGDET or fit_full.cost_kind is not CostKind.LOGDET:
         raise NotNested("tn_test requires log-det fits on both sides")
-    dof = _check_nested(fit_restricted.spec, fit_full.spec)
+    dof = nested_dof(fit_restricted.spec, fit_full.spec)
     stat = _difference_statistic(fit_restricted, fit_full)
     p = chi2_sf(stat, dof)
     return TestReport(
@@ -132,7 +134,7 @@ def sn_statistic(fit_restricted: FitResult, fit_full: FitResult) -> float:
     """MSE-based statistic n (min V_n restricted - min V_n full)."""
     if fit_restricted.cost_kind is not CostKind.MSE or fit_full.cost_kind is not CostKind.MSE:
         raise NotNested("sn_statistic requires MSE fits on both sides")
-    _check_nested(fit_restricted.spec, fit_full.spec)
+    nested_dof(fit_restricted.spec, fit_full.spec)
     return _difference_statistic(fit_restricted, fit_full)
 
 
@@ -157,9 +159,11 @@ def mc_null_calibrate(
     replications: int,
     seed: int,
     opts: OptimOptions,
-    statistic: str = "tn",
+    cost: str = "logdet",
 ) -> CalibrationResult:
-    """Empirical null distribution of T_n or S_n by simulation.
+    """Empirical null distribution of T_n (``cost="logdet"``) or S_n
+    (``cost="mse"``) by simulation, both fits of a replication by the
+    estimator :data:`~logdetreg.simulate.ESTIMATORS` names for ``cost``.
 
     ``generator`` is either a :class:`SimRecipe` satisfying H0 (its true
     parameters live inside the restricted mask), regenerated at its own
@@ -173,20 +177,19 @@ def mc_null_calibrate(
     """
     if replications < 1:
         raise EmptyCalibration("calibration needs at least one replication")
-    _check_nested(spec_restricted, spec_full)
-    if statistic not in ("tn", "sn"):
-        raise ValueError(f"unknown statistic {statistic!r}")
-    fitter = fit_logdet if statistic == "tn" else fit_ols
+    nested_dof(spec_restricted, spec_full)
+    if cost not in ESTIMATORS:
+        raise ValueError(f"unknown cost {cost!r}")
+    fit = ESTIMATORS[cost]
 
     def one(data, fit_opts: OptimOptions) -> float:
-        fr = fitter(spec_restricted, data, fit_opts)
-        ff = fitter(spec_full, data, fit_opts)
-        return _difference_statistic(fr, ff)
+        return _difference_statistic(fit(spec_restricted, data, fit_opts),
+                                     fit(spec_full, data, fit_opts))
 
-    results, causes = replicate(generator, {statistic: one}, replications, seed, opts)
-    samples = results[statistic]
+    results, causes = replicate(generator, {cost: one}, replications, seed, opts)
+    samples = list(results[cost].values())
     return CalibrationResult(
         samples=np.sort(np.asarray(samples)),
         failures=replications - len(samples),
-        failure_causes=causes[statistic],
+        failure_causes=causes[cost],
     )

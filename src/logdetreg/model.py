@@ -15,12 +15,12 @@ Flattening order (stable contract for JSON round trips and pruning masks):
   ``F_w(z) = sum_h b_h tanh(a_h . z + c_h) + bias``.
 
 :func:`predictor` is the one-row forward map (``w`` unpacked once) of the
-NAR recursion; :func:`eval_batch` evaluates a batch, the MLP through the
-feature-major forward map :func:`_mlp_forward` (n on the fast axis).
-:func:`linearize` adds, from the same forward pass, every derivative the
-costs use (a :class:`Linearization`).  :func:`linearizer` resolves the
-input check, the mask and the MLP layout once for a fit, and maps each
-parameter point to its linearization; ``_mlp_blocks`` is the one
+NAR recursion.  :func:`linearizer` resolves the input check, the mask and
+the MLP layout once for a fit, and maps each parameter point to its
+:class:`Linearization`: the batch prediction (the MLP's forward pass runs
+feature-major, n on the fast axis) and, from the same forward pass, every
+derivative the costs use.  :func:`linearize` is one such call, and
+:func:`eval_batch` the prediction of one; ``_mlp_blocks`` is the one
 statement of the MLP grid layout.
 """
 
@@ -171,34 +171,17 @@ def predictor(spec: ModelSpec, w: ParamVector):
     return lambda z: z.dot(w_t)
 
 
-def _mlp_forward(a, c, b, bias, zt):
-    """The MLP's batch forward map, feature-major: the (H, n) hidden values
-    ``t = tanh(a zt + c)`` and the (d, n) prediction ``b^T t + bias`` of
-    the (d', n) inputs ``zt``, each bias added down the columns.  ``zt`` is
-    the C-contiguous copy ``np.ascontiguousarray(z.T)`` of an (n, d') batch,
-    so that n is the fast axis of every array."""
-    t = a @ zt
-    t += c[:, None]
-    np.tanh(t, out=t)
-    out = b.T @ t
-    out += bias[:, None]
-    return t, out
-
-
 def eval_batch(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the model on an (n, d') input batch; returns (n, d), for the
-    MLP the transpose of :func:`_mlp_forward`'s prediction."""
-    z = _check_inputs(spec, inputs)
-    if spec.kind is ModelKind.MLP:
-        return _mlp_forward(*_mlp_blocks(spec, w.full_grid()), np.ascontiguousarray(z.T))[1].T
-    return predictor(spec, w)(z)
+    """Evaluate the model on an (n, d') input batch; returns (n, d), the
+    prediction of :func:`linearizer` at ``w``."""
+    return linearizer(spec, inputs)(w.values).pred
 
 
 class Linearization(NamedTuple):
     """F_w on an (n, d') input batch and its parameter derivatives, all read
     from one forward pass.
 
-    ``pred`` is the (n, d) prediction, bitwise equal to :func:`eval_batch`;
+    ``pred`` is the (n, d) prediction, which :func:`eval_batch` returns;
     ``pullback(v)`` is ``sum_t J_t^T v_t`` over the K free parameters for
     (n, d) weights ``v``; ``jacobian()`` gives the (n, d, K) per-row
     Jacobians; ``second_derivs_vdot(v)`` is the (K, K) matrix
@@ -207,14 +190,14 @@ class Linearization(NamedTuple):
 
     Linear families: the pullback is ``v^T z`` on the mask and the second
     derivatives are exact zeros.  The MLP works feature-major, with n on
-    the fast axis: from ``z^T``, held once per fit, the forward pass of
-    :func:`_mlp_forward` gives the (H, n) hidden values ``t`` and the (d, n)
-    prediction, and ``pred`` is its transposed (n, d) view.  With
-    ``dt = 1 - t^2``, ``beta = b v^T`` (H, n) and ``zt = [z | 1]``, the
-    pullback's a and c blocks are the columns of one product
-    ``(beta dt) zt`` (the c block, ``sum_t (beta dt)_t``, is its last
-    column), the b block is ``t v`` and the bias block ``sum_t v_t`` is the
-    product ``v^T 1``; sums over the rows are products, not ``sum``
+    the fast axis: from ``z^T``, held once per fit, the forward pass gives
+    the (H, n) hidden values ``t = tanh(a z^T + c)`` and the (d, n)
+    prediction ``b^T t + bias``, and ``pred`` is its transposed (n, d)
+    view.  With ``dt = 1 - t^2``, ``beta = b v^T`` (H, n) and
+    ``zt = [z | 1]``, the pullback's a and c blocks are the columns of one
+    product ``(beta dt) zt`` (the c block, ``sum_t (beta dt)_t``, is its
+    last column), the b block is ``t v`` and the bias block ``sum_t v_t`` is
+    the product ``v^T 1``; sums over the rows are products, not ``sum``
     reductions.  Second derivatives couple only parameters of one hidden
     unit; with ``zt`` (its ``a_h`` entries and ``c_h``) they are
     ``sum_t tanh''(u_ht) beta_ht zt_t zt_t^T`` on ``(a|c, a|c)`` and
@@ -282,7 +265,12 @@ def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Li
     def mlp_at(x):
         grid = _full_grid(x, spec.mask, size) if masked else x  # unmasked: x is the grid
         a, c, b, bias = grid[sa].reshape(ha), grid[sc], grid[sb].reshape(hb), grid[sz]
-        t, out = _mlp_forward(a, c, b, bias, zt)
+        # the forward pass, feature-major: each bias added down the columns
+        t = a @ zt
+        t += c[:, None]
+        np.tanh(t, out=t)
+        out = b.T @ t
+        out += bias[:, None]
 
         def pullback(v):
             delta = b @ v.T

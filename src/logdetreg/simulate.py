@@ -137,6 +137,7 @@ class EstimatorSummary:
     failures: int
     failure_causes: dict[str, int]  # failed replications by exception class, sorted
     gammas: tuple[np.ndarray, ...]
+    indices: tuple[int, ...]  # replication index of each entry of gammas
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,13 @@ def replicate(
     that raises a package error or a linear-algebra failure counts as one
     failed replication of that task; any other exception propagates.
     Returns ``(results, causes)``: per task, the results of its successful
-    replications in replication order, and its failed replications counted
-    by exception class name, ``{name: count}`` sorted by name.  Raises
-    McFailure, naming the classes, when more than 5% of one task's
-    replications failed.
+    replications keyed by replication index, in replication order, and its
+    failed replications counted by exception class name, ``{name: count}``
+    sorted by name.  Raises McFailure, naming the classes, when more than 5%
+    of one task's replications failed.
     """
     generate = source if callable(source) else lambda s: gen_series(replace(source, seed=s))
-    results = {name: [] for name in tasks}
+    results = {name: {} for name in tasks}
     failed = {name: Counter() for name in tasks}
     for r in range(replications):
         data_seed = int(
@@ -182,7 +183,7 @@ def replicate(
         for j, (name, task) in enumerate(tasks.items()):
             fit_opts = replace(opts, seed=int(opts.seed) + 1_000_003 * r + j)
             try:
-                results[name].append(task(data, fit_opts))
+                results[name][r] = task(data, fit_opts)
             except (LogDetRegError, np.linalg.LinAlgError) as exc:
                 failed[name][type(exc).__name__] += 1
     causes = {name: dict(sorted(counts.items())) for name, counts in failed.items()}
@@ -227,7 +228,7 @@ def run_mc(
 
     summaries = {}
     for name in estimators:
-        gammas = results[name]
+        gammas = tuple(results[name].values())
         failures = replications - len(gammas)
         stack = np.stack(gammas)
         mean = stack.mean(axis=0)
@@ -240,7 +241,8 @@ def run_mc(
             mean_det=float(np.mean([np.linalg.det(g) for g in stack])),
             failures=failures,
             failure_causes=causes[name],
-            gammas=tuple(gammas),
+            gammas=gammas,
+            indices=tuple(results[name]),
         )
     return McReport(
         replications=replications, seed=seed, rng_kind=RNG_KIND, estimators=summaries

@@ -10,11 +10,12 @@ import pytest
 import logdetreg
 import logdetreg.cli
 import logdetreg.data
+import logdetreg.simulate
 from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, save_model
 from logdetreg.cli import _emit, _start_doc, main, parse_matrix
 from logdetreg.cli import UsageError
 from logdetreg.data import CsvFormatError, load_csv, save_csv
-from logdetreg.errors import NonFiniteReport
+from logdetreg.errors import NonFiniteReport, NotPositiveDefinite
 from logdetreg.inference import chi2_sf
 from logdetreg.optimize import StartRecord
 from logdetreg.simulate import RNG_KIND
@@ -301,6 +302,27 @@ class TestTest:
         )
         assert code == 2
 
+    def test_not_nested_rejected_before_any_fit(self, tmp_path, nested_files, capsys,
+                                                monkeypatch):
+        restricted, _ = nested_files
+        data = self.make_h0_data(tmp_path, nested_files, capsys)
+
+        def forbidden(*args):
+            raise AssertionError("a model was fitted")
+
+        # by the estimator table, or by the names the CLI imports for `fit`
+        for cost, name in (("logdet", "fit_logdet"), ("mse", "fit_ols")):
+            monkeypatch.setitem(logdetreg.simulate.ESTIMATORS, cost, forbidden)
+            monkeypatch.setattr(logdetreg.cli, name, forbidden)
+        for cost in ("logdet", "mse"):
+            code, out, err = run(
+                ["test", "--cost", cost, "--restricted", restricted, "--full", restricted,
+                 "--data", data, "--calibrate", "3"],
+                capsys,
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: restricted model must have strictly fewer free parameters\n"
+
     def test_mse_requires_calibration(self, tmp_path, nested_files, capsys):
         restricted, full = nested_files
         data = self.make_h0_data(tmp_path, nested_files, capsys)
@@ -393,6 +415,29 @@ class TestMc:
         paired = doc["paired_det_comparison"]
         assert paired["order"] == ["logdet", "mse"]
         assert paired["ci95"][0] <= paired["mean_diff"] <= paired["ci95"][1]
+
+    def test_paired_comparison_pairs_by_replication(self, tmp_path, linear22, capsys,
+                                                    monkeypatch):
+        # with regressors shared by both equations both estimators are OLS
+        # (Zellner 1962), so every paired difference is zero; the log-det
+        # fit fails its first replication, which must not shift the pairing
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=120, seed=5)
+        real, calls = logdetreg.simulate.ESTIMATORS["logdet"], []
+
+        def logdet(spec, data, opts):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise NotPositiveDefinite("planted failure")
+            return real(spec, data, opts)
+
+        monkeypatch.setitem(logdetreg.simulate.ESTIMATORS, "logdet", logdet)
+        code, out, _ = run(["mc", "--recipe", str(tmp_path / "d.recipe.json"), "--reps", "40"],
+                           capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert [doc["estimators"][e]["failures"] for e in ("logdet", "mse")] == [1, 0]
+        assert doc["paired_det_comparison"] == {
+            "order": ["logdet", "mse"], "mean_diff": 0.0, "stderr": 0.0, "ci95": [0.0, 0.0]}
 
     def test_covariance_deterministic(self, tmp_path, linear22, capsys):
         simulate(capsys, linear22, str(tmp_path / "d.csv"), n=120, seed=5)

@@ -19,6 +19,7 @@ from logdetreg import (
     spd_from_symmetric,
     tn_test,
 )
+from logdetreg import simulate
 from logdetreg.errors import (
     EmptyCalibration,
     McFailure,
@@ -290,7 +291,7 @@ class TestMcNullCalibrate:
         restricted, full, recipe = calibration_setup()
         with pytest.raises(ValueError):
             mc_null_calibrate(
-                restricted, full, recipe, 2, 1, self.OPTS, statistic="bogus"
+                restricted, full, recipe, 2, 1, self.OPTS, cost="bogus"
             )
 
     def test_callable_generator_path(self):
@@ -314,7 +315,7 @@ class TestMcNullCalibrate:
     def test_sn_statistic_path(self):
         restricted, full, recipe = calibration_setup()
         res = mc_null_calibrate(
-            restricted, full, recipe, 4, 13, self.OPTS, statistic="sn"
+            restricted, full, recipe, 4, 13, self.OPTS, cost="mse"
         )
         assert res.samples.size == 4
         assert np.all(res.samples >= 0)
@@ -331,10 +332,8 @@ class TestMcNullCalibrate:
 
     def test_failures_counted_by_cause(self, monkeypatch):
         # one of 40 replications fails in its full fit
-        import logdetreg.inference as inf
-
         restricted, full, recipe = calibration_setup()
-        real, calls = inf.fit_logdet, []
+        real, calls = simulate.ESTIMATORS["logdet"], []
 
         def fit(spec, data, opts):
             calls.append(spec)
@@ -342,7 +341,7 @@ class TestMcNullCalibrate:
                 raise NotPositiveDefinite("planted failure")
             return real(spec, data, opts)
 
-        monkeypatch.setattr(inf, "fit_logdet", fit)
+        monkeypatch.setitem(simulate.ESTIMATORS, "logdet", fit)
         res = mc_null_calibrate(restricted, full, recipe, 40, 1, self.OPTS)
         assert (res.failures, res.failure_causes) == (1, {"NotPositiveDefinite": 1})
         assert res.samples.size == 39
@@ -360,14 +359,12 @@ class TestMcNullCalibrate:
     def test_fit_type_error_is_not_a_failed_replication(self, monkeypatch):
         # only package and linear-algebra errors count as failed
         # replications; a programming error must surface, not become McFailure
-        import logdetreg.inference as inf
-
         restricted, full, recipe = calibration_setup()
 
         def broken(spec, data, opts):
             raise TypeError("bug in the estimator")
 
-        monkeypatch.setattr(inf, "fit_logdet", broken)
+        monkeypatch.setitem(simulate.ESTIMATORS, "logdet", broken)
         with pytest.raises(TypeError, match="bug in the estimator"):
             mc_null_calibrate(restricted, full, recipe, 4, 1, self.OPTS)
 

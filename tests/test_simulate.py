@@ -405,12 +405,12 @@ class TestReplicateFailureCauses:
     def test_two_classes_counted_and_sorted(self):
         failing = {2: NotPositiveDefinite, 9: NegativeStatistic}
         results, causes = self.run(40, failing)
-        assert results["t"] == [r for r in range(40) if r not in failing]
+        assert results["t"] == {r: r for r in range(40) if r not in failing}
         assert causes == {"t": {"NegativeStatistic": 1, "NotPositiveDefinite": 1}}
         assert list(causes["t"]) == ["NegativeStatistic", "NotPositiveDefinite"]
 
     def test_no_failures_is_an_empty_count(self):
-        assert self.run(3, {}) == ({"t": [0, 1, 2]}, {"t": {}})
+        assert self.run(3, {}) == ({"t": {0: 0, 1: 1, 2: 2}}, {"t": {}})
 
     def test_abort_names_the_classes(self):
         failing = {0: NotPositiveDefinite, 4: NegativeStatistic, 7: NegativeStatistic}

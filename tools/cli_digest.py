@@ -9,7 +9,9 @@ true weights for ``simulate``), ``huge.csv``, 50 rows of outputs
 ``1e200 N(0, 1)`` (the residual covariance of its MSE fit overflows, and
 the fit exits 3), and ``ridge.csv``, the simulated ``iid.csv`` with its
 second output set to zero (its MSE fit needs a ridge on the residual
-covariance, and its FGLS and log-det fits exit 3).  Two commands pin the
+covariance, and its FGLS and log-det fits exit 3).  ``test_not_nested``
+pins the exit code 2 and error line of ``test`` on a pair that is not
+nested (the restricted model on both sides).  Two commands pin the
 exit code and error line of bad input paths: ``fit_dir_data`` passes the
 work directory as ``--data`` and ``fit_utf16_data`` a UTF-16 copy of a
 small CSV, ``utf16.csv``; both exit 2.  Each command's stdout and stderr are
@@ -77,6 +79,8 @@ def commands() -> list[tuple[str, list[str]]]:
                             "--data", "iid.csv", "--cost", cost, "--calibrate", "20",
                             "--out", f"test_{cost}.json"])
           for cost in ("logdet", "mse")),
+        ("test_not_nested", ["test", "--restricted", "restricted.json",
+                             "--full", "restricted.json", "--data", "iid.csv"]),
         ("prune_gate", ["prune", "--model", "linear.json", "--data", "iid.csv",
                         "--gate", "0.05", "--out", "prune_gate.json"]),
         ("mc_covariance", ["mc", "--recipe", "nar.recipe.json", "--reps", "2", *MLP_OPTS,

@@ -68,8 +68,12 @@ def _fits(name: str):
     if name == "test07":
         recipe, opts = bivariate_nar_recipe(seed=0, n=1000), OptimOptions(n_starts=5, seed=1)
         fits = {"logdet": fit_logdet, "mse": fit_ols}
-        # replicate's tasks hand back their inputs: its seeding, not a copy
-        inputs, _ = replicate(recipe, {task: lambda d, o: (d, o) for task in fits}, 20, 77, opts)
+        # replicate's tasks record their inputs: its seeding, not a copy, and
+        # not its return value, which older trees give as lists rather than
+        # keyed by replication index
+        inputs = {task: [] for task in fits}
+        replicate(recipe, {task: lambda d, o, t=task: inputs[t].append((d, o)) for task in fits},
+                  20, 77, opts)
         for task, fit in fits.items():
             for r, (data, fit_opts) in enumerate(inputs[task]):
                 yield f"{task}/r{r:02d}", lambda f=fit, d=data, o=fit_opts: f(recipe.spec, d, o)
