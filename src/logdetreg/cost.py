@@ -11,23 +11,24 @@ Each cost is stated once, as its terms at the (n, d) residuals ``r``:
 value and the rows ``v_t``, and :func:`chain` turns the rows into the
 gradient through a model pullback.  The BFGS objective of
 :mod:`~logdetreg.estimate` applies the terms to the bare residuals of each
-trial point.  The ``*_gradient`` functions apply them to a
+trial point, and the linear fits apply them once per solve.
+:func:`logdet_gradient` applies the log-det terms to a
 :class:`ResidualSet`, the residuals with the model's
-:class:`~logdetreg.model.Linearization` there, and return a
-:class:`CostReport`.  Only :func:`information` and :func:`logdet_hessian`
-build Jacobians (once per residual set).  ``Gamma_n = r^T r / n`` is
-bitwise symmetric, so it is factored as given, without the asymmetry test
-and symmetrizing of :func:`~logdetreg.linalg.spd_from_symmetric`, and in
-Python floats by :func:`~logdetreg.linalg.factor_small`, which forms its
-inverse at once: every log-det trial point pays for it, and at d = 2 it
-takes about 0.6 of the time of numpy's LAPACK route.  The GLS and log-det rows
-are ``r @ G`` with ``G`` the cached inverse of the weight or of
-``Gamma_n``.  The terms do not test ``r`` for finiteness.
-:class:`ResidualSet` rejects non-finite residuals; the BFGS objective
-hands over its residuals formed feature-major, as the (n, d) transposed
-view of ``y^T - pred^T``, and tests only the value: a non-finite residual
-makes the MSE and GLS values non-finite and fails the factorization of
-``Gamma_n``.
+:class:`~logdetreg.model.Linearization` there, and returns a
+:class:`CostReport`.  Only :func:`information` and
+:func:`logdet_hessian` build Jacobians (once per residual set).
+``Gamma_n = r^T r / n`` is bitwise symmetric, so it is factored as given,
+without the asymmetry test and symmetrizing of
+:func:`~logdetreg.linalg.spd_from_symmetric`, and in Python floats by
+:func:`~logdetreg.linalg.factor_small`, which forms its inverse at once:
+every log-det trial point pays for it, and at d = 2 it takes about 0.6 of
+the time of numpy's LAPACK route.  The GLS and log-det rows are ``r @ G``
+with ``G`` the cached inverse of the weight or of ``Gamma_n``.  The terms
+do not test ``r`` for finiteness.  :class:`ResidualSet` rejects non-finite
+residuals; the BFGS objective and the linear fits do not, since a
+non-finite residual makes the MSE and GLS values non-finite and fails the
+factorization of ``Gamma_n``.  The BFGS objective hands over its residuals
+formed feature-major, as the (n, d) transposed view of ``y^T - pred^T``.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -163,18 +164,9 @@ def chain(pullback: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.nda
     return -2.0 / v.shape[0] * pullback(v)
 
 
-def report(rs: ResidualSet, terms) -> CostReport:
-    """The value, gradient and covariance of the cost with these terms."""
-    value, v, gamma = terms(rs.residuals)
-    return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
-
-
-def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
-    return report(rs, partial(gls_terms, weight=weight))
-
-
 def logdet_gradient(rs: ResidualSet) -> CostReport:
-    return report(rs, logdet_terms)
+    value, v, gamma = logdet_terms(rs.residuals)
+    return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
 
 
 def _a_tensor(rs: ResidualSet) -> np.ndarray:

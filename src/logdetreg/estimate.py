@@ -69,10 +69,6 @@ def _check_size(spec: mdl.ModelSpec, data: Dataset) -> None:
         )
 
 
-def _residuals_at(spec, data, x) -> cst.ResidualSet:
-    return cst.ResidualSet.from_model(spec, mdl.ParamVector(x, spec), data)
-
-
 def _objective(spec, data, terms):
     """BFGS objective x -> (value, gradient) of the cost with these
     ``terms`` (``cost.mse_terms``, ``cost.gls_terms`` at a weight or
@@ -120,29 +116,44 @@ def _nonsingular(m: np.ndarray, error: type, what: str) -> SpdMatrix:
     return spd
 
 
-def _wls(rs0: cst.ResidualSet, weight: SpdMatrix) -> np.ndarray:
-    """Minimizer of the GLS cost of a linear spec (masked or not), given
-    its residual set ``rs0`` at w = 0.
-
-    The cost is quadratic in w with Hessian ``2 information(rs0, weight)``,
-    so one Newton step from w = 0 lands on its minimizer.  Raises
-    SingularDesign when the weighted design information is singular.
-    ``rs0`` caches the (w-independent) Jacobian across calls.
-    """
-    info = _nonsingular(cst.information(rs0, weight), SingularDesign, "regressor design")
-    return info.solve(-0.5 * cst.gls_gradient(rs0, weight).gradient)
+def _gram(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram pair ``(S, C) = (Z^T Z / n, Y^T Z / n)`` of :func:`_wls`."""
+    z = data.inputs
+    return z.T @ z / data.n, data.outputs.T @ z / data.n
 
 
-def _outcome(spec, x, report: cst.CostReport, iterations: int, reason: str) -> OptimOutcome:
+def _wls(spec: mdl.ModelSpec, gram: tuple[np.ndarray, np.ndarray], weight: SpdMatrix) -> np.ndarray:
+    """Minimizer of the GLS cost of a linear spec (masked or not) from the
+    Gram pair ``(S, C)`` of its data: with ``G = weight^{-1}``, the normal
+    equations ``(G kron S) vec(W) = vec(G C)`` on the free entries (the SUR
+    algebra of Zellner 1962).  Raises SingularDesign when the normal matrix
+    is singular."""
+    s, c = gram
+    g, free = weight.inverse, spec.effective_mask
+    kron = (g[:, None, :, None] * s[None, :, None, :]).reshape(free.size, free.size)
+    normal = _nonsingular(kron[free][:, free], SingularDesign, "regressor design")
+    return normal.solve((g @ c).ravel()[free])
+
+
+def _linear_point(linear_at, y: np.ndarray, x: np.ndarray, terms):
+    """At the free parameters ``x`` of a linear spec with ``linearizer``
+    ``linear_at``: the residuals, the value and gradient (by the pullback,
+    no Jacobian) of the cost with these ``terms``, and its Gamma_n or None."""
+    lin = linear_at(x)
+    r = y - lin.pred
+    value, v, gamma = terms(r)
+    return r, value, cst.chain(lin.pullback, v), gamma
+
+
+def _outcome(spec, x, value: float, grad: np.ndarray, iterations: int, reason: str) -> OptimOutcome:
     """The one-record outcome of a linear fit, solved without a search: its
     cost was evaluated once per round and at the solution."""
-    grad_norm = float(np.max(np.abs(report.gradient)))
-    record = StartRecord(0, report.value, iterations, iterations + 1, grad_norm, reason)
-    return OptimOutcome(mdl.ParamVector(x, spec), report.value, (record,), reason != "max_iters")
+    record = StartRecord(0, value, iterations, iterations + 1, float(np.max(np.abs(grad))), reason)
+    return OptimOutcome(mdl.ParamVector(x, spec), value, (record,), reason != "max_iters")
 
 
-def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
-    """Residual covariance Gamma_n of a fit.
+def _residual_covariance(r: np.ndarray) -> SpdMatrix:
+    """Residual covariance Gamma_n of a fit, from its (n, d) residuals ``r``.
 
     Unlike the log-det cost, the MSE and GLS costs stay defined when the
     model interpolates the data, so a Gamma_n that does not factor gets a
@@ -150,16 +161,16 @@ def _residual_covariance(rs: cst.ResidualSet) -> SpdMatrix:
     (1e-8 when that is not positive and finite), escalated by a factor of
     100 at most 3 times, and the result is flagged as regularized.
     """
-    m = rs.residuals.T @ rs.residuals / rs.n
+    m = r.T @ r / len(r)
     try:
         return factor_symmetric(m)
     except NotPositiveDefinite:
         pass
-    lam = 1e-8 * np.trace(m) / rs.d
+    lam = 1e-8 * np.trace(m) / len(m)
     if not 0.0 < lam < np.inf:
         lam = 1e-8
     for _ in range(3):
-        ridged = m + lam * np.eye(rs.d)
+        ridged = m + lam * np.eye(len(m))
         try:
             return replace(factor_symmetric(ridged), regularized=True)
         except NotPositiveDefinite:
@@ -178,7 +189,8 @@ def _fit(spec, data, opts, kind, terms, x0, linear_fit) -> FitResult:
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is mdl.ModelKind.MLP:
             outcome = multi_start(_objective(spec, data, terms), spec, opts, x0=x0)
-            gamma_hat = _residual_covariance(_residuals_at(spec, data, outcome.w_best.values))
+            rs = cst.ResidualSet.from_model(spec, outcome.w_best, data)
+            gamma_hat = _residual_covariance(rs.residuals)
         else:
             outcome, gamma_hat = linear_fit()
     return FitResult(
@@ -191,17 +203,16 @@ def _fit(spec, data, opts, kind, terms, x0, linear_fit) -> FitResult:
     )
 
 
-def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, rs0=None) -> FitResult:
+def _weighted_fit(spec, data, opts, kind, weight: SpdMatrix, x0=None, gram=None) -> FitResult:
     """An OLS (``kind`` MSE, identity ``weight``) or GLS fit: for a linear
-    spec one ``_wls`` solve for ``weight`` from ``rs0``, the residual set at
-    w = 0 (built here unless given); for the MLP, BFGS on the cost."""
+    spec one ``_wls`` solve for ``weight`` from ``gram``, the Gram pair of
+    the data (formed here unless given); for the MLP, BFGS on the cost."""
     terms = cst.mse_terms if kind is CostKind.MSE else partial(cst.gls_terms, weight=weight)
 
     def solved():
-        zero = rs0 if rs0 is not None else _residuals_at(spec, data, np.zeros(spec.param_count))
-        x = _wls(zero, weight)
-        rs = _residuals_at(spec, data, x)
-        return _outcome(spec, x, cst.report(rs, terms), 0, "closed_form"), _residual_covariance(rs)
+        x = _wls(spec, gram if gram is not None else _gram(data), weight)
+        r, value, grad, _ = _linear_point(mdl.linearizer(spec, data.inputs), data.outputs, x, terms)
+        return _outcome(spec, x, value, grad, 0, "closed_form"), _residual_covariance(r)
 
     return _fit(spec, data, opts, kind, terms, x0, solved)
 
@@ -239,7 +250,7 @@ def fit_fgls(
     by less than ``FGLS_TOL``.
 
     For a linear spec every round is one weighted least-squares solve, all
-    from one residual set at w = 0.  For the MLP the first GLS round
+    from one Gram pair of the data.  For the MLP the first GLS round
     explores the same multi-start set as the direct log-det estimator
     (shared seed), so both pipelines select the same basin; later rounds
     warm-start from the previous estimate.  The returned cost is the final
@@ -247,15 +258,13 @@ def fit_fgls(
     the last GLS round's outcome.
     """
     _check_size(spec, data)
-    rs0 = None
-    if spec.kind is not mdl.ModelKind.MLP:
-        rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
+    gram = None if spec.kind is mdl.ModelKind.MLP else _gram(data)
     identity = spd_from_symmetric(np.eye(data.output_dim))
-    fit = _weighted_fit(spec, data, opts, CostKind.MSE, identity, rs0=rs0)
+    fit = _weighted_fit(spec, data, opts, CostKind.MSE, identity, gram=gram)
     rounds = [logdet(fit.gamma_hat)]
     for round_index in range(FGLS_ROUNDS):
         x0 = None if round_index == 0 else fit.w_hat.values
-        fit = _weighted_fit(spec, data, opts, CostKind.GLS, fit.gamma_hat, x0, rs0)
+        fit = _weighted_fit(spec, data, opts, CostKind.GLS, fit.gamma_hat, x0, gram)
         if fit.gamma_hat.regularized:
             raise NotPositiveDefinite("GLS residual covariance is singular")
         rounds.append(logdet(fit.gamma_hat))
@@ -291,18 +300,17 @@ def _iterated_fgls(
     Each round is block-coordinate descent on the Gaussian likelihood, so
     U_n never rises; the iteration converges to the SUR maximum-likelihood
     estimate (Oberhofer & Kmenta 1974), which is OLS itself when every
-    equation has the same regressors (Zellner 1962).
+    equation has the same regressors (Zellner 1962).  Every round solves
+    from the one Gram pair and forms Gamma_n once, at its solution.
     """
-    rs0 = _residuals_at(spec, data, np.zeros(spec.param_count))
+    gram, linear_at = _gram(data), mdl.linearizer(spec, data.inputs)
     weight = spd_from_symmetric(np.eye(data.output_dim))
     for rounds in range(opts.max_iters + 1):
-        x = _wls(rs0, weight)
-        rs = _residuals_at(spec, data, x)
-        report = cst.logdet_gradient(rs)
-        if np.max(np.abs(report.gradient)) <= opts.grad_tol:
-            return _outcome(spec, x, report, rounds, "grad_tol"), report.gamma_n
-        weight = report.gamma_n
-    return _outcome(spec, x, report, rounds, "max_iters"), report.gamma_n
+        x = _wls(spec, gram, weight)
+        _, value, grad, weight = _linear_point(linear_at, data.outputs, x, cst.logdet_terms)
+        if np.max(np.abs(grad)) <= opts.grad_tol:
+            return _outcome(spec, x, value, grad, rounds, "grad_tol"), weight
+    return _outcome(spec, x, value, grad, rounds, "max_iters"), weight
 
 
 def fit_logdet(

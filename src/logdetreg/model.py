@@ -65,6 +65,8 @@ class ModelSpec:
                 raise DimensionMismatch(
                     f"mask length {mask.shape} != full grid {self.full_param_count}"
                 )
+            if not mask.any():
+                raise DimensionMismatch("mask frees no parameter")
             object.__setattr__(self, "mask", mask)
 
     @property

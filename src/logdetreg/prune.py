@@ -53,8 +53,10 @@ def ssm_prune(
     """Greedy one-at-a-time weight elimination.
 
     The recorded criterion sequence is strictly decreasing; frozen
-    parameters stay frozen.  Candidate refits that fail are skipped with a
-    warning.  Ties break toward the lowest grid index.
+    parameters stay frozen, and the last free parameter is never frozen (a
+    model with one free parameter returns its baseline fit, with no
+    steps).  Candidate refits that fail are skipped with a warning.  Ties
+    break toward the lowest grid index.
     """
     try:
         current = fit_logdet(spec, data, opts)
@@ -62,7 +64,7 @@ def ssm_prune(
         raise InitialFitFailed(f"baseline fit failed: {exc}") from exc
 
     steps: list[PruneStep] = []
-    while True:
+    while current.spec.param_count > 1:
         cspec = current.spec
         q = cspec.param_count
         criterion = current.cost_value + bic_penalty(q, data.n)
@@ -96,6 +98,4 @@ def ssm_prune(
             )
         )
         current = best[2]
-        if current.spec.param_count == 1:
-            break
     return PruneTrace(steps=tuple(steps), final_spec=current.spec, final_fit=current)

@@ -3,6 +3,7 @@
 import csv
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from logdetreg.cost import (
     CostReport,
     ResidualSet,
     _a_tensor,
+    chain,
     empirical_covariance,
     gls_terms,
+    information,
     mse_terms,
-    report,
 )
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteState
 from logdetreg.linalg import ASYMMETRY_RTOL, SpdMatrix
@@ -123,6 +125,13 @@ def trace_product(g_inv: SpdMatrix, a: np.ndarray) -> float:
     return float(np.sum(g_inv.entries * a.T))
 
 
+def report(rs: ResidualSet, terms) -> CostReport:
+    """The value, gradient and covariance of the cost with these terms at a
+    residual set."""
+    value, v, gamma = terms(rs.residuals)
+    return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
+
+
 def mse_cost(rs: ResidualSet) -> float:
     return mse_terms(rs.residuals)[0]
 
@@ -133,6 +142,20 @@ def mse_gradient(rs: ResidualSet) -> CostReport:
 
 def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
     return gls_terms(rs.residuals, weight)[0]
+
+
+def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
+    return report(rs, partial(gls_terms, weight=weight))
+
+
+def wls_oracle(spec, data, weight: SpdMatrix) -> np.ndarray:
+    """The GLS minimizer of a linear spec by the per-row-Jacobian normal
+    equations, ``information(rs0, W) x = -gls_gradient(rs0, W) / 2`` at
+    w = 0, solved by numpy: the route the Gram-matrix solve of
+    ``estimate._wls`` replaced."""
+    rs0 = residual_set(spec, ParamVector(np.zeros(spec.param_count), spec), data)
+    info = information(rs0, weight)
+    return np.linalg.solve(info, -0.5 * gls_gradient(rs0, weight).gradient)
 
 
 def logdet_cost(rs: ResidualSet) -> CostReport:

@@ -388,6 +388,35 @@ class TestPrune:
         for s in doc["steps"]:
             assert s["p_value"] is not None and s["p_value"] >= 0.05
 
+    def test_one_free_parameter_zero_steps(self, tmp_path, nested_files, capsys):
+        restricted, _ = nested_files
+        data = simulate(capsys, restricted, str(tmp_path / "d.csv"), n=200)
+        one = tmp_path / "one.json"
+        save_model(one, ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=[True] + [False] * 5))
+        code, out, err = run(["prune", "--model", str(one), "--data", data], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["summary"], doc["steps"], err) == ("q: 1 -> 1", [], "q: 1 -> 1\n")
+
+
+class TestNoFreeParameter:
+    """A model file whose mask frees no entry is a usage error, before any
+    fit: one error line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["fit", "test", "prune"])
+    def test_exit_2_one_line(self, tmp_path, nested_files, capsys, command):
+        restricted, full = nested_files
+        data = simulate(capsys, restricted, str(tmp_path / "d.csv"), n=200)
+        none = tmp_path / "none.json"
+        none.write_text(json.dumps({"kind": "masked_linear", "input_dim": 3, "output_dim": 2,
+                                    "mask": [False] * 6}))
+        argv = {
+            "fit": ["fit", "--model", str(none), "--data", data],
+            "test": ["test", "--restricted", str(none), "--full", full, "--data", data],
+            "prune": ["prune", "--model", str(none), "--data", data],
+        }[command]
+        assert run(argv, capsys) == (2, "", "error: mask frees no parameter\n")
+
 
 class TestMc:
     def test_reps_one_usage_error(self, tmp_path, linear22, capsys):

@@ -1,0 +1,51 @@
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+_SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
+cli_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_digest)
+
+REPORT = {"cost": "logdet", "cost_value": -0.5, "params": [1.0, 0.25], "converged": True}
+
+
+def write_pair(tmp_path, report_b, stderr_b="q: 2 -> 2\n"):
+    """Two work directories: a JSON report, a CSV file and a stderr line."""
+    dirs = tmp_path / "a", tmp_path / "b"
+    for work, report, stderr in zip(dirs, (REPORT, report_b), ("q: 2 -> 2\n", stderr_b)):
+        work.mkdir()
+        (work / "fit.json").write_text(json.dumps(report, indent=2) + "\n")
+        (work / "d.csv").write_text("z1,y1\r\n0.5,1.5\r\n")
+        (work / "fit.stderr").write_text(stderr)
+    return dirs
+
+
+def test_identical_pair(tmp_path, capsys):
+    a, b = write_pair(tmp_path, REPORT)
+    assert cli_digest.compare(a, b) == ([], True)
+    assert cli_digest.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "all outputs identical\n"
+
+
+def test_last_bit_json_difference(tmp_path, capsys):
+    b_report = dict(REPORT, params=[1.0, 0.25 + 2.0**-54], cost_value=-0.5 - 2.0**-53)
+    a, b = write_pair(tmp_path, b_report)
+    assert cli_digest.compare(a, b) == ([
+        "fit.json: JSON skeleton identical; max abs diff 1.11e-16 at $.cost_value, "
+        "max rel diff 2.22e-16 at $.params[1]"], True)
+    assert cli_digest.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.startswith("fit.json: JSON skeleton identical;")
+
+
+def test_structural_difference_exits_non_zero(tmp_path, capsys):
+    # a key dropped from the report, a changed stderr line, a file on one side
+    b_report = {k: v for k, v in REPORT.items() if k != "converged"}
+    a, b = write_pair(tmp_path, b_report, stderr_b="q: 2 -> 1\n")
+    (b / "extra.json").write_text("{}\n")
+    lines, same = cli_digest.compare(a, b)
+    assert not same
+    assert lines == ["extra.json: only in B", "fit.json: JSON skeleton differs",
+                     "fit.stderr: text differs"]
+    assert cli_digest.main(["--compare", str(a), str(b)]) == 1
+    capsys.readouterr()

@@ -8,7 +8,6 @@ from logdetreg.cost import (
     CostReport,
     ResidualSet,
     empirical_covariance,
-    gls_gradient,
     gls_terms,
     information,
     logdet_gradient,
@@ -24,6 +23,7 @@ from conftest import (
     fd_jacobian,
     fisher_info_oracle,
     gls_cost,
+    gls_gradient,
     logdet_cost,
     logdet_gradient_entrywise,
     logdet_objective_oracle,

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdetreg import (
     CostKind,
@@ -43,12 +45,12 @@ from logdetreg.errors import (
     SingularDesign,
     UnderDetermined,
 )
-from logdetreg.estimate import _objective, _wls
+from logdetreg.estimate import _gram, _objective, _wls
 from logdetreg.optimize import bfgs_minimize, multi_start
 from logdetreg.prune import ssm_prune
 from logdetreg.simulate import bivariate_nar_recipe
 from logdetreg.model import eval_batch
-from conftest import make_instance, residual_set
+from conftest import make_instance, residual_set, wls_oracle
 
 
 OPTS = OptimOptions(n_starts=3, seed=17)
@@ -104,10 +106,9 @@ class TestFitOls:
         masked = ModelSpec(ModelKind.MASKED_LINEAR, 2, 2, mask=[True, False, True, True])
         costs = ((identity, mse_terms), (weight, partial(gls_terms, weight=weight)))
         for spec in (ModelSpec(ModelKind.LINEAR, 2, 2), masked):
-            rs0 = residual_set(spec, ParamVector(np.zeros(spec.param_count), spec), data)
             for w, objective in costs:
                 searched = multi_start(_objective(spec, data, objective), spec, opts)
-                solved = _wls(rs0, w)
+                solved = _wls(spec, _gram(data), w)
                 assert np.max(np.abs(solved - searched.w_best.values)) < 1e-6
                 # a tie within BFGS's no-representable-decrease threshold
                 slack = optimize._SLACK * max(1.0, abs(searched.cost_best))
@@ -290,7 +291,8 @@ class TestWarmStart:
         assert runs[1][0] is None and len(runs[1][1].per_start) == OPTS.n_starts
         (_, first), (x0, second) = runs[1], runs[2]
         np.testing.assert_array_equal(x0, first.w_best.values)
-        weight = estimate._residual_covariance(cost.ResidualSet.from_model(spec, first.w_best, data))
+        weight = estimate._residual_covariance(
+            cost.ResidualSet.from_model(spec, first.w_best, data).residuals)
         objective = _objective(spec, data, partial(gls_terms, weight=weight))
         x, f, reason, iters = bfgs_minimize(objective, x0, OPTS)
         np.testing.assert_array_equal(second.w_best.values, x)
@@ -339,25 +341,30 @@ class TestFitLogdet:
 
 
 class TestJacobianFreeObjective:
-    """Every BFGS evaluation contracts through the model's pullback; the
-    (n, d, K) Jacobian is built only for the information matrix, and a
-    linear fit builds it once for all of its solves."""
+    """Every BFGS evaluation contracts through the model's pullback, and a
+    linear fit solves from the Gram matrices of its data: the (n, d, K)
+    Jacobian is built only for the information matrix."""
 
     @pytest.fixture
     def jacobian_calls(self, monkeypatch):
         calls = []
-        linearize = model.linearize
+        linearizer = model.linearizer
 
-        def counted(*args):
-            lin = linearize(*args)
+        def counted_linearizer(spec, inputs):
+            at = linearizer(spec, inputs)
 
-            def jacobian():
-                calls.append(1)
-                return lin.jacobian()
+            def counted_at(x):
+                lin = at(x)
 
-            return lin._replace(jacobian=jacobian)
+                def jacobian():
+                    calls.append(1)
+                    return lin.jacobian()
 
-        monkeypatch.setattr(model, "linearize", counted)
+                return lin._replace(jacobian=jacobian)
+
+            return counted_at
+
+        monkeypatch.setattr(model, "linearizer", counted_linearizer)
         return calls
 
     def test_mlp_logdet_builds_one_jacobian(self, jacobian_calls):
@@ -373,52 +380,112 @@ class TestJacobianFreeObjective:
         assert jacobian_calls == []
 
     @pytest.mark.parametrize("seed", [7000, 7004])
-    def test_linear_logdet_builds_two(self, seed, jacobian_calls):
-        # one at w = 0 for every FGLS round's solve, one in fisher_info
+    def test_linear_logdet_builds_one(self, seed, jacobian_calls):
+        # none in the fit's rounds, one in fisher_info
         spec, data = masked_design(seed)
         fit = fit_logdet(spec, data, OPTS)
         assert fit.optim.per_start[0].iterations >= 2
-        assert len(jacobian_calls) == 1
+        assert jacobian_calls == []
         fisher_info(spec, fit.w_hat, data)
-        assert len(jacobian_calls) == 2
+        assert len(jacobian_calls) == 1
 
     @pytest.mark.parametrize("seed", [6000, 6003, 6009])
-    def test_linear_fgls_builds_one(self, seed, jacobian_calls):
-        # one at w = 0, shared by the OLS solve and every GLS round
+    def test_linear_fgls_builds_none(self, seed, jacobian_calls):
+        # neither the OLS solve nor any GLS round
         spec, data = masked_design(seed)
         fit = fit_fgls(spec, data, OPTS)
         assert len(fit.rounds) >= 3
-        assert len(jacobian_calls) == 1
+        assert jacobian_calls == []
 
 
 class TestLinearizations:
-    """A linear fit linearizes the model once at w = 0 and once per solve,
-    and keeps the residual set of its last solve for its covariance."""
+    """A linear fit forms its Gram pair once and linearizes the model once
+    per solve, at the solution, for its cost report and residuals."""
 
     @pytest.fixture
     def linearize_calls(self, monkeypatch):
         calls = []
-        linearize = model.linearize
+        linearizer = model.linearizer
 
-        def counted(*args):
+        def counted_linearizer(spec, inputs):
+            at = linearizer(spec, inputs)
+
+            def counted_at(x):
+                calls.append(1)
+                return at(x)
+
+            return counted_at
+
+        monkeypatch.setattr(model, "linearizer", counted_linearizer)
+        return calls
+
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls = []
+        real = estimate._gram
+
+        def counted(data):
             calls.append(1)
-            return linearize(*args)
+            return real(data)
 
-        monkeypatch.setattr(model, "linearize", counted)
+        monkeypatch.setattr(estimate, "_gram", counted)
         return calls
 
     @pytest.mark.parametrize("seed", [7000, 7004])
-    def test_logdet_one_per_round(self, seed, linearize_calls):
+    def test_logdet_one_per_round(self, seed, linearize_calls, gram_calls):
         spec, data = masked_design(seed)
+        linearize_calls.clear()  # the data's simulation
         fit = fit_logdet(spec, data, OPTS)
         rounds = fit.optim.per_start[0].iterations
         assert rounds >= 2
-        assert len(linearize_calls) == 1 + (rounds + 1)
+        assert (len(linearize_calls), len(gram_calls)) == (rounds + 1, 1)
 
-    def test_closed_form_one_solve(self, linearize_calls):
+    def test_closed_form_one_solve(self, linearize_calls, gram_calls):
         spec, data = masked_design(7007)
+        linearize_calls.clear()  # the data's simulation
         fit_ols(spec, data, OPTS)
-        assert len(linearize_calls) == 2
+        assert (len(linearize_calls), len(gram_calls)) == (1, 1)
+        linearize_calls.clear(), gram_calls.clear()
+        fit = fit_fgls(spec, data, OPTS)
+        assert (len(linearize_calls), len(gram_calls)) == (len(fit.rounds), 1)
+
+
+class TestGramSolve:
+    """Every linear solve is ``_wls`` on the Gram pair of the data."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_matches_per_row_normal_equations(self, seed):
+        # random mask with at least one free entry, SPD weight and design,
+        # against the per-row-Jacobian normal equations solved by numpy
+        rng = np.random.default_rng(seed)
+        din, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        mask = rng.random(d * din) < 0.6
+        mask[rng.integers(d * din)] = True
+        spec = ModelSpec(ModelKind.MASKED_LINEAR, din, d, mask=mask)
+        n = int(rng.integers(max(din, d) + 2, 120))
+        z = rng.standard_normal((n, din)) * rng.uniform(0.1, 10.0, din)
+        data = Dataset(z, rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0))
+        a = rng.standard_normal((d, d))
+        weight = spd_from_symmetric(a @ a.T + 0.1 * np.eye(d))
+        want = wls_oracle(spec, data, weight)
+        got = _wls(spec, _gram(data), weight)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [7000, 7004])
+    def test_ols_is_round_zero_of_logdet(self, seed, monkeypatch):
+        solves = []
+        real = estimate._wls
+
+        def recorded(*args):
+            solves.append(real(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(estimate, "_wls", recorded)
+        spec, data = masked_design(seed)
+        fit_logdet(spec, data, OPTS)
+        assert len(solves) >= 3
+        assert fit_ols(spec, data, OPTS).w_hat.values.tobytes() == solves[0].tobytes()
 
 
 class TestResidualCovariance:
@@ -457,7 +524,7 @@ class TestResidualCovariance:
 
     def test_plain_factor_when_it_exists(self):
         rs = cost.ResidualSet(np.random.default_rng(3).standard_normal((20, 2)))
-        got, want = estimate._residual_covariance(rs), empirical_covariance(rs)
+        got, want = estimate._residual_covariance(rs.residuals), empirical_covariance(rs)
         assert not got.regularized
         assert got.entries.tobytes() == want.entries.tobytes()
         assert got.chol.tobytes() == want.chol.tobytes()
@@ -471,7 +538,7 @@ class TestResidualCovariance:
         r = np.array(residuals)
         m = r.T @ r / r.shape[0]
         lam = 1e-8 * np.trace(m) / 2 or 1e-8
-        g = estimate._residual_covariance(cost.ResidualSet(r))
+        g = estimate._residual_covariance(r)
         assert g.regularized
         assert g.entries.tobytes() == (m + lam * np.eye(2)).tobytes()
         assert g.chol.tobytes() == np.linalg.cholesky(g.entries).tobytes()
@@ -487,7 +554,7 @@ class TestResidualCovariance:
         # a NaN, and so does the factor at every ridge of the escalation
         r = np.array(residuals)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite):
-            estimate._residual_covariance(cost.ResidualSet(r))
+            estimate._residual_covariance(r)
 
 
 class TestPlugInInformation:
@@ -690,17 +757,18 @@ class TestLinearLogdet:
     @pytest.mark.parametrize("seed", [7000, 7002, 7003, 7004, 7007])
     def test_matches_bfgs_oracle(self, seed, monkeypatch):
         # BFGS on U_n is the oracle for the iterated FGLS solution; each
-        # round is block-coordinate descent, so U_n never rises across rounds
+        # round is block-coordinate descent, so U_n never rises across
+        # rounds, and each round evaluates the log-det terms once
         spec, data = masked_design(seed)
         values = []
-        real = cost.logdet_gradient
+        real = cost.logdet_terms
 
-        def recorded(rs):
-            report = real(rs)
-            values.append(report.value)
-            return report
+        def recorded(r):
+            terms = real(r)
+            values.append(terms[0])
+            return terms
 
-        monkeypatch.setattr(cost, "logdet_gradient", recorded)
+        monkeypatch.setattr(cost, "logdet_terms", recorded)
         fit = fit_logdet(spec, data, OPTS)
         monkeypatch.undo()
         searched = multi_start(_objective(spec, data, logdet_terms), spec, OPTS)

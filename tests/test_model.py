@@ -45,6 +45,12 @@ class TestModelSpec:
         with pytest.raises(DimensionMismatch):
             ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=np.ones(5, dtype=bool))
 
+    @pytest.mark.parametrize("kind,size", [(ModelKind.MASKED_LINEAR, 6), (ModelKind.MLP, 17)])
+    def test_mask_freeing_nothing_rejected(self, kind, size):
+        hidden = 3 if kind is ModelKind.MLP else None
+        with pytest.raises(DimensionMismatch, match="mask frees no parameter"):
+            ModelSpec(kind, 3 if hidden is None else 2, 2, hidden, mask=np.zeros(size, dtype=bool))
+
     def test_with_frozen(self):
         spec = ModelSpec(ModelKind.LINEAR, 2, 2)
         sub = spec.with_frozen(1)

@@ -79,6 +79,27 @@ class TestSsmPrune:
         assert trace.steps == ()
         np.testing.assert_array_equal(trace.final_spec.effective_mask, mask)
 
+    def test_last_free_parameter_never_frozen(self, monkeypatch, caplog):
+        # one free parameter: the baseline fit, no candidate refit, no warning
+        mask = np.zeros(6, dtype=bool)
+        mask[0] = True
+        spec = ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask)
+        _, data = sparse_linear_data(n=200)
+        fits = []
+        real = prune.fit_logdet
+
+        def recorded(spec, data, opts, x0=None):
+            fits.append(x0)
+            return real(spec, data, opts, x0=x0)
+
+        monkeypatch.setattr(prune, "fit_logdet", recorded)
+        with caplog.at_level(logging.WARNING, logger="logdetreg.prune"):
+            trace = ssm_prune(spec, data, OPTS)
+        assert (trace.steps, fits, caplog.text) == ((), [None], "")
+        assert trace.final_spec is spec
+        np.testing.assert_array_equal(trace.final_fit.w_hat.values,
+                                      real(spec, data, OPTS).w_hat.values)
+
     def test_frozen_stays_frozen(self):
         full, data = sparse_linear_data(seed=5)
         trace = ssm_prune(full, data, OPTS)

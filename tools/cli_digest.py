@@ -17,11 +17,21 @@ work directory as ``--data`` and ``fit_utf16_data`` a UTF-16 copy of a
 small CSV, ``utf16.csv``; both exit 2.  Each command's stdout and stderr are
 saved as ``NAME.stdout`` and ``NAME.stderr`` in ``--out``, next to the
 files it writes, and one line ``sha256  file  rc`` is printed per output,
-in command order.  Compare two trees with ``diff``:
+in command order.  ``fit_no_free`` pins the exit code 2 and error line of
+a model whose mask frees no parameter.  Compare two trees with ``diff``:
 
     python tools/cli_digest.py --src ../parent/src --out ../digest-parent > parent.txt
     python tools/cli_digest.py --src src --out ../digest-change > change.txt
     diff parent.txt change.txt
+
+``--compare A B`` reads two such work directories and prints one line per
+file whose bytes differ: whether its structure is the same (a JSON
+document's skeleton, its numbers left out; a CSV file's header and shape;
+any other file's text, such as a stderr line), and the largest absolute
+and relative difference among its numbers, each with its path.  A file
+present on one side only, or a structure that differs, makes it exit 1.
+
+    python tools/cli_digest.py --compare ../digest-parent ../digest-change
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ MODELS = {
     "restricted.json": {"kind": "masked_linear", "input_dim": 3, "output_dim": 2,
                         "mask": [True, True, False, True, True, False]},
     "linear.json": {"kind": "linear", "input_dim": 3, "output_dim": 2},
+    "none.json": {"kind": "masked_linear", "input_dim": 3, "output_dim": 2, "mask": [False] * 6},
 }
 MLP_OPTS = ["--starts", "2", "--max-iters", "60"]
 
@@ -87,6 +98,7 @@ def commands() -> list[tuple[str, list[str]]]:
                            "--out", "mc_covariance.json"]),
         ("mc_test_size", ["mc", "--experiment", "test-size", "--reps", "20", "--n", "200",
                           "--out", "mc_test_size.json"]),
+        ("fit_no_free", [*fit, "iid.csv", "--model", "none.json"]),
         ("fit_dir_data", [*fit, ".", "--model", "linear.json"]),
         ("fit_utf16_data", [*fit, "utf16.csv", "--model", "linear.json"]),
     ]
@@ -141,11 +153,90 @@ def run(src: Path, work: Path) -> list[str]:
     return lines
 
 
+def _json_numbers(doc, path="$"):
+    """The skeleton of a JSON document (each number replaced by ``"#"``)
+    and its numbers as ``{path: value}``."""
+    if isinstance(doc, dict):
+        pairs = [(k, _json_numbers(v, f"{path}.{k}")) for k, v in doc.items()]
+        return {k: sk for k, (sk, _) in pairs}, {p: x for _, (_, n) in pairs for p, x in n.items()}
+    if isinstance(doc, list):
+        parts = [_json_numbers(v, f"{path}[{i}]") for i, v in enumerate(doc)]
+        return [sk for sk, _ in parts], {p: x for _, n in parts for p, x in n.items()}
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return "#", {path: float(doc)}
+    return doc, {}
+
+
+def _csv_numbers(text):
+    """The header and shape of a CSV file, and its fields as
+    ``{"row R, NAME": value}``."""
+    header, *rows = csv.reader(text.splitlines())
+    cells = {f"row {r}, {name}": float(x)
+             for r, row in enumerate(rows, 1) for name, x in zip(header, row)}
+    return (header, len(rows), {len(row) for row in rows}), cells
+
+
+def _structure(path: Path, data: bytes):
+    """(what the structure is, the structure, the numbers) of one output."""
+    text = data.decode("utf-8", errors="replace")
+    if path.suffix == ".csv":
+        return ("CSV header and shape", *_csv_numbers(text))
+    if path.suffix in (".json", ".stdout"):
+        try:
+            return ("JSON skeleton", *_json_numbers(json.loads(text)))
+        except ValueError:
+            pass
+    return "text", text, {}
+
+
+def _largest(a: dict, b: dict, rel: bool):
+    """The largest absolute (or relative) difference between the numbers
+    of ``a`` and ``b``, and its path."""
+    def diff(x, y):
+        scale = max(abs(x), abs(y)) if rel else 1.0
+        return 0.0 if x == y else abs(x - y) / scale
+    return max(((diff(a[p], b[p]), p) for p in a), default=(0.0, "-"))
+
+
+def compare(dir_a: Path, dir_b: Path) -> tuple[list[str], bool]:
+    """One line per file of either work directory whose bytes differ, and
+    whether every structure is the same."""
+    lines, same = [], True
+    names_a = {p.name for p in dir_a.iterdir() if p.is_file()}
+    names_b = {p.name for p in dir_b.iterdir() if p.is_file()}
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            lines.append(f"{name}: only in {'B' if name in names_b else 'A'}")
+            same = False
+            continue
+        a, b = (d / name for d in (dir_a, dir_b))
+        if a.read_bytes() == b.read_bytes():
+            continue
+        what, struct_a, nums_a = _structure(a, a.read_bytes())
+        _, struct_b, nums_b = _structure(b, b.read_bytes())
+        if struct_a != struct_b:
+            lines.append(f"{name}: {what} differs")
+            same = False
+            continue
+        (d_abs, p_abs), (d_rel, p_rel) = (_largest(nums_a, nums_b, rel) for rel in (False, True))
+        lines.append(f"{name}: {what} identical; max abs diff {d_abs:.3g} at {p_abs}, "
+                     f"max rel diff {d_rel:.3g} at {p_rel}")
+    return lines, same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="the tree's src directory")
-    parser.add_argument("--out", required=True, help="work directory, created here")
+    parser.add_argument("--src", help="the tree's src directory")
+    parser.add_argument("--out", help="work directory, created here")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two work directories instead of running")
     args = parser.parse_args(argv)
+    if args.compare:
+        lines, same = compare(*(Path(d) for d in args.compare))
+        print("\n".join(lines) if lines else "all outputs identical")
+        return 0 if same else 1
+    if not (args.src and args.out):
+        parser.error("--src and --out are required unless --compare is given")
     work = Path(args.out)
     work.mkdir(parents=True)
     for line in run(Path(args.src).resolve(), work.resolve()):
