@@ -390,12 +390,14 @@ class TestJacobianFreeObjective:
         assert len(jacobian_calls) == 1
 
     @pytest.mark.parametrize("seed", [6000, 6003, 6009])
-    def test_linear_fgls_builds_none(self, seed, jacobian_calls):
-        # neither the OLS solve nor any GLS round
+    def test_linear_fgls_builds_one(self, seed, jacobian_calls):
+        # none in the OLS solve or any GLS round, one in fisher_info
         spec, data = masked_design(seed)
         fit = fit_fgls(spec, data, OPTS)
         assert len(fit.rounds) >= 3
         assert jacobian_calls == []
+        fisher_info(spec, fit.w_hat, data)
+        assert len(jacobian_calls) == 1
 
 
 class TestLinearizations:
@@ -445,7 +447,8 @@ class TestLinearizations:
         linearize_calls.clear()  # the data's simulation
         fit_ols(spec, data, OPTS)
         assert (len(linearize_calls), len(gram_calls)) == (1, 1)
-        linearize_calls.clear(), gram_calls.clear()
+        linearize_calls.clear()
+        gram_calls.clear()
         fit = fit_fgls(spec, data, OPTS)
         assert (len(linearize_calls), len(gram_calls)) == (len(fit.rounds), 1)
 
