@@ -117,22 +117,29 @@ def _nonsingular(m: np.ndarray, error: type, what: str) -> SpdMatrix:
 
 
 def _gram(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram pair ``(S, C) = (Z^T Z / n, Y^T Z / n)`` of :func:`_wls`."""
+    """The Gram pair ``(S, C) = (Z^T Z / n, Y^T Z / n)`` of :func:`_wls`,
+    which rejects it when finite data overflow it."""
     z = data.inputs
-    return z.T @ z / data.n, data.outputs.T @ z / data.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        return z.T @ z / data.n, data.outputs.T @ z / data.n
 
 
 def _wls(spec: mdl.ModelSpec, gram: tuple[np.ndarray, np.ndarray], weight: SpdMatrix) -> np.ndarray:
     """Minimizer of the GLS cost of a linear spec (masked or not) from the
     Gram pair ``(S, C)`` of its data: with ``G = weight^{-1}``, the normal
     equations ``(G kron S) vec(W) = vec(G C)`` on the free entries (the SUR
-    algebra of Zellner 1962).  Raises SingularDesign when the normal matrix
-    is singular."""
+    algebra of Zellner 1962).  Raises NotPositiveDefinite, before any
+    solve, when ``S`` or ``G C`` is not finite (an overflow of finite data),
+    and SingularDesign when the normal matrix is singular."""
     s, c = gram
     g, free = weight.inverse, spec.effective_mask
+    rhs = g @ c
+    if not (np.isfinite(s).all() and np.isfinite(rhs).all()):
+        raise NotPositiveDefinite(
+            "Gram pair overflows: Z^T Z / n or weight^-1 Y^T Z / n is not finite")
     kron = (g[:, None, :, None] * s[None, :, None, :]).reshape(free.size, free.size)
     normal = _nonsingular(kron[free][:, free], SingularDesign, "regressor design")
-    return normal.solve((g @ c).ravel()[free])
+    return normal.solve(rhs.ravel()[free])
 
 
 def _linear_point(linear_at, y: np.ndarray, x: np.ndarray, terms):

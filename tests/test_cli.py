@@ -830,6 +830,18 @@ class TestNonFiniteReports:
         assert err.startswith("error: Cholesky failed")  # and no overflow warning
         assert not out.exists()
 
+    @pytest.mark.parametrize("cost", ["mse", "gls", "fgls", "logdet"])
+    def test_overflowing_gram_pair_exit_3(self, tmp_path, nested_files, cost, capsys):
+        # finite data whose Y^T Z / n overflows (inputs in [50, 60], outputs
+        # near +-1.7e308): rejected before any solve, and not as a warning
+        rng = np.random.default_rng(0)
+        y = rng.choice([-1.0, 1.0], (50, 2)) * 1.7e308 * rng.uniform(0.9, 1.0, (50, 2))
+        data = tmp_path / "overflow.csv"
+        save_csv(data, Dataset(rng.uniform(50.0, 60.0, (50, 3)), y))
+        argv = ["fit", "--cost", cost, "--model", nested_files[1], "--data", str(data)]
+        assert run(argv, capsys) == (
+            3, "", "error: Gram pair overflows: Z^T Z / n or weight^-1 Y^T Z / n is not finite\n")
+
     def test_emit_refuses_non_finite(self, tmp_path):
         out = tmp_path / "report.json"
         for bad in (np.inf, -np.inf, np.nan):

@@ -2,6 +2,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from logdetreg.data import load_csv
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
 _SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
 cli_digest = importlib.util.module_from_spec(_SPEC)
@@ -49,3 +53,22 @@ def test_structural_difference_exits_non_zero(tmp_path, capsys):
                      "fit.stderr: text differs"]
     assert cli_digest.main(["--compare", str(a), str(b)]) == 1
     capsys.readouterr()
+
+
+def test_inputs_reach_both_factor_routes_and_the_overflow(tmp_path):
+    # the MLP log-det fits at d = 1 and d = 3 have data of their model's
+    # dimensions, and overflow.csv is finite with an overflowing Y^T Z / n
+    cli_digest.write_mlp_data(tmp_path)
+    cli_digest.write_overflow_data(tmp_path)
+    names = {name for name, _ in cli_digest.commands()}
+    for d in (1, 3):
+        assert f"fit_mlp_d{d}_logdet" in names
+        model = cli_digest.MODELS[f"mlp_d{d}.json"]
+        assert (model["input_dim"], model["output_dim"]) == (d, d)
+        data = load_csv(tmp_path / f"mlp_d{d}.csv")
+        assert (data.n, data.input_dim, data.output_dim) == (120, d, d)
+    assert "fit_overflow_logdet" in names
+    data = load_csv(tmp_path / "overflow.csv")
+    assert np.isfinite(data.inputs).all() and np.isfinite(data.outputs).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(data.outputs.T @ data.inputs / data.n).all()

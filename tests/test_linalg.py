@@ -216,14 +216,34 @@ class TestFactorSmall:
             ld = np.linalg.slogdet(m)[1]
             assert abs(logdet(g) - ld) <= bound * max(1.0, abs(ld))
 
+    @staticmethod
+    def written_out_inputs(d):
+        """Inputs of the d <= 2 route: residual Gram matrices, the
+        conditioned matrices up to cond 1e12, a Gamma_0-like pair with
+        correlation 1.8/1.81 and diagonal matrices, whose zero off-diagonal
+        entries pin the signs of the zeros in L and the inverse."""
+        for seed in range(8):
+            r = np.random.default_rng([d, seed]).standard_normal((30, d))
+            yield r.T @ r / 30
+        for cond in (1.0, 1e3, 1e6, 1e9, 1e12):
+            for seed in range(4):
+                yield conditioned(d, cond, seed)[0].entries
+        if d == 2:
+            yield np.array([[1.81, 1.8], [1.8, 1.81]])
+            yield np.array([[2.0, 0.0], [0.0, 3.0]])
+            yield np.array([[2.0, -0.0], [-0.0, 3.0]])
+        else:
+            yield np.array([[3.0]])
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_bitwise_equal_to_oracle(self, d):
         r = np.random.default_rng(d).standard_normal((30, d))
-        g = factor_small(r.T @ r / 30)
-        chol, inv, ld = small_factor_oracle(g.entries)
-        assert g.chol.tobytes() == chol.tobytes()
-        assert g.inverse.tobytes() == inv.tobytes()
-        assert np.float64(logdet(g)).tobytes() == np.float64(ld).tobytes()
+        for m in [r.T @ r / 30, *(self.written_out_inputs(d) if d <= 2 else ())]:
+            g = factor_small(m)
+            chol, inv, ld = small_factor_oracle(g.entries)
+            assert g.chol.tobytes() == chol.tobytes()
+            assert g.inverse.tobytes() == inv.tobytes()
+            assert np.float64(logdet(g)).tobytes() == np.float64(ld).tobytes()
 
     def test_inverse_is_cached(self):
         g = factor_small(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -249,11 +269,15 @@ class TestFactorSmall:
             [[1.0, -np.inf], [-np.inf, 1.0]],
             [[np.inf, np.inf], [np.inf, np.inf]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]],
+            [[0.0]],
+            [[np.nan]],
+            [[np.inf]],
         ],
         ids=["indefinite", "rank_one", "zero", "negative_1x1", "rank_two_3x3",
              "overflowing_pivot", "nan_first_pivot", "nan_off_diagonal", "nan_last_pivot",
              "inf_first_pivot", "inf_last_pivot", "minus_inf_pivot", "inf_off_diagonal",
-             "minus_inf_off_diagonal", "all_infinite", "inf_last_pivot_3x3"],
+             "minus_inf_off_diagonal", "all_infinite", "inf_last_pivot_3x3", "zero_1x1",
+             "nan_1x1", "inf_1x1"],
     )
     def test_rejections_match_lapack_route(self, m):
         # the same matrices fail with the same text as on the LAPACK route,

@@ -18,7 +18,14 @@ small CSV, ``utf16.csv``; both exit 2.  Each command's stdout and stderr are
 saved as ``NAME.stdout`` and ``NAME.stderr`` in ``--out``, next to the
 files it writes, and one line ``sha256  file  rc`` is printed per output,
 in command order.  ``fit_no_free`` pins the exit code 2 and error line of
-a model whose mask frees no parameter.  Compare two trees with ``diff``:
+a model whose mask frees no parameter.  ``fit_overflow_logdet`` pins the
+exit code 3 and error line of a linear fit on ``overflow.csv``, finite
+data whose Gram pair overflows.  ``fit_mlp_d1_logdet`` and
+``fit_mlp_d3_logdet`` fit MLP(d, 2, d) by log-det to ``mlp_d1.csv`` and
+``mlp_d3.csv``, so that every trial point's residual covariance goes
+through the written-out d <= 2 route of ``linalg.factor_small`` in one and
+its d >= 3 loops in the other (the d = 2 fits take the written-out
+route too).  Compare two trees with ``diff``:
 
     python tools/cli_digest.py --src ../parent/src --out ../digest-parent > parent.txt
     python tools/cli_digest.py --src src --out ../digest-change > change.txt
@@ -40,6 +47,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -62,6 +70,8 @@ MODELS = {
                         "mask": [True, True, False, True, True, False]},
     "linear.json": {"kind": "linear", "input_dim": 3, "output_dim": 2},
     "none.json": {"kind": "masked_linear", "input_dim": 3, "output_dim": 2, "mask": [False] * 6},
+    "mlp_d1.json": {"kind": "mlp", "input_dim": 1, "output_dim": 1, "hidden_units": 2},
+    "mlp_d3.json": {"kind": "mlp", "input_dim": 3, "output_dim": 3, "hidden_units": 2},
 }
 MLP_OPTS = ["--starts", "2", "--max-iters", "60"]
 
@@ -81,11 +91,16 @@ def commands() -> list[tuple[str, list[str]]]:
         *((f"fit_mlp_{cost}", [*fit, "nar.csv", "--model", "mlp.json", "--cost", cost,
                                *MLP_OPTS, "--out", f"fit_mlp_{cost}.json"])
           for cost in ("mse", "gls", "fgls", "logdet")),
+        *((f"fit_mlp_d{d}_logdet", [*fit, f"mlp_d{d}.csv", "--model", f"mlp_d{d}.json",
+                                    *MLP_OPTS, "--out", f"fit_mlp_d{d}_logdet.json"])
+          for d in (1, 3)),
         *((f"fit_ridge_{cost}", [*fit, "ridge.csv", "--model", "linear.json", "--cost", cost,
                                  "--out", f"fit_ridge_{cost}.json"])
           for cost in ("mse", "fgls", "logdet")),
         ("fit_huge_mse", [*fit, "huge.csv", "--model", "linear.json", "--cost", "mse",
                           "--out", "fit_huge_mse.json"]),
+        ("fit_overflow_logdet", [*fit, "overflow.csv", "--model", "linear.json",
+                                 "--out", "fit_overflow_logdet.json"]),
         *((f"test_{cost}", ["test", "--restricted", "restricted.json", "--full", "linear.json",
                             "--data", "iid.csv", "--cost", cost, "--calibrate", "20",
                             "--out", f"test_{cost}.json"])
@@ -121,6 +136,35 @@ def write_huge_data(work: Path) -> None:
     (work / "huge.csv").write_text("\n".join(["z1,z2,z3,y1,y2", *rows]) + "\n", encoding="utf-8")
 
 
+def write_overflow_data(work: Path) -> None:
+    """``overflow.csv``: 50 rows of three inputs U(50, 60) and two outputs
+    +-1.7e308 U(0.9, 1), all finite, from a seeded ``random.Random``; its
+    Gram pair ``Y^T Z / n`` overflows."""
+    rng = random.Random(22)
+    rows = [",".join([*(repr(rng.uniform(50.0, 60.0)) for _ in range(3)),
+                      *(repr(rng.choice((-1.0, 1.0)) * 1.7e308 * rng.uniform(0.9, 1.0))
+                        for _ in range(2))])
+            for _ in range(50)]
+    (work / "overflow.csv").write_text("\n".join(["z1,z2,z3,y1,y2", *rows]) + "\n",
+                                       encoding="utf-8")
+
+
+def write_mlp_data(work: Path) -> None:
+    """``mlp_d1.csv`` and ``mlp_d3.csv``: 120 rows of d inputs U(-1, 1) and
+    d outputs ``tanh`` of a fixed mix of the inputs plus 0.2 N(0, 1), from a
+    seeded ``random.Random``, for MLP(d, 2, d) fits at d = 1 and 3."""
+    for d in (1, 3):
+        rng = random.Random(30 + d)
+        rows = []
+        for _ in range(120):
+            z = [rng.uniform(-1.0, 1.0) for _ in range(d)]
+            y = [math.tanh(sum((1.0 + i + j) / d * x for j, x in enumerate(z)))
+                 + rng.gauss(0.0, 0.2) for i in range(d)]
+            rows.append(",".join(map(repr, z + y)))
+        header = ",".join([*(f"z{j + 1}" for j in range(d)), *(f"y{i + 1}" for i in range(d))])
+        (work / f"mlp_d{d}.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def write_utf16_data(work: Path) -> None:
     """``utf16.csv``: a header and two rows of a linear model's CSV, in
     UTF-16 with its byte-order mark."""
@@ -137,6 +181,8 @@ def run(src: Path, work: Path) -> list[str]:
     for name, doc in MODELS.items():
         (work / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
     write_huge_data(work)
+    write_overflow_data(work)
+    write_mlp_data(work)
     write_utf16_data(work)
     env = dict(os.environ, PYTHONPATH=str(src))
     lines = []
