@@ -499,6 +499,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy takes no negative seed; refused before any subcommand runs
+            raise UsageError("--seed must be >= 0")
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,23 +12,25 @@ value and the rows ``v_t``, and :func:`chain` turns the rows into the
 gradient through a model pullback.  The BFGS objective of
 :mod:`~logdetreg.estimate` applies the terms to the bare residuals of each
 trial point, and the linear fits apply them once per solve.
-:func:`logdet_gradient` applies the log-det terms to a
-:class:`ResidualSet`, the residuals with the model's
-:class:`~logdetreg.model.Linearization` there, and returns a
-:class:`CostReport`.  Only :func:`information` and
-:func:`logdet_hessian` build Jacobians (once per residual set).
-``Gamma_n = r^T r / n`` is bitwise symmetric, so it is factored as given,
-without the asymmetry test and symmetrizing of
-:func:`~logdetreg.linalg.spd_from_symmetric`, and in Python floats by
-:func:`~logdetreg.linalg.factor_small`, which forms its inverse at once:
-every log-det trial point pays for it, and at d = 2 it takes about 0.6 of
-the time of numpy's LAPACK route.  The GLS and log-det rows are ``r @ G``
+:func:`logdet_terms` forms ``Gamma_n = r^T r / n`` for the cost, the
+Hessian and the plug-in information alike (a fit's ridged ``gamma_hat`` is
+:func:`~logdetreg.estimate._residual_covariance`'s).  The Gram matrix is
+bitwise symmetric, so it is factored as given, without the asymmetry
+test and symmetrizing of :func:`~logdetreg.linalg.spd_from_symmetric`,
+and in Python floats by :func:`~logdetreg.linalg.factor_small`, which
+forms its inverse at once: every log-det trial point pays for it, and at
+d = 2 it takes about 0.25 of the time of numpy's LAPACK route.  The GLS and log-det rows are ``r @ G``
 with ``G`` the cached inverse of the weight or of ``Gamma_n``.  The terms
-do not test ``r`` for finiteness.  :class:`ResidualSet` rejects non-finite
-residuals; the BFGS objective and the linear fits do not, since a
-non-finite residual makes the MSE and GLS values non-finite and fails the
-factorization of ``Gamma_n``.  The BFGS objective hands over its residuals
-formed feature-major, as the (n, d) transposed view of ``y^T - pred^T``.
+do not test ``r`` for finiteness: a non-finite residual makes the MSE and
+GLS values non-finite and fails the factorization of ``Gamma_n``.  The BFGS
+objective hands over its residuals formed feature-major, as the (n, d)
+transposed view of ``y^T - pred^T``.
+
+At an estimate, a :class:`ResidualSet` holds the residuals and the model's
+:class:`~logdetreg.model.Linearization` there, from one ``linearizer``
+call, and rejects non-finite residuals.  Only :func:`logdet_hessian` and
+the plug-in information of :func:`~logdetreg.estimate.fisher_info` build
+the (n, d, K) Jacobians, once each, and hand them to :func:`information`.
 
 With residuals ``r_t = y_t - F_w(z_t)`` and per-row Jacobians ``J_t``
 (d x K), the building blocks are
@@ -48,7 +50,7 @@ symmetrized as ``(H + H^T) / 2``.  The second term is twice the
 information matrix ``(1/n) sum_t J_t^T G J_t`` (:func:`information`, shared
 with the plug-in Fisher information).  The third is never built from
 ``S_t``: ``tr(G C_kl) = -(1/n) sum_t (G r_t)^T S_t[k, l]`` is the model's
-second-derivative contraction against the rows ``G r_t``
+second-derivative contraction against the log-det rows ``G r_t``
 (``Linearization.second_derivs_vdot``).  Both forms are validated
 against finite differences in the test suite.
 """
@@ -56,8 +58,7 @@ against finite differences in the test suite.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,72 +68,22 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 from .linalg import SpdMatrix, factor_small, logdet
 
 
-@dataclass
-class ResidualSet:
-    """Residuals of a model on a dataset, with the model's
-    :class:`~logdetreg.model.Linearization` there (``None`` for bare
-    residuals, which support cost values but no derivatives)."""
+class ResidualSet(NamedTuple):
+    """The (n, d) residuals of a model on a dataset and the model's
+    :class:`~logdetreg.model.Linearization` there, from one ``linearizer``
+    call (:meth:`from_model`)."""
 
     residuals: np.ndarray
-    lin: mdl.Linearization | None = None
-
-    def __post_init__(self):
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        if self.residuals.ndim != 2 or self.residuals.shape[0] < 1:
-            raise DimensionMismatch("residuals must be a non-empty (n, d) matrix")
-        if not np.isfinite(self.residuals).all():
-            raise DimensionMismatch("residuals must be finite")
+    lin: mdl.Linearization
 
     @classmethod
     def from_model(cls, spec: mdl.ModelSpec, w: mdl.ParamVector, data: Dataset) -> "ResidualSet":
-        lin = mdl.linearize(spec, w, data.inputs)
-        return cls(data.outputs - lin.pred, lin)
-
-    @property
-    def n(self) -> int:
-        return self.residuals.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.residuals.shape[1]
-
-    @property
-    def model(self) -> mdl.Linearization:
-        """The linearization, which every derivative needs."""
-        if self.lin is None:
-            raise DimensionMismatch("residual set was built without a model")
-        return self.lin
-
-    @cached_property
-    def jacobians(self) -> np.ndarray:
-        return self.model.jacobian()
-
-
-@dataclass(frozen=True)
-class CostReport:
-    value: float
-    gradient: np.ndarray | None = None
-    hessian: np.ndarray | None = None
-    gamma_n: SpdMatrix | None = None
-
-
-def _covariance(r: np.ndarray) -> SpdMatrix:
-    """Gamma_n of the (n, d) residuals ``r``.  The Gram
-    matrix ``r^T r / n`` is bitwise symmetric (the test suite checks it), so
-    it is factored as given, by ``factor_small``."""
-    n, d = r.shape
-    if n < d:
-        raise NotPositiveDefinite(f"n={n} < d={d}: covariance cannot be PD")
-    return factor_small(r.T @ r / n)
-
-
-def empirical_covariance(rs: ResidualSet) -> SpdMatrix:
-    """Gamma_n(w) = (1/n) sum_t r_t r_t^T.
-
-    Raises NotPositiveDefinite for n < d or residuals confined to a proper
-    subspace (an interpolating or otherwise degenerate model).
-    """
-    return _covariance(rs.residuals)
+        """The residuals ``y - F_w(z)``; DimensionMismatch if one is not finite."""
+        lin = mdl.linearizer(spec, data.inputs)(w.values)
+        r = data.outputs - lin.pred
+        if not np.isfinite(r).all():
+            raise DimensionMismatch("residuals must be finite")
+        return cls(r, lin)
 
 
 # The terms of each cost at the (n, d) residuals r: ``(value, v, gamma_n)``
@@ -153,8 +104,15 @@ def gls_terms(r: np.ndarray, weight: SpdMatrix) -> tuple[float, np.ndarray, None
 
 
 def logdet_terms(r: np.ndarray) -> tuple[float, np.ndarray, SpdMatrix]:
-    """U_n = log det Gamma_n, the rows Gamma_n^{-1} r_t, and Gamma_n."""
-    gamma = _covariance(r)
+    """U_n = log det Gamma_n, the rows Gamma_n^{-1} r_t, and Gamma_n.
+
+    Raises NotPositiveDefinite for n < d or residuals confined to a proper
+    subspace (an interpolating or otherwise degenerate model).
+    """
+    n, d = r.shape
+    if n < d:
+        raise NotPositiveDefinite(f"n={n} < d={d}: covariance cannot be PD")
+    gamma = factor_small(r.T @ r / n)
     return logdet(gamma), r @ gamma.inverse, gamma
 
 
@@ -164,35 +122,25 @@ def chain(pullback: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.nda
     return -2.0 / v.shape[0] * pullback(v)
 
 
-def logdet_gradient(rs: ResidualSet) -> CostReport:
-    value, v, gamma = logdet_terms(rs.residuals)
-    return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
-
-
-def _a_tensor(rs: ResidualSet) -> np.ndarray:
-    """A_k for all k, shape (K, d, d)."""
-    return -np.einsum("tik,tj->kij", rs.jacobians, rs.residuals) / rs.n
-
-
-def information(rs: ResidualSet, gamma: SpdMatrix) -> np.ndarray:
+def information(jac: np.ndarray, gamma: SpdMatrix) -> np.ndarray:
     """(1/n) sum_t J_t^T gamma^{-1} J_t, the (K, K) information matrix
-    ``tr(gamma^{-1} B_kl)``."""
-    g = gamma.inverse
-    jac = rs.jacobians
-    gj = np.einsum("ij,tjk->tik", g, jac)
-    return np.einsum("tik,til->kl", jac, gj) / rs.n
+    ``tr(gamma^{-1} B_kl)``, from the (n, d, K) Jacobians ``jac``."""
+    gj = np.einsum("ij,tjk->tik", gamma.inverse, jac)
+    return np.einsum("tik,til->kl", jac, gj) / len(jac)
 
 
-def logdet_hessian(rs: ResidualSet) -> CostReport:
-    report = logdet_gradient(rs)
-    g = report.gamma_n.inverse
-    a = _a_tensor(rs)
+def logdet_hessian(rs: ResidualSet) -> np.ndarray:
+    """The symmetric (K, K) Hessian of U_n at a residual set."""
+    r, lin = rs
+    _, v, gamma = logdet_terms(r)
+    g, jac, n = gamma.inverse, lin.jacobian(), len(r)
+    a = -np.einsum("tik,tj->kij", jac, r) / n  # A_k for all k, (K, d, d)
     asym = a + a.transpose(0, 2, 1)
     # term 1: derivative of G, -2 tr(G (A_l + A_l^T) G A_k)
     gag = np.einsum("ij,ljm,mn->lin", g, asym, g)  # G (A_l + A_l^T) G
     term1 = -2.0 * np.einsum("lij,kji->kl", gag, a)
     # term 2: 2 tr(G B_kl); term 3: 2 tr(G C_kl) = -(2/n) sum_t S_t[k,l] . (G r_t)
-    term2 = 2.0 * information(rs, report.gamma_n)
-    term3 = -2.0 / rs.n * rs.model.second_derivs_vdot(rs.residuals @ g)
+    term2 = 2.0 * information(jac, gamma)
+    term3 = -2.0 / n * lin.second_derivs_vdot(v)
     hess = term1 + term2 + term3
-    return replace(report, hessian=0.5 * (hess + hess.T))
+    return 0.5 * (hess + hess.T)

@@ -196,8 +196,8 @@ def _fit(spec, data, opts, kind, terms, x0, linear_fit) -> FitResult:
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind is mdl.ModelKind.MLP:
             outcome = multi_start(_objective(spec, data, terms), spec, opts, x0=x0)
-            rs = cst.ResidualSet.from_model(spec, outcome.w_best, data)
-            gamma_hat = _residual_covariance(rs.residuals)
+            pred = mdl.eval_batch(spec, outcome.w_best, data.inputs)
+            gamma_hat = _residual_covariance(data.outputs - pred)
         else:
             outcome, gamma_hat = linear_fit()
     return FitResult(
@@ -290,8 +290,8 @@ def fisher_info(
     the estimate is ``I^{-1} / n``.  Raises NonIdentifiable when the
     information matrix is singular.
     """
-    rs = cst.ResidualSet.from_model(spec, w, data)
-    info = cst.information(rs, cst.empirical_covariance(rs))
+    r, lin = cst.ResidualSet.from_model(spec, w, data)
+    info = cst.information(lin.jacobian(), cst.logdet_terms(r)[2])
     info_spd = _nonsingular(info, NonIdentifiable, "information matrix")
     cov = info_spd.inverse / data.n
     return info_spd, cov

@@ -19,9 +19,8 @@ NAR recursion.  :func:`linearizer` resolves the input check, the mask and
 the MLP layout once for a fit, and maps each parameter point to its
 :class:`Linearization`: the batch prediction (the MLP's forward pass runs
 feature-major, n on the fast axis) and, from the same forward pass, every
-derivative the costs use.  :func:`linearize` is one such call, and
-:func:`eval_batch` the prediction of one; ``_mlp_blocks`` is the one
-statement of the MLP grid layout.
+derivative the costs use.  :func:`eval_batch` is the prediction of one
+such call; ``_mlp_blocks`` is the one statement of the MLP grid layout.
 """
 
 from __future__ import annotations
@@ -215,16 +214,11 @@ class Linearization(NamedTuple):
     second_derivs_vdot: Callable[[np.ndarray], np.ndarray]
 
 
-def linearize(spec: ModelSpec, w: ParamVector, inputs: np.ndarray) -> Linearization:
-    """The :class:`Linearization` of F_w at the rows of ``inputs``."""
-    return linearizer(spec, inputs)(w.values)
-
-
 def linearizer(spec: ModelSpec, inputs: np.ndarray) -> Callable[[np.ndarray], Linearization]:
-    """The map from free parameters ``x`` to :func:`linearize` at
-    ``ParamVector(x, spec)``, with the input check, the mask and (MLP) the
-    feature-major inputs and grid layout resolved once for every point; the
-    map does not check ``x``."""
+    """The map from free parameters ``x`` to the :class:`Linearization` of
+    F_w, ``w = ParamVector(x, spec)``, at the rows of ``inputs``, with the
+    input check, the mask and (MLP) the feature-major inputs and grid
+    layout resolved once for every point; the map does not check ``x``."""
     z = _check_inputs(spec, inputs)
     n, d, size = z.shape[0], spec.output_dim, spec.full_param_count
     mask, masked = spec.effective_mask, spec.mask is not None

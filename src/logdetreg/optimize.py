@@ -38,7 +38,8 @@ class OptimOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1 or not 0 < self.grad_tol < np.inf or self.n_starts < 1:
+        if (self.max_iters < 1 or not 0 < self.grad_tol < np.inf or self.n_starts < 1
+                or self.seed < 0):
             raise ValueError("invalid optimizer options")
 
 

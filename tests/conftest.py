@@ -4,6 +4,7 @@ import csv
 import math
 from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,18 +17,15 @@ from logdetreg import (
     SimMode,
     SimRecipe,
     gen_series,
-    logdet,
     sample_gaussian,
     spd_from_symmetric,
 )
 from logdetreg.cost import (
-    CostReport,
     ResidualSet,
-    _a_tensor,
     chain,
-    empirical_covariance,
     gls_terms,
     information,
+    logdet_terms,
     mse_terms,
 )
 from logdetreg.errors import AsymmetricInput, DimensionMismatch, NonFiniteState
@@ -125,51 +123,52 @@ def trace_product(g_inv: SpdMatrix, a: np.ndarray) -> float:
     return float(np.sum(g_inv.entries * a.T))
 
 
-def report(rs: ResidualSet, terms) -> CostReport:
-    """The value, gradient and covariance of the cost with these terms at a
-    residual set."""
-    value, v, gamma = terms(rs.residuals)
-    return CostReport(value=value, gradient=chain(rs.model.pullback, v), gamma_n=gamma)
+class Report(NamedTuple):
+    value: float
+    gradient: np.ndarray
 
 
-def mse_cost(rs: ResidualSet) -> float:
-    return mse_terms(rs.residuals)[0]
+def report(rs: ResidualSet, terms) -> Report:
+    """The value and gradient (by the model's pullback) of the cost with
+    these terms at a residual set."""
+    value, v, _ = terms(rs.residuals)
+    return Report(value, chain(rs.lin.pullback, v))
 
 
-def mse_gradient(rs: ResidualSet) -> CostReport:
+def mse_gradient(rs: ResidualSet) -> Report:
     return report(rs, mse_terms)
 
 
-def gls_cost(rs: ResidualSet, weight: SpdMatrix) -> float:
-    return gls_terms(rs.residuals, weight)[0]
-
-
-def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> CostReport:
+def gls_gradient(rs: ResidualSet, weight: SpdMatrix) -> Report:
     return report(rs, partial(gls_terms, weight=weight))
+
+
+def logdet_gradient(rs: ResidualSet) -> Report:
+    return report(rs, logdet_terms)
 
 
 def wls_oracle(spec, data, weight: SpdMatrix) -> np.ndarray:
     """The GLS minimizer of a linear spec by the per-row-Jacobian normal
-    equations, ``information(rs0, W) x = -gls_gradient(rs0, W) / 2`` at
+    equations, ``information(J, W) x = -gls_gradient(rs0, W) / 2`` at
     w = 0, solved by numpy: the route the Gram-matrix solve of
     ``estimate._wls`` replaced."""
     rs0 = residual_set(spec, ParamVector(np.zeros(spec.param_count), spec), data)
-    info = information(rs0, weight)
+    info = information(rs0.lin.jacobian(), weight)
     return np.linalg.solve(info, -0.5 * gls_gradient(rs0, weight).gradient)
 
 
-def logdet_cost(rs: ResidualSet) -> CostReport:
-    """U_n alone, without the gradient (needs no Jacobians)."""
-    gamma = empirical_covariance(rs)
-    return CostReport(value=logdet(gamma), gamma_n=gamma)
+def a_tensor(rs: ResidualSet) -> np.ndarray:
+    """A_k = -(1/n) sum_t J_t[:, k] r_t^T for all k, shape (K, d, d)."""
+    r, lin = rs
+    return -np.einsum("tik,tj->kij", lin.jacobian(), r) / len(r)
 
 
 def logdet_gradient_entrywise(rs: ResidualSet) -> np.ndarray:
     """Per-entry route: grad_k = vec(G)^T vec(dGamma/dw_k), an independent
-    cross-check of the trace form in ``logdet_gradient``."""
-    gamma = empirical_covariance(rs)
+    cross-check of the trace form ``-(2/n) sum_t J_t^T G r_t``."""
+    gamma = logdet_terms(rs.residuals)[2]
     g = gamma.solve(np.eye(gamma.dim))
-    a = _a_tensor(rs)
+    a = a_tensor(rs)
     dgamma = a + a.transpose(0, 2, 1)
     return np.einsum("ij,kij->k", g, dgamma)
 
@@ -329,8 +328,8 @@ def small_factor_oracle(m):
 
 
 def linearize_oracle(spec, x, z):
-    """(prediction, pullback, Jacobian builder) of ``model.linearize`` at the
-    free parameters ``x``: the grid is zeros filled through the mask (all
+    """(prediction, pullback, Jacobian builder) of ``model.linearizer`` at
+    the free parameters ``x``: the grid is zeros filled through the mask (all
     True when unmasked), and the MLP runs feature-major: hidden values
     ``tanh(a z^T + c)`` and prediction ``b^T t + bias`` with the biases
     added down the columns, handed out transposed.  Its pullback writes the

@@ -36,10 +36,11 @@ from logdetreg import (
     tn_test,
 )
 from logdetreg.cli import main as cli_main
-from logdetreg.cost import ResidualSet, logdet_gradient, logdet_hessian
+from logdetreg.cost import ResidualSet, logdet_hessian, logdet_terms
+from logdetreg.estimate import _objective
 from logdetreg.optimize import start_rng
 from logdetreg.simulate import bivariate_nar_recipe
-from conftest import fd_gradient, fd_jacobian, logdet_cost, make_instance, residual_set
+from conftest import fd_gradient, fd_jacobian, make_instance, residual_set
 
 FULL = os.environ.get("LOGDETREG_ACCEPTANCE_FULL") == "1"
 
@@ -88,10 +89,11 @@ def test_01_gradient_correctness():
         spec, w, data = make_instance(index, n=200)
 
         def u_of(x):
-            return logdet_cost(residual_set(spec, ParamVector(x, spec), data)).value
+            return logdet_terms(residual_set(spec, ParamVector(x, spec), data).residuals)[0]
 
         fd = fd_gradient(u_of, w.values)
-        grad = logdet_gradient(residual_set(spec, w, data)).gradient
+        # the gradient BFGS follows
+        grad = _objective(spec, data, logdet_terms)(w.values)[1]
         scale = np.maximum(np.abs(fd), 1.0)
         worst = max(worst, float(np.max(np.abs(grad - fd) / scale)))
     check(1, f"analytic gradient vs FD on 51 instances, max rel err {worst:.2e} < 1e-6",
@@ -103,12 +105,10 @@ def test_02_hessian_correctness():
     for index in range(51):
         spec, w, data = make_instance(index, n=200)
 
-        def grad_of(x):
-            return logdet_gradient(residual_set(spec, ParamVector(x, spec), data)).gradient
-
-        fd = fd_jacobian(grad_of, w.values)
+        objective = _objective(spec, data, logdet_terms)
+        fd = fd_jacobian(lambda x: objective(x)[1], w.values)
         fd = 0.5 * (fd + fd.T)
-        hess = logdet_hessian(residual_set(spec, w, data)).hessian
+        hess = logdet_hessian(residual_set(spec, w, data))
         scale = np.maximum(np.abs(fd), 1.0)
         worst = max(worst, float(np.max(np.abs(hess - fd) / scale)))
     check(2, f"analytic Hessian vs FD-of-gradient on 51 instances, max rel err {worst:.2e} "
@@ -120,9 +120,9 @@ def test_03_hessian_information_consistency():
     w0 = np.array([0.5, -0.3, 0.2, 0.8])
     data, _ = correlated_design(31, 0, 100_000, w0)
     w = ParamVector(w0, spec)
-    rep = logdet_hessian(ResidualSet.from_model(spec, w, data))
+    hess = logdet_hessian(ResidualSet.from_model(spec, w, data))
     info, _ = fisher_info(spec, w, data)
-    rel = float(np.max(np.abs(rep.hessian / 2.0 - info.entries) / np.abs(info.entries)))
+    rel = float(np.max(np.abs(hess / 2.0 - info.entries) / np.abs(info.entries)))
     check(3, f"HU_n(w0)/2 vs plug-in information at n=1e5, max entrywise rel dev "
              f"{rel:.2e} < 0.05", rel < 0.05)
 

@@ -799,6 +799,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--estimators" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "test", "prune", "mc"])
+    def test_negative_seed_usage_error(self, tmp_path, linear22, nested_files, command, capsys):
+        # numpy takes no negative seed: every subcommand refuses one before
+        # it writes a file, a linear fit that draws nothing included
+        restricted, full = nested_files
+        data = simulate(capsys, restricted, str(tmp_path / "d.csv"), n=100)
+        argv = {
+            "simulate": ["simulate", "--mode", "nar", "--model", linear22, "--gamma", "1,0;0,1",
+                         "--n", "50"],
+            "fit": ["fit", "--model", full, "--data", data],
+            "test": ["test", "--restricted", restricted, "--full", full, "--data", data],
+            "prune": ["prune", "--model", full, "--data", data],
+            "mc": ["mc", "--experiment", "test-size", "--reps", "3", "--n", "50"],
+        }[command]
+        before = set(tmp_path.iterdir())
+        out = str(tmp_path / "out.csv")
+        assert run([*argv, "--seed", "-1", "--out", out], capsys) == (
+            2, "", "error: --seed must be >= 0\n")
+        assert set(tmp_path.iterdir()) == before
+
     def test_internal_value_error_propagates(self, tmp_path, linear22, capsys, monkeypatch):
         import logdetreg.cli as cli
 

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 
+from logdetreg import ModelKind, ModelSpec
 from logdetreg.data import load_csv
+from logdetreg.model import _mlp_blocks
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
 _SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
@@ -72,3 +74,17 @@ def test_inputs_reach_both_factor_routes_and_the_overflow(tmp_path):
     assert np.isfinite(data.inputs).all() and np.isfinite(data.outputs).all()
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(data.outputs.T @ data.inputs / data.n).all()
+
+
+def test_nonidentifiable_and_negative_seed_commands():
+    # mlp_nonident.json masks exactly hidden unit 0's output weights, so the
+    # unit's input weights and bias leave the fit unchanged; the negative
+    # seed command passes --seed -1 to an MLP fit, which draws its starts
+    commands = dict(cli_digest.commands())
+    doc = cli_digest.MODELS["mlp_nonident.json"]
+    spec = ModelSpec(ModelKind.MLP, doc["input_dim"], doc["output_dim"], doc["hidden_units"])
+    _, _, b, _ = _mlp_blocks(spec, np.arange(spec.full_param_count))
+    assert [i for i, free in enumerate(doc["mask"]) if not free] == b[0].tolist() == [9, 10]
+    assert "mlp_nonident.json" in commands["fit_mlp_nonident_logdet"]
+    argv = commands["fit_negative_seed"]
+    assert argv[argv.index("--seed") + 1] == "-1" and "mlp.json" in argv

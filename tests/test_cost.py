@@ -3,32 +3,29 @@ from functools import partial
 import numpy as np
 import pytest
 
-from logdetreg import ModelKind, ModelSpec, ParamVector, spd_from_symmetric
+from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, spd_from_symmetric
 from logdetreg.cost import (
-    CostReport,
     ResidualSet,
-    empirical_covariance,
     gls_terms,
     information,
-    logdet_gradient,
     logdet_hessian,
     logdet_terms,
     mse_terms,
 )
 from logdetreg.errors import DimensionMismatch, NonIdentifiable, NotPositiveDefinite
 from logdetreg.estimate import _objective, fisher_info
+from logdetreg.model import eval_batch
 from conftest import (
     _residuals_oracle,
+    a_tensor,
     fd_gradient,
     fd_jacobian,
     fisher_info_oracle,
-    gls_cost,
     gls_gradient,
-    logdet_cost,
+    logdet_gradient,
     logdet_gradient_entrywise,
     logdet_objective_oracle,
     make_instance,
-    mse_cost,
     mse_gradient,
     residual_set,
     spd_inverse,
@@ -37,66 +34,80 @@ from conftest import (
 )
 
 
+def covariance(r):
+    """Gamma_n of the residuals ``r``, as the log-det terms factor it."""
+    return logdet_terms(np.asarray(r, dtype=float))[2]
+
+
 class TestEmpiricalCovariance:
     def test_d1_mean_of_squares(self):
-        rs = ResidualSet(np.array([[1.0], [-1.0]]))
-        np.testing.assert_allclose(empirical_covariance(rs).entries, [[1.0]])
+        np.testing.assert_allclose(covariance([[1.0], [-1.0]]).entries, [[1.0]])
 
     def test_two_orthogonal_rows(self):
-        rs = ResidualSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(empirical_covariance(rs).entries, 0.5 * np.eye(2))
+        np.testing.assert_allclose(covariance([[1.0, 0.0], [0.0, 1.0]]).entries, 0.5 * np.eye(2))
 
     def test_rank_deficient(self):
         with pytest.raises(NotPositiveDefinite):
-            empirical_covariance(ResidualSet(np.array([[1.0, 2.0]])))
+            covariance([[1.0, 2.0]])
 
 
 class TestResidualSet:
-    @pytest.mark.parametrize(
-        "residuals", [np.empty((0, 2)), np.ones(3), [[1.0, np.nan]], [[np.inf, 0.0]]],
-        ids=["no_rows", "one_dimensional", "nan", "inf"],
-    )
-    def test_rejects_empty_or_non_finite(self, residuals):
-        with pytest.raises(DimensionMismatch, match="residuals"):
-            ResidualSet(residuals)
+    def test_one_linearizer_call(self):
+        # the residuals y - F_w(z) and the Linearization they were read from
+        spec, w, data = make_instance(2, n=30)
+        r, lin = ResidualSet.from_model(spec, w, data)
+        pred = eval_batch(spec, w, data.inputs)
+        assert lin.pred.tobytes() == pred.tobytes()
+        assert r.tobytes() == (data.outputs - pred).tobytes()
+
+    @pytest.mark.parametrize("row", [[10.0, -10.0], [10.0, 10.0]], ids=["nan", "inf"])
+    def test_rejects_empty_or_non_finite(self, row):
+        # from_model's residuals are an (n, d) matrix by construction, so
+        # the shape cases went with the bare constructor.  With both weights
+        # 1e308 the prediction at (10, -10) is inf - inf, a NaN, and at
+        # (10, 10) it is inf
+        spec = ModelSpec(ModelKind.LINEAR, 2, 1)
+        w = ParamVector(np.array([1e308, 1e308]), spec)
+        data = Dataset(np.array([[1.0, 0.0], row]), np.zeros((2, 1)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DimensionMismatch, match="residuals must be finite"):
+            ResidualSet.from_model(spec, w, data)
 
 
 class TestMseCost:
     def test_zero(self):
-        assert mse_cost(ResidualSet(np.zeros((3, 2)))) == 0.0
+        assert mse_terms(np.zeros((3, 2)))[0] == 0.0
 
     def test_d1(self):
-        assert mse_cost(ResidualSet(np.array([[1.0], [-1.0]]))) == 1.0
+        assert mse_terms(np.array([[1.0], [-1.0]]))[0] == 1.0
 
     def test_trace_identity(self):
-        rs = ResidualSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert mse_cost(rs) == pytest.approx(np.trace(empirical_covariance(rs).entries))
+        r = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert mse_terms(r)[0] == pytest.approx(np.trace(covariance(r).entries))
 
 
 class TestGlsCost:
     def test_identity_weight_equals_mse(self):
         rng = np.random.default_rng(7)
-        rs = ResidualSet(rng.standard_normal((20, 2)))
+        r = rng.standard_normal((20, 2))
         w = spd_from_symmetric(np.eye(2))
-        assert gls_cost(rs, w) == pytest.approx(mse_cost(rs), rel=1e-12)
+        assert gls_terms(r, w)[0] == pytest.approx(mse_terms(r)[0], rel=1e-12)
 
     def test_scalar_division(self):
-        rs = ResidualSet(np.array([[2.0]]))
         w = spd_from_symmetric([[4.0]])
-        assert gls_cost(rs, w) == pytest.approx(1.0)
+        assert gls_terms(np.array([[2.0]]), w)[0] == pytest.approx(1.0)
 
     def test_trace_product_identity(self):
         rng = np.random.default_rng(8)
-        rs = ResidualSet(rng.standard_normal((30, 2)))
+        r = rng.standard_normal((30, 2))
         a = rng.standard_normal((2, 2))
         weight = spd_from_symmetric(a @ a.T + np.eye(2))
-        expected = trace_product(spd_inverse(weight), empirical_covariance(rs).entries)
-        assert gls_cost(rs, weight) == pytest.approx(expected, rel=1e-10)
+        expected = trace_product(spd_inverse(weight), covariance(r).entries)
+        assert gls_terms(r, weight)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_dimension_mismatch(self):
-        rs = ResidualSet(np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
-            gls_cost(rs, spd_from_symmetric(np.eye(3)))
+            gls_terms(np.ones((3, 2)), spd_from_symmetric(np.eye(3)))
 
 
 class TestQuadraticGradients:
@@ -105,7 +116,7 @@ class TestQuadraticGradients:
         spec, w, data = make_instance(index, n=60)
 
         def v_of(x):
-            return mse_cost(residual_set(spec, ParamVector(x, spec), data))
+            return mse_terms(residual_set(spec, ParamVector(x, spec), data).residuals)[0]
 
         rep = mse_gradient(residual_set(spec, w, data))
         assert rep.value == v_of(w.values)
@@ -118,7 +129,7 @@ class TestQuadraticGradients:
         weight = spd_from_symmetric([[2.0, 0.6], [0.6, 0.5]])
 
         def v_of(x):
-            return gls_cost(residual_set(spec, ParamVector(x, spec), data), weight)
+            return gls_terms(residual_set(spec, ParamVector(x, spec), data).residuals, weight)[0]
 
         rep = gls_gradient(residual_set(spec, w, data), weight)
         assert rep.value == v_of(w.values)
@@ -126,34 +137,22 @@ class TestQuadraticGradients:
         assert np.max(np.abs(rep.gradient - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
 
-class TestModelLess:
-    @pytest.mark.parametrize(
-        "gradient",
-        [mse_gradient, lambda rs: gls_gradient(rs, spd_from_symmetric(np.eye(2))), logdet_gradient],
-        ids=["mse", "gls", "logdet"],
-    )
-    def test_gradient_needs_a_model(self, gradient):
-        rs = ResidualSet(np.random.default_rng(12).standard_normal((20, 2)))
-        with pytest.raises(DimensionMismatch, match="built without a model"):
-            gradient(rs)
-
-
 class TestLogdetCost:
     def test_d1_scalar_reduction(self):
         rng = np.random.default_rng(9)
-        rs = ResidualSet(rng.standard_normal((25, 1)))
-        assert logdet_cost(rs).value == pytest.approx(np.log(mse_cost(rs)), abs=1e-12)
+        r = rng.standard_normal((25, 1))
+        assert logdet_terms(r)[0] == pytest.approx(np.log(mse_terms(r)[0]), abs=1e-12)
 
     def test_diagonal_case(self):
-        rs = ResidualSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert logdet_cost(rs).value == pytest.approx(2 * np.log(0.5), abs=1e-12)
+        r = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert logdet_terms(r)[0] == pytest.approx(2 * np.log(0.5), abs=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(10)
         r = rng.standard_normal((40, 3))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        v0 = logdet_cost(ResidualSet(r)).value
-        v1 = logdet_cost(ResidualSet(r @ q.T)).value
+        v0 = logdet_terms(r)[0]
+        v1 = logdet_terms(r @ q.T)[0]
         assert v1 == pytest.approx(v0, abs=1e-9)
 
 
@@ -166,12 +165,8 @@ class TestLogdetGradient:
         w = ParamVector(rng.standard_normal(5), spec)
         z = rng.uniform(-1, 1, (50, 3))
         z[:, 1] = 0.0  # regressor 2 identically zero: columns (0,1) and (1,1)
-        from logdetreg import Dataset
-        from logdetreg.model import eval_batch
-
         y = eval_batch(spec, w, z) + rng.standard_normal((50, 2))
-        rs = residual_set(spec, w, Dataset(z, y))
-        rep = logdet_gradient(rs)
+        rep = logdet_gradient(residual_set(spec, w, Dataset(z, y)))
         # free-parameter index of grid entry (0,1) = 1
         assert rep.gradient[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -179,15 +174,16 @@ class TestLogdetGradient:
         spec, w, data = make_instance(0, n=60, d=1)
         rs = residual_set(spec, w, data)
         rep = logdet_gradient(rs)
-        mse_grad = -2.0 / rs.n * np.einsum("tik,ti->k", rs.jacobians, rs.residuals)
-        np.testing.assert_allclose(rep.gradient, mse_grad / mse_cost(rs), rtol=1e-10)
+        r, lin = rs
+        mse_grad = -2.0 / len(r) * np.einsum("tik,ti->k", lin.jacobian(), r)
+        np.testing.assert_allclose(rep.gradient, mse_grad / mse_terms(r)[0], rtol=1e-10)
 
     @pytest.mark.parametrize("index", range(12))
     def test_matches_finite_differences(self, index):
         spec, w, data = make_instance(index, n=80)
 
         def u_of(x):
-            return logdet_cost(residual_set(spec, ParamVector(x, spec), data)).value
+            return logdet_terms(residual_set(spec, ParamVector(x, spec), data).residuals)[0]
 
         fd = fd_gradient(u_of, w.values)
         rep = logdet_gradient(residual_set(spec, w, data))
@@ -204,11 +200,8 @@ class TestLogdetGradient:
 
     def test_dgamma_symmetric(self):
         # each dGamma/dw_k = A_k + A_k^T is symmetric by construction
-        from logdetreg.cost import _a_tensor
-
         spec, w, data = make_instance(4, n=40)
-        rs = residual_set(spec, w, data)
-        a = _a_tensor(rs)
+        a = a_tensor(residual_set(spec, w, data))
         dgamma = a + a.transpose(0, 2, 1)
         np.testing.assert_array_equal(dgamma, dgamma.transpose(0, 2, 1))
 
@@ -219,21 +212,19 @@ class TestLogdetHessian:
         # second-derivative contribution
         spec, w, data = make_instance(0, n=50)
         assert spec.kind is ModelKind.LINEAR
-        rs = residual_set(spec, w, data)
-        rep = logdet_hessian(rs)
+        hess = logdet_hessian(residual_set(spec, w, data))
 
         def grad_of(x):
             return logdet_gradient(residual_set(spec, ParamVector(x, spec), data)).gradient
 
         fd = fd_jacobian(grad_of, w.values)
         scale = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(rep.hessian - 0.5 * (fd + fd.T)) / scale) < 1e-6
+        assert np.max(np.abs(hess - 0.5 * (fd + fd.T)) / scale) < 1e-6
 
     @pytest.mark.parametrize("index", range(12))
     def test_matches_fd_of_gradient(self, index):
         spec, w, data = make_instance(index, n=60)
-        rs = residual_set(spec, w, data)
-        rep = logdet_hessian(rs)
+        hess = logdet_hessian(residual_set(spec, w, data))
 
         def grad_of(x):
             return logdet_gradient(residual_set(spec, ParamVector(x, spec), data)).gradient
@@ -241,20 +232,20 @@ class TestLogdetHessian:
         fd = fd_jacobian(grad_of, w.values)
         fd = 0.5 * (fd + fd.T)
         scale = np.maximum(np.abs(fd), 1.0)
-        assert np.max(np.abs(rep.hessian - fd) / scale) < 1e-4
+        assert np.max(np.abs(hess - fd) / scale) < 1e-4
 
     def test_symmetric(self):
         spec, w, data = make_instance(5, n=60)
-        rep = logdet_hessian(residual_set(spec, w, data))
-        asym = np.abs(rep.hessian - rep.hessian.T)
-        assert np.max(asym) <= 1e-10 * max(1.0, np.max(np.abs(rep.hessian)))
+        hess = logdet_hessian(residual_set(spec, w, data))
+        asym = np.abs(hess - hess.T)
+        assert np.max(asym) <= 1e-10 * max(1.0, np.max(np.abs(hess)))
 
     def test_report_fields(self):
+        # the report is the (K, K) float array alone
         spec, w, data = make_instance(1, n=40)
-        rep = logdet_hessian(residual_set(spec, w, data))
-        assert isinstance(rep, CostReport)
-        assert rep.gradient is not None and rep.hessian is not None
-        assert rep.gamma_n is not None
+        hess = logdet_hessian(residual_set(spec, w, data))
+        assert isinstance(hess, np.ndarray) and hess.dtype == float
+        assert hess.shape == (spec.param_count, spec.param_count)
 
 
 # make_instance's d = 2 instances by index, then instances (index, d) with
@@ -316,8 +307,8 @@ class TestEvaluationPathOracle:
         spec, w, data = oracle_instance(index)
         for x in self.points(spec, w):
             info_o, sym_o, cov_o = fisher_info_oracle(spec, x, data)
-            rs = residual_set(spec, ParamVector(x, spec), data)
-            assert information(rs, empirical_covariance(rs)).tobytes() == info_o.tobytes()
+            r, lin = residual_set(spec, ParamVector(x, spec), data)
+            assert information(lin.jacobian(), covariance(r)).tobytes() == info_o.tobytes()
             if cov_o is None:
                 with pytest.raises(NonIdentifiable):
                     fisher_info(spec, ParamVector(x, spec), data)

@@ -29,13 +29,7 @@ from logdetreg import (
 )
 from logdetreg import cli, cost, estimate, model, optimize
 from logdetreg.cli import main
-from logdetreg.cost import (
-    empirical_covariance,
-    gls_terms,
-    information,
-    logdet_terms,
-    mse_terms,
-)
+from logdetreg.cost import gls_terms, information, logdet_terms, mse_terms
 from logdetreg.data import save_csv
 from logdetreg.errors import (
     AllStartsFailed,
@@ -142,10 +136,8 @@ class TestFitOls:
     def test_gamma_hat_consistent(self):
         spec, _, data = linear_dataset()
         fit = fit_ols(spec, data, OPTS)
-        rs = residual_set(spec, fit.w_hat, data)
-        np.testing.assert_allclose(
-            fit.gamma_hat.entries, empirical_covariance(rs).entries, atol=1e-12
-        )
+        r = residual_set(spec, fit.w_hat, data).residuals
+        np.testing.assert_allclose(fit.gamma_hat.entries, logdet_terms(r)[2].entries, atol=1e-12)
 
 
 class TestFitGls:
@@ -499,20 +491,20 @@ class TestResidualCovariance:
     @pytest.mark.parametrize("seed", [7000, 7004])
     def test_logdet_one_gamma_per_round(self, seed, monkeypatch):
         formed, extra = [], []
-        real = cost._covariance
+        real = cost.factor_small
 
-        def counted(r):
+        def counted(m):
             formed.append(1)
-            return real(r)
+            return real(m)
 
-        monkeypatch.setattr(cost, "_covariance", counted)
+        monkeypatch.setattr(cost, "factor_small", counted)
         monkeypatch.setattr(estimate, "_residual_covariance", lambda rs: extra.append(1))
         spec, data = masked_design(seed)
         fit = fit_logdet(spec, data, OPTS)
         rounds = fit.optim.per_start[0].iterations
         assert rounds >= 2
         assert (len(formed), len(extra)) == (rounds + 1, 0)
-        want = real(cost.ResidualSet.from_model(spec, fit.w_hat, data).residuals)
+        want = logdet_terms(cost.ResidualSet.from_model(spec, fit.w_hat, data).residuals)[2]
         assert fit.gamma_hat.entries.tobytes() == want.entries.tobytes()
         assert fit.gamma_hat.chol.tobytes() == want.chol.tobytes()
 
@@ -523,11 +515,11 @@ class TestResidualCovariance:
         fit = fit_ols(spec, data, OPTS)
         assert fit.gamma_hat.regularized and fit.gamma_hat.entries[1, 1] > 0.0
         with pytest.raises(NotPositiveDefinite):
-            empirical_covariance(cost.ResidualSet.from_model(spec, fit.w_hat, data))
+            logdet_terms(cost.ResidualSet.from_model(spec, fit.w_hat, data).residuals)
 
     def test_plain_factor_when_it_exists(self):
-        rs = cost.ResidualSet(np.random.default_rng(3).standard_normal((20, 2)))
-        got, want = estimate._residual_covariance(rs.residuals), empirical_covariance(rs)
+        r = np.random.default_rng(3).standard_normal((20, 2))
+        got, want = estimate._residual_covariance(r), logdet_terms(r)[2]
         assert not got.regularized
         assert got.entries.tobytes() == want.entries.tobytes()
         assert got.chol.tobytes() == want.chol.tobytes()
@@ -687,8 +679,7 @@ class TestFisherInfo:
         y = eval_batch(spec, w0, z) + 0.7 * rng.standard_normal((300, 1))
         data = Dataset(z, y)
         info, cov = fisher_info(spec, w0, data)
-        rs = residual_set(spec, w0, data)
-        sigma2 = empirical_covariance(rs).entries[0, 0]
+        sigma2 = logdet_terms(residual_set(spec, w0, data).residuals)[2].entries[0, 0]
         expected = np.mean(z**2) / sigma2
         assert info.entries[0, 0] == pytest.approx(expected, rel=1e-10)
         assert cov[0, 0] == pytest.approx(1.0 / (expected * data.n), rel=1e-10)
@@ -708,8 +699,8 @@ class TestFisherInfo:
         # fisher_info's matrix is cost.information, symmetrized as every
         # SpdMatrix is, with no other arithmetic in between
         spec, w, data = make_instance(index, n=80)
-        rs = residual_set(spec, w, data)
-        info = information(rs, empirical_covariance(rs))
+        r, lin = residual_set(spec, w, data)
+        info = information(lin.jacobian(), logdet_terms(r)[2])
         np.testing.assert_array_equal(fisher_info(spec, w, data)[0].entries, 0.5 * (info + info.T))
 
     def test_hessian_matches_information_at_truth(self):
@@ -720,10 +711,10 @@ class TestFisherInfo:
         w0 = ParamVector(np.array([0.5, -0.3, 0.2, 0.8]), spec)
         gamma = spd_from_symmetric([[1.81, 1.8], [1.8, 1.81]])
         data = gen_series(SimRecipe(SimMode.IID_REGRESSION, spec, w0, gamma, n=30_000, seed=8))
-        rep = logdet_hessian(residual_set(spec, w0, data))
+        hess = logdet_hessian(residual_set(spec, w0, data))
         info, _ = fisher_info(spec, w0, data)
         scale = np.max(np.abs(info.entries))
-        assert np.max(np.abs(rep.hessian / 2.0 - info.entries)) / scale < 0.05
+        assert np.max(np.abs(hess / 2.0 - info.entries)) / scale < 0.05
 
 
 class TestSingularDesign:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from logdetreg.errors import DimensionMismatch
-from logdetreg.model import eval_batch, linearize
+from logdetreg.model import eval_batch, linearizer
 from conftest import fd_jacobian, make_instance
 
 
@@ -18,7 +18,7 @@ def evaluate(spec, w, z):
 
 def jacobian_at(spec, w, z):
     """d x K Jacobian at a single input."""
-    return linearize(spec, w, np.asarray(z, dtype=float)[None, :]).jacobian()[0]
+    return linearizer(spec, np.asarray(z, dtype=float)[None, :])(w.values).jacobian()[0]
 
 
 class TestModelSpec:
@@ -159,7 +159,7 @@ class TestJacobian:
 
 
 def check_linearize(spec, seed, n=50):
-    """linearize at a seeded random point: the prediction is bitwise
+    """The linearizer at a seeded random point: the prediction is bitwise
     eval_batch's, and the pullback matches the contraction of the record's
     Jacobians up to rounding.  The rounding of entry k scales with
     sum_t |J_t[:, k]| . |v_t|, not with the entry, which can cancel to far
@@ -169,7 +169,7 @@ def check_linearize(spec, seed, n=50):
     w = ParamVector(rng.uniform(-1.5, 1.5, spec.param_count), spec)
     z = rng.standard_normal((n, spec.input_dim))
     v = rng.standard_normal((n, spec.output_dim))
-    lin = linearize(spec, w, z)
+    lin = linearizer(spec, z)(w.values)
     np.testing.assert_array_equal(lin.pred, eval_batch(spec, w, z))
     grad = lin.pullback(v)
     jac = lin.jacobian()
@@ -214,10 +214,10 @@ def vdot_against_fd(spec, w, data):
     v = np.random.default_rng(spec.param_count).standard_normal(data.outputs.shape)
 
     def vjp(x):
-        jac = linearize(spec, ParamVector(x, spec), data.inputs).jacobian()
+        jac = linearizer(spec, data.inputs)(x).jacobian()
         return np.einsum("tik,ti->k", jac, v)
 
-    return linearize(spec, w, data.inputs).second_derivs_vdot(v), fd_jacobian(vjp, w.values)
+    return linearizer(spec, data.inputs)(w.values).second_derivs_vdot(v), fd_jacobian(vjp, w.values)
 
 
 class TestSecondDerivs:
@@ -230,7 +230,7 @@ class TestSecondDerivs:
             ModelSpec(ModelKind.MASKED_LINEAR, 3, 2, mask=mask),
         ):
             w = ParamVector(np.arange(float(spec.param_count)), spec)
-            sec = linearize(spec, w, z).second_derivs_vdot(v)
+            sec = linearizer(spec, z)(w.values).second_derivs_vdot(v)
             assert sec.shape == (spec.param_count, spec.param_count)
             assert np.all(sec == 0.0)
 

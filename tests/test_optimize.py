@@ -47,7 +47,7 @@ class TestOptimOptions:
     @pytest.mark.parametrize(
         "kwargs",
         [{"max_iters": 0}, {"grad_tol": 0.0}, {"n_starts": 0},
-         {"grad_tol": np.nan}, {"grad_tol": np.inf}],
+         {"grad_tol": np.nan}, {"grad_tol": np.inf}, {"seed": -1}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

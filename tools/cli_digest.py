@@ -25,7 +25,12 @@ data whose Gram pair overflows.  ``fit_mlp_d1_logdet`` and
 ``mlp_d3.csv``, so that every trial point's residual covariance goes
 through the written-out d <= 2 route of ``linalg.factor_small`` in one and
 its d >= 3 loops in the other (the d = 2 fits take the written-out
-route too).  Compare two trees with ``diff``:
+route too).  ``fit_mlp_nonident_logdet`` fits ``mlp_nonident.json``,
+the MLP(2, 3, 2) with grid entries 9 and 10 masked, so that hidden unit 0
+has no output weight and the report's plug-in information takes the
+singular branch (``identifiable: false``, null ``info_hat``).
+``fit_negative_seed`` pins the exit code 2 and error line of ``--seed
+-1``.  Compare two trees with ``diff``:
 
     python tools/cli_digest.py --src ../parent/src --out ../digest-parent > parent.txt
     python tools/cli_digest.py --src src --out ../digest-change > change.txt
@@ -72,6 +77,8 @@ MODELS = {
     "none.json": {"kind": "masked_linear", "input_dim": 3, "output_dim": 2, "mask": [False] * 6},
     "mlp_d1.json": {"kind": "mlp", "input_dim": 1, "output_dim": 1, "hidden_units": 2},
     "mlp_d3.json": {"kind": "mlp", "input_dim": 3, "output_dim": 3, "hidden_units": 2},
+    "mlp_nonident.json": {"kind": "mlp", "input_dim": 2, "output_dim": 2, "hidden_units": 3,
+                          "mask": [i not in (9, 10) for i in range(17)]},
 }
 MLP_OPTS = ["--starts", "2", "--max-iters", "60"]
 
@@ -94,6 +101,9 @@ def commands() -> list[tuple[str, list[str]]]:
         *((f"fit_mlp_d{d}_logdet", [*fit, f"mlp_d{d}.csv", "--model", f"mlp_d{d}.json",
                                     *MLP_OPTS, "--out", f"fit_mlp_d{d}_logdet.json"])
           for d in (1, 3)),
+        ("fit_mlp_nonident_logdet", [*fit, "nar.csv", "--model", "mlp_nonident.json",
+                                     "--starts", "2", "--max-iters", "200", "--seed", "5",
+                                     "--out", "fit_mlp_nonident_logdet.json"]),
         *((f"fit_ridge_{cost}", [*fit, "ridge.csv", "--model", "linear.json", "--cost", cost,
                                  "--out", f"fit_ridge_{cost}.json"])
           for cost in ("mse", "fgls", "logdet")),
@@ -116,6 +126,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fit_no_free", [*fit, "iid.csv", "--model", "none.json"]),
         ("fit_dir_data", [*fit, ".", "--model", "linear.json"]),
         ("fit_utf16_data", [*fit, "utf16.csv", "--model", "linear.json"]),
+        ("fit_negative_seed", [*fit, "nar.csv", "--model", "mlp.json", *MLP_OPTS, "--seed", "-1",
+                               "--out", "fit_negative_seed.json"]),
     ]
 
 
