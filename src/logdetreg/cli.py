@@ -100,7 +100,7 @@ def _read_json(path: str, parse):
             return parse(json.load(fh))
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 

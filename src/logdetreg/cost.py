@@ -17,10 +17,11 @@ Hessian and the plug-in information alike (a fit's ridged ``gamma_hat`` is
 :func:`~logdetreg.estimate._residual_covariance`'s).  The Gram matrix is
 bitwise symmetric, so it is factored as given, without the asymmetry
 test and symmetrizing of :func:`~logdetreg.linalg.spd_from_symmetric`,
-and in Python floats by :func:`~logdetreg.linalg.factor_small`, which
-forms its inverse at once: every log-det trial point pays for it, and at
-d = 2 it takes about 0.25 of the time of numpy's LAPACK route.  The GLS and log-det rows are ``r @ G``
-with ``G`` the cached inverse of the weight or of ``Gamma_n``.  The terms
+by :func:`~logdetreg.linalg.factor_small`: every log-det trial point pays
+for it, and at d <= 2 it works in Python floats and forms the inverse at
+once, in about 0.25 of the time of numpy's LAPACK route, which factors
+every larger ``Gamma_n``.  The GLS and log-det rows are ``r @ G`` with
+``G`` the cached inverse of the weight or of ``Gamma_n``.  The terms
 do not test ``r`` for finiteness: a non-finite residual makes the MSE and
 GLS values non-finite and fails the factorization of ``Gamma_n``.  The BFGS
 objective hands over its residuals formed feature-major, as the (n, d)

@@ -7,17 +7,17 @@ dimension of the regression, typically 2, or the K x K information), so
 everything is dense, and a solve multiplies by the inverse
 ``L^{-T} L^{-1}`` formed once from the Cholesky factor ``L``.
 
-Two routes factor a matrix.  :func:`factor_small` works on Python floats
-and forms the inverse at once, in closed form at d <= 2; the residual
-covariance ``Gamma_n`` of every log-det trial point goes through it,
-because at d = 2 numpy's per-call overhead costs more than the
-arithmetic.  :func:`factor_symmetric` and
-:func:`spd_from_symmetric` call LAPACK through numpy and form the inverse
-on first use; they take everything else: matrices from outside the
-program, a fit's ridged residual covariance and the K x K information and
-design matrices.  Both reject the same matrices with the same text.  The
-kernel has no ridge policy: a matrix that does not factor raises
-NotPositiveDefinite, and the one caller that regularizes instead,
+Two routes factor a matrix.  :func:`factor_small` takes the residual
+covariance ``Gamma_n`` of every log-det trial point; at d <= 2 it works
+in Python floats and forms the inverse at once, in closed form, because
+there numpy's per-call overhead costs more than the arithmetic.  Every
+other matrix goes through LAPACK by :func:`factor_symmetric` and
+:func:`spd_from_symmetric`, which form the inverse on first use: a larger
+``Gamma_n``, matrices from outside the program, a fit's ridged residual
+covariance and the K x K information and design matrices.  Both routes
+reject the same matrices with the same text.  The kernel has no ridge
+policy: a matrix that does not factor raises NotPositiveDefinite, and the
+one caller that regularizes instead,
 :func:`~logdetreg.estimate._residual_covariance`, adds its ridge itself.
 """
 
@@ -59,7 +59,7 @@ class SpdMatrix:
     @cached_property
     def inverse(self) -> np.ndarray:
         """``self^{-1} = L^{-T} L^{-1}`` from the cached factor ``L``,
-        bitwise symmetric.  :func:`factor_small` fills it as it factors;
+        bitwise symmetric.  :func:`factor_small` fills it at d <= 2;
         otherwise it is formed on first use as ``linv.T @ linv`` with
         ``linv = inv(L)``, which numpy forms by a symmetric rank-k update.
         A product with it has a forward error of order ``cond(self) * eps``,
@@ -125,85 +125,40 @@ def factor_symmetric(m: np.ndarray) -> SpdMatrix:
 
 def factor_small(m: np.ndarray) -> SpdMatrix:
     """:func:`factor_symmetric` of a small square float matrix that is
-    bitwise symmetric, in Python floats, with :attr:`SpdMatrix.inverse`
-    formed at once.
-
-    The factor is made row by row, each entry left of the diagonal scaled
-    by the reciprocal of its column's pivot, as LAPACK's unblocked
-    factorization does (with OpenBLAS the two factors agree bit for bit at
-    d <= 2); ``L^{-1}`` follows by forward substitution and the inverse as
-    ``L^{-T} L^{-1}``, each entry summed in index order and mirrored, so it
-    is bitwise symmetric.  At d <= 2, the paper's case, these steps are
-    written out with the loops' float operations, in their order and from
-    their 0.0 starts, so the bits are the same, in about 3 us at d = 2 on a
-    2-vCPU host (0.25 of the LAPACK route with its inverse).  The loops
-    remain as the one route for every larger d; they grow as d^3 Python
-    operations, and at d = 4 take about 1.4 times the LAPACK route.  A
-    pivot that is not positive and finite raises
-    :class:`NotPositiveDefinite`: an entry that is NaN or infinite, or an
-    overflow, leaves one, since each pivot subtracts the squares of its row.
+    bitwise symmetric.  At d <= 2, the paper's case, the factor and the
+    inverse are written out in Python floats, in about 3 us at d = 2 on a
+    2-vCPU host (0.25 of the LAPACK route with its inverse): the entry
+    left of the diagonal is scaled by the reciprocal of its column's pivot,
+    as LAPACK's unblocked factorization does (with OpenBLAS the factors
+    agree bit for bit), and the inverse ``L^{-T} L^{-1}`` is summed in
+    index order and mirrored, so it is bitwise symmetric.  A pivot that is
+    not positive and finite, as a NaN, infinite or overflowing entry
+    leaves, raises :class:`NotPositiveDefinite` with the LAPACK route's
+    text.  Every larger matrix goes to :func:`factor_symmetric`.
     """
+    d = m.shape[0]
+    if not 0 < d <= 2:
+        return factor_symmetric(m)
     a = m.tolist()
-    d = len(a)
-    if 0 < d <= 2:  # the loops below, written out operation for operation
-        if not 0.0 < a[0][0] < math.inf:
+    if not 0.0 < a[0][0] < math.inf:
+        raise NotPositiveDefinite(_FAILED)
+    l00 = math.sqrt(a[0][0])
+    r0 = 1.0 / l00
+    if d == 1:
+        chol, inv = [[l00]], [[r0 * r0]]
+    else:
+        l10 = a[1][0] * r0
+        p = a[1][1] - l10 * l10
+        if not 0.0 < p < math.inf:
             raise NotPositiveDefinite(_FAILED)
-        l00 = math.sqrt(a[0][0])
-        r0 = 1.0 / l00
-        if d == 1:
-            chol, inv = [[l00]], [[r0 * r0]]
-        else:
-            l10 = a[1][0] * r0
-            p = a[1][1] - l10 * l10
-            if not 0.0 < p < math.inf:
-                raise NotPositiveDefinite(_FAILED)
-            l11 = math.sqrt(p)
-            r1 = 1.0 / l11
-            x10 = -(0.0 + l10 * r0) * r1  # 0.0 + as in the loops' sums: same zero sign
-            off = 0.0 + x10 * r1
-            chol = [[l00, 0.0], [l10, l11]]
-            inv = [[r0 * r0 + x10 * x10, off], [off, r1 * r1]]
-        spd = SpdMatrix(m, np.array(chol))
-        vars(spd)["inverse"] = np.array(inv)
-        return spd
-    chol, rec = [], []  # the rows of L up to its diagonal, 1 / each pivot
-    for a_i in a:
-        l_i = []
-        for l_j, rec_j in zip(chol, rec):
-            s = a_i[len(l_i)]
-            for x, y in zip(l_i, l_j):
-                s -= x * y
-            l_i.append(s * rec_j)
-        pivot = a_i[len(l_i)]
-        for x in l_i:
-            pivot -= x * x
-        if not 0.0 < pivot < math.inf:
-            raise NotPositiveDefinite(_FAILED)
-        root = math.sqrt(pivot)
-        l_i.append(root)
-        chol.append(l_i)
-        rec.append(1.0 / root)
-    # the rows of X = L^{-1}: X[i][j] = -(sum_{j <= k < i} L[i][k] X[k][j]) / L[i][i]
-    linv = []
-    for i, (l_i, rec_i) in enumerate(zip(chol, rec)):
-        x_i = []
-        for j in range(i):
-            s = 0.0
-            for k in range(j, i):
-                s += l_i[k] * linv[k][j]
-            x_i.append(-s * rec_i)
-        x_i.append(rec_i)
-        linv.append(x_i)
-    # X^T X: entry (i, j), i <= j, is sum_{k >= j} X[k][i] X[k][j]
-    inv = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            s = 0.0
-            for x_k in linv[j:]:
-                s += x_k[i] * x_k[j]
-            inv[i][j] = inv[j][i] = s
-    spd = SpdMatrix(m, np.array([l_i + [0.0] * (d - len(l_i)) for l_i in chol]).reshape(d, d))
-    vars(spd)["inverse"] = np.array(inv).reshape(d, d)  # the cached_property's value
+        l11 = math.sqrt(p)
+        r1 = 1.0 / l11
+        x10 = -(0.0 + l10 * r0) * r1  # 0.0 + keeps the sign of a zero sum
+        off = 0.0 + x10 * r1
+        chol = [[l00, 0.0], [l10, l11]]
+        inv = [[r0 * r0 + x10 * x10, off], [off, r1 * r1]]
+    spd = SpdMatrix(m, np.array(chol))
+    vars(spd)["inverse"] = np.array(inv)  # the cached_property's value
     return spd
 
 

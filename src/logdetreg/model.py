@@ -58,6 +58,8 @@ class ModelSpec:
             raise DimensionMismatch("dimensions must be positive")
         if self.kind is ModelKind.MLP and (self.hidden_units is None or self.hidden_units < 1):
             raise DimensionMismatch("mlp requires hidden_units >= 1")
+        if self.kind is not ModelKind.MLP and self.hidden_units is not None:
+            raise DimensionMismatch("hidden_units applies to mlp only")
         if self.mask is not None:
             mask = np.asarray(self.mask, dtype=bool)
             if mask.shape != (self.full_param_count,):
@@ -336,17 +338,30 @@ def int_field(doc: dict, name: str, default: int | None = None) -> int:
     return value
 
 
+def array_field(doc: dict, name: str, kind: type = float) -> np.ndarray:
+    """The JSON list ``doc[name]``, lists nested in it allowed, as an array
+    of ``kind``; TypeError naming the field unless every entry is a JSON
+    number (``float``, a bool excluded) or a boolean (``bool``)."""
+    def typed(v):
+        if isinstance(v, list):
+            return all(map(typed, v))
+        return isinstance(v, (int, float)) and isinstance(v, bool) == (kind is bool)
+
+    if not isinstance(doc[name], list) or not typed(doc[name]):
+        what = "booleans" if kind is bool else "numbers"
+        raise TypeError(f"field {name!r} must be a list of {what}, got {doc[name]!r}")
+    return np.asarray(doc[name], dtype=kind)
+
+
 def spec_from_dict(doc: dict) -> tuple[ModelSpec, ParamVector | None]:
     spec = ModelSpec(
         kind=ModelKind(doc["kind"]),
         input_dim=int_field(doc, "input_dim"),
         output_dim=int_field(doc, "output_dim"),
         hidden_units=int_field(doc, "hidden_units") if "hidden_units" in doc else None,
-        mask=np.asarray(doc["mask"], dtype=bool) if "mask" in doc else None,
+        mask=array_field(doc, "mask", bool) if "mask" in doc else None,
     )
-    params = None
-    if "params" in doc:
-        params = ParamVector(np.asarray(doc["params"], dtype=float), spec)
+    params = ParamVector(array_field(doc, "params"), spec) if "params" in doc else None
     return spec, params
 
 

@@ -265,14 +265,14 @@ def recipe_from_dict(doc: dict) -> SimRecipe:
     spec, params = mdl.spec_from_dict(doc["model"])
     if params is None:
         raise DimensionMismatch("recipe model must carry its true params")
-    gamma0 = np.asarray(doc["gamma0"], dtype=float)
+    gamma0 = mdl.array_field(doc, "gamma0")
     if not np.all(np.isfinite(gamma0)):
         raise ValueError(f"gamma0 entries must be finite, got {doc['gamma0']}")
     try:
         gamma0 = spd_from_symmetric(gamma0)
     except (AsymmetricInput, NotPositiveDefinite):
         raise ValueError(f"gamma0 must be symmetric positive definite, got {doc['gamma0']}") from None
-    y0 = None if doc.get("y0") is None else np.asarray(doc["y0"], dtype=float)
+    y0 = None if doc.get("y0") is None else mdl.array_field(doc, "y0")
     if y0 is not None and not np.all(np.isfinite(y0)):
         raise ValueError(f"y0 entries must be finite, got {doc['y0']}")
     return SimRecipe(

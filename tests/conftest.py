@@ -287,13 +287,26 @@ def _factor_oracle(m):
 
 def small_factor_oracle(m):
     """(L, L^{-T} L^{-1}, log det) of a bitwise-symmetric matrix as
-    ``linalg.factor_small`` forms them, spelled out on index loops over
-    Python floats: each entry left of the diagonal times the reciprocal of
-    its column's pivot, each sum in index order from its first term, and
-    the inverse's lower triangle from the same sums as its upper one.  A
-    pivot that is not positive and finite raises ``LinAlgError``."""
+    ``linalg.factor_small`` forms them.  At d <= 2 they are spelled out on
+    index loops over Python floats: each entry left of the diagonal times
+    the reciprocal of its column's pivot, each sum in index order from its
+    first term, and the inverse's lower triangle from the same sums as its
+    upper one; a pivot that is not positive and finite raises
+    ``LinAlgError``.  A larger matrix goes through LAPACK, ``L`` by
+    ``np.linalg.cholesky`` and the inverse as ``inv(L)^T inv(L)``; a
+    failed factorization, or a factor with a non-finite entry, raises
+    ``LinAlgError``."""
     a = np.asarray(m, dtype=float).tolist()
     d = len(a)
+    if d > 2:
+        chol = np.linalg.cholesky(np.asarray(m, dtype=float))
+        if not np.all(np.isfinite(chol)):
+            raise np.linalg.LinAlgError("non-finite factor")
+        linv = np.linalg.inv(chol)
+        total = 0.0
+        for pivot in np.diag(chol).tolist():
+            total += math.log(pivot)
+        return chol, linv.T @ linv, 2.0 * total
     chol = [[0.0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1):

@@ -591,6 +591,62 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert str(path) in err and f"field {field!r} must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("mask", [True, True, "false", True, True, "false"], "must be a list of booleans"),
+         ("mask", [True, True, 0.5, True, True, 2], "must be a list of booleans"),
+         ("params", ["1.5", 0.5, 0.0, 1.0, 0.2, 0.3], "must be a list of numbers"),
+         ("params", [True, 0.5, 0.0, 1.0, 0.2, 0.3], "must be a list of numbers"),
+         ("params", [10**400, 0.5, 0.0, 1.0, 0.2, 0.3], "int too large to convert to float")],
+        ids=["mask_string", "mask_numbers", "params_string", "params_bool", "params_huge_int"],
+    )
+    def test_model_list_field_typed(self, tmp_path, field, value, message, capsys):
+        # a mask entry "false" used to read as true, freeing a frozen entry
+        doc = {"kind": "masked_linear", "input_dim": 3, "output_dim": 2,
+               "mask": [True] * 6, "params": [0.1] * 6}
+        doc[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        data = tmp_path / "d.csv"
+        data.write_text("z1,z2,z3,y1,y2\n1.0,2.0,3.0,4.0,5.0\n")
+        for argv in (["fit", "--model", str(path), "--data", str(data)],
+                     ["simulate", "--mode", "iid", "--model", str(path), "--gamma", "1,0;0,1",
+                      "--n", "5", "--out", str(tmp_path / "x.csv")]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {path}: ") and message in err, err
+            if message.startswith("must"):
+                assert f"field {field!r} {message}" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma0", [["1", 0], [0, 1]]), ("gamma0", [[True, 0], [0, 1]]), ("gamma0", "1"),
+         ("y0", ["1", 0]), ("y0", [True, 0]), ("y0", "1")],
+        ids=repr,
+    )
+    def test_recipe_list_field_typed(self, tmp_path, linear22, field, value, capsys):
+        # gamma0 [[true, 0], [0, 1]] used to run as the identity
+        simulate(capsys, linear22, str(tmp_path / "d.csv"), n=50, mode="nar")
+        recipe = tmp_path / "d.recipe.json"
+        doc = json.loads(recipe.read_text())
+        doc[field] = value
+        recipe.write_text(json.dumps(doc))
+        code, out, err = run(["mc", "--recipe", str(recipe), "--reps", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert str(recipe) in err and f"field {field!r} must be a list of numbers" in err
+
+    def test_hidden_units_on_linear_model(self, tmp_path, nested_files, capsys):
+        # the pair used to fail later with "model pair must share one
+        # architecture grid"
+        restricted, _ = nested_files
+        data = simulate(capsys, restricted, str(tmp_path / "d.csv"), n=50)
+        full = tmp_path / "full.json"
+        full.write_text(json.dumps({"kind": "linear", "input_dim": 3, "output_dim": 2,
+                                    "hidden_units": 4}))
+        argv = ["test", "--restricted", restricted, "--full", str(full), "--data", data]
+        assert run(argv, capsys) == (2, "", "error: hidden_units applies to mlp only\n")
+
     @pytest.mark.parametrize("value", [12.9, 40.0, True, "40", None], ids=repr)
     @pytest.mark.parametrize("field", ["n", "burn_in", "seed"])
     def test_recipe_count_not_integer(self, tmp_path, linear22, field, value, capsys):

@@ -58,8 +58,9 @@ def test_structural_difference_exits_non_zero(tmp_path, capsys):
 
 
 def test_inputs_reach_both_factor_routes_and_the_overflow(tmp_path):
-    # the MLP log-det fits at d = 1 and d = 3 have data of their model's
-    # dimensions, and overflow.csv is finite with an overflowing Y^T Z / n
+    # the MLP log-det fits at d = 1 and d = 3 (the written-out and the
+    # LAPACK route of factor_small) have data of their model's dimensions,
+    # and overflow.csv is finite with an overflowing Y^T Z / n
     cli_digest.write_mlp_data(tmp_path)
     cli_digest.write_overflow_data(tmp_path)
     names = {name for name, _ in cli_digest.commands()}
@@ -74,6 +75,13 @@ def test_inputs_reach_both_factor_routes_and_the_overflow(tmp_path):
     assert np.isfinite(data.inputs).all() and np.isfinite(data.outputs).all()
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(data.outputs.T @ data.inputs / data.n).all()
+
+
+def test_bad_mask_command():
+    # bad_mask.json's mask holds the string "false", a usage error
+    doc = cli_digest.MODELS["bad_mask.json"]
+    assert "false" in doc["mask"] and len(doc["mask"]) == doc["input_dim"] * doc["output_dim"]
+    assert "bad_mask.json" in dict(cli_digest.commands())["fit_bad_mask"]
 
 
 def test_nonidentifiable_and_negative_seed_commands():

@@ -249,7 +249,8 @@ class TestLogdetHessian:
 
 
 # make_instance's d = 2 instances by index, then instances (index, d) with
-# d = 3 and d = 5 outputs: Cholesky factors and solves beyond 2 x 2
+# d = 3 and d = 5 outputs: Cholesky factors and solves beyond 2 x 2, on the
+# LAPACK route
 ORACLE_INSTANCES = [*range(12), *(pytest.param((i, d), id=f"{i}-d{d}")
                                   for d in (3, 5) for i in range(6))]
 
@@ -263,8 +264,8 @@ def oracle_instance(index):
 class TestEvaluationPathOracle:
     """The BFGS log-det objective, ``information`` and ``fisher_info`` are
     bitwise those of the oracle path through the general-purpose wrappers
-    (zero-filled grid, block-written pullback, Gamma_n factored on index
-    loops by ``small_factor_oracle``), on unmasked and masked linear specs
+    (zero-filled grid, block-written pullback, Gamma_n factored by
+    ``small_factor_oracle``: on index loops at d = 2, by LAPACK above), on unmasked and masked linear specs
     and on masked and unmasked MLPs."""
 
     @staticmethod

@@ -190,9 +190,9 @@ class TestSolve:
 
 
 class TestFactorSmall:
-    """The Python-float factorization of the residual covariance, checked
-    against numpy's LAPACK routines and against the LAPACK route's
-    rejections."""
+    """The factorization of the residual covariance, written out in Python
+    floats at d <= 2 and the LAPACK route's above, checked against numpy's
+    LAPACK routines and against the LAPACK route's rejections."""
 
     REJECTED = "^Cholesky failed under Reject policy$"
 
@@ -244,6 +244,17 @@ class TestFactorSmall:
             assert g.chol.tobytes() == chol.tobytes()
             assert g.inverse.tobytes() == inv.tobytes()
             assert np.float64(logdet(g)).tobytes() == np.float64(ld).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_larger_matrices_take_lapack_route(self, d):
+        # above 2 x 2 the factor and the inverse are bitwise the LAPACK route's
+        for seed in range(8):
+            r = np.random.default_rng([d, seed]).standard_normal((30, d))
+            for m in (r.T @ r / 30, conditioned(d, 1e8, seed)[0].entries):
+                g, ref = factor_small(m), factor_symmetric(m)
+                assert g.entries is m
+                assert g.chol.tobytes() == ref.chol.tobytes()
+                assert g.inverse.tobytes() == ref.inverse.tobytes()
 
     def test_inverse_is_cached(self):
         g = factor_small(np.array([[2.0, 0.5], [0.5, 1.0]]))

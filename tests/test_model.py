@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logdetreg import ModelKind, ModelSpec, ParamVector, load_model, save_model
 from logdetreg.errors import DimensionMismatch
-from logdetreg.model import eval_batch, linearizer
+from logdetreg.model import eval_batch, linearizer, spec_from_dict
 from conftest import fd_jacobian, make_instance
 
 
@@ -40,6 +40,11 @@ class TestModelSpec:
     def test_mlp_requires_hidden(self):
         with pytest.raises(DimensionMismatch):
             ModelSpec(ModelKind.MLP, 2, 2)
+
+    @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.MASKED_LINEAR])
+    def test_hidden_units_on_linear_rejected(self, kind):
+        with pytest.raises(DimensionMismatch, match="^hidden_units applies to mlp only$"):
+            ModelSpec(kind, 3, 2, hidden_units=4)
 
     def test_bad_mask_length(self):
         with pytest.raises(DimensionMismatch):
@@ -272,3 +277,29 @@ class TestModelFile:
         save_model(path, spec)
         doc = json.loads(path.read_text())
         assert doc == {"kind": "mlp", "input_dim": 2, "output_dim": 2, "hidden_units": 3}
+
+    @pytest.mark.parametrize(
+        "mask",
+        [[True, True, "false", True, True, "false"], [True, True, 0, True, True, 0],
+         [True, True, 0.5, True, True, 2], "true", True, None],
+        ids=repr,
+    )
+    def test_mask_must_be_booleans(self, mask):
+        # a string "false" or a number used to count as true by truthiness
+        doc = {"kind": "masked_linear", "input_dim": 3, "output_dim": 2, "mask": mask}
+        with pytest.raises(TypeError, match="^field 'mask' must be a list of booleans, got "):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("params", [["1.5", 2.0], [True, 2.0], [1.0, None], 1.5, "12"],
+                             ids=repr)
+    def test_params_must_be_numbers(self, params):
+        doc = {"kind": "linear", "input_dim": 2, "output_dim": 1, "params": params}
+        with pytest.raises(TypeError, match="^field 'params' must be a list of numbers, got "):
+            spec_from_dict(doc)
+
+    def test_typed_fields_read(self):
+        doc = {"kind": "masked_linear", "input_dim": 3, "output_dim": 1,
+               "mask": [True, False, True], "params": [1, -2.5]}
+        spec, w = spec_from_dict(doc)
+        assert spec.mask.tolist() == [True, False, True]
+        assert w.values.dtype == float and w.values.tolist() == [1.0, -2.5]

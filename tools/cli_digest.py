@@ -24,13 +24,14 @@ data whose Gram pair overflows.  ``fit_mlp_d1_logdet`` and
 ``fit_mlp_d3_logdet`` fit MLP(d, 2, d) by log-det to ``mlp_d1.csv`` and
 ``mlp_d3.csv``, so that every trial point's residual covariance goes
 through the written-out d <= 2 route of ``linalg.factor_small`` in one and
-its d >= 3 loops in the other (the d = 2 fits take the written-out
-route too).  ``fit_mlp_nonident_logdet`` fits ``mlp_nonident.json``,
+the LAPACK route it takes above 2 x 2 in the other (the d = 2 fits take
+the written-out route too).  ``fit_mlp_nonident_logdet`` fits ``mlp_nonident.json``,
 the MLP(2, 3, 2) with grid entries 9 and 10 masked, so that hidden unit 0
 has no output weight and the report's plug-in information takes the
 singular branch (``identifiable: false``, null ``info_hat``).
 ``fit_negative_seed`` pins the exit code 2 and error line of ``--seed
--1``.  Compare two trees with ``diff``:
+-1``, and ``fit_bad_mask`` those of ``bad_mask.json``, whose mask holds
+the string ``"false"`` where a boolean belongs.  Compare two trees with ``diff``:
 
     python tools/cli_digest.py --src ../parent/src --out ../digest-parent > parent.txt
     python tools/cli_digest.py --src src --out ../digest-change > change.txt
@@ -79,6 +80,8 @@ MODELS = {
     "mlp_d3.json": {"kind": "mlp", "input_dim": 3, "output_dim": 3, "hidden_units": 2},
     "mlp_nonident.json": {"kind": "mlp", "input_dim": 2, "output_dim": 2, "hidden_units": 3,
                           "mask": [i not in (9, 10) for i in range(17)]},
+    "bad_mask.json": {"kind": "masked_linear", "input_dim": 3, "output_dim": 2,
+                      "mask": [True, True, "false", True, True, "false"]},
 }
 MLP_OPTS = ["--starts", "2", "--max-iters", "60"]
 
@@ -128,6 +131,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fit_utf16_data", [*fit, "utf16.csv", "--model", "linear.json"]),
         ("fit_negative_seed", [*fit, "nar.csv", "--model", "mlp.json", *MLP_OPTS, "--seed", "-1",
                                "--out", "fit_negative_seed.json"]),
+        ("fit_bad_mask", [*fit, "iid.csv", "--model", "bad_mask.json"]),
     ]
 
 
