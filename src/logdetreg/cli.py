@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Subcommands: ``simulate | fit | test | prune | mc``.  Datasets travel as
-headed CSV (``z1..z{d'},y1..y{d}``); models and all reports are JSON with
-a ``schema_version`` field.  Exit codes: 0 success, 2 usage or input
-error, 3 numerical or convergence failure.
+Subcommands: ``simulate | fit | test | prune | mc``, one ``COMMANDS`` row
+each; ``main`` builds the parser of the invoked row only (all of them when
+the first argument names none).  Datasets travel as headed CSV
+(``z1..z{d'},y1..y{d}``); models and all reports are JSON with a
+``schema_version`` field.  Exit codes: 0 success, 2 usage or input error,
+3 numerical or convergence failure or a size that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -427,43 +429,26 @@ def _mc_test_size(args, opts: OptimOptions) -> int:
 
 # --- parser ----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logdetreg",
-        description="Multidimensional regression by log-determinant covariance minimization.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    def optimizer(p):
-        common(p)
-        p.add_argument("--starts", type=int, help="MLP starts (linear fits are solved)")
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--grad-tol", type=float, default=1e-6)
-
-    p = sub.add_parser("simulate", help="generate a dataset CSV plus replay recipe")
+def _simulate_args(p):
     p.add_argument("--mode", choices=["nar", "iid"], required=True)
     p.add_argument("--model", required=True, help="model JSON carrying the true params")
     p.add_argument("--gamma", required=True, help="noise covariance, e.g. '1.81,1.8;1.8,1.81'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=None,
                    help="discarded leading NAR steps (--mode nar only; default 100)")
-    common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="estimate a model on CSV data")
+
+def _fit_args(p):
     p.add_argument("--cost", choices=["mse", "gls", "logdet", "fgls"], default="logdet")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--weight", help="GLS weight matrix or 'identity' (default; --cost gls only)")
     p.add_argument("--standardize", action="store_true")
-    optimizer(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("test", help="nested model comparison")
+
+def _test_args(p):
     p.add_argument("--restricted", required=True)
     p.add_argument("--full", required=True)
     p.add_argument("--data", required=True)
@@ -471,43 +456,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--calibrate", type=int, default=0, metavar="R",
                    help="Monte Carlo null replications (required for --cost mse)")
-    optimizer(p)
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("prune", help="stepwise weight elimination (BIC-like criterion)")
+
+def _prune_args(p):
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--gate", type=float, default=None,
                    help="optional test level gating each elimination")
-    optimizer(p)
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("mc", help="Monte Carlo replication experiments")
+
+def _mc_args(p):
     p.add_argument("--recipe", default=None, help="recipe JSON from `simulate`")
     p.add_argument("--estimators", help="--experiment covariance only (default logdet,mse)")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--experiment", choices=["covariance", "test-size"], default="covariance")
     p.add_argument("--alpha", type=float, help="--experiment test-size only (default 0.05)")
     p.add_argument("--n", type=int, help="--experiment test-size only (default 1000)")
-    optimizer(p)
     p.set_defaults(func=cmd_mc)
 
+
+# name: (help, the function adding its own flags; it names its cmd_* handler
+# when called, so that a handler wrapped after import is the one dispatched)
+COMMANDS = {
+    "simulate": ("generate a dataset CSV plus replay recipe", _simulate_args),
+    "fit": ("estimate a model on CSV data", _fit_args),
+    "test": ("nested model comparison", _test_args),
+    "prune": ("stepwise weight elimination (BIC-like criterion)", _prune_args),
+    "mc": ("Monte Carlo replication experiments", _mc_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser if it names one, else all."""
+    parser = argparse.ArgumentParser(
+        prog="logdetreg",
+        description="Multidimensional regression by log-determinant covariance minimization.",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # with one subparser the metavar keeps every command in the usage line of
+    # an unrecognized-argument error; with all, it would rename other errors
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if name != "simulate":  # the commands that fit
+            p.add_argument("--starts", type=int, help="MLP starts (linear fits are solved)")
+            p.add_argument("--max-iters", type=int, default=500)
+            p.add_argument("--grad-tol", type=float, default=1e-6)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.seed < 0:  # numpy takes no negative seed; refused before any subcommand runs
             raise UsageError("--seed must be >= 0")
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LogDetRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (*USAGE_ERRORS, LogDetRegError, MemoryError) as exc:
+        # MemoryError: a size that cannot be allocated (numpy's message says so)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, USAGE_ERRORS) else 3
 
 
 if __name__ == "__main__":

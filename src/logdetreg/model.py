@@ -329,19 +329,20 @@ def int_field(doc: dict, name: str, default: int | None = None) -> int:
     """The JSON integer ``doc[name]`` (``default`` when the field is absent
     and a default is given); raises KeyError for a missing field and
     TypeError naming the field for any other value, a bool, float or
-    string included."""
+    string included, quoted as JSON."""
     if name not in doc and default is not None:
         return default
     value = doc[name]
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"field {name!r} must be an integer, got {value!r}")
+        raise TypeError(f"field {name!r} must be an integer, got {json.dumps(value)}")
     return value
 
 
 def array_field(doc: dict, name: str, kind: type = float) -> np.ndarray:
     """The JSON list ``doc[name]``, lists nested in it allowed, as an array
-    of ``kind``; TypeError naming the field unless every entry is a JSON
-    number (``float``, a bool excluded) or a boolean (``bool``)."""
+    of ``kind``; TypeError naming the field, and quoting its value as JSON,
+    unless every entry is a JSON number (``float``, a bool excluded) or a
+    boolean (``bool``)."""
     def typed(v):
         if isinstance(v, list):
             return all(map(typed, v))
@@ -349,7 +350,7 @@ def array_field(doc: dict, name: str, kind: type = float) -> np.ndarray:
 
     if not isinstance(doc[name], list) or not typed(doc[name]):
         what = "booleans" if kind is bool else "numbers"
-        raise TypeError(f"field {name!r} must be a list of {what}, got {doc[name]!r}")
+        raise TypeError(f"field {name!r} must be a list of {what}, got {json.dumps(doc[name])}")
     return np.asarray(doc[name], dtype=kind)
 
 

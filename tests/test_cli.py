@@ -12,7 +12,7 @@ import logdetreg.cli
 import logdetreg.data
 import logdetreg.simulate
 from logdetreg import Dataset, ModelKind, ModelSpec, ParamVector, save_model
-from logdetreg.cli import _emit, _start_doc, main, parse_matrix
+from logdetreg.cli import COMMANDS, _emit, _start_doc, build_parser, main, parse_matrix
 from logdetreg.cli import UsageError
 from logdetreg.data import CsvFormatError, load_csv, save_csv
 from logdetreg.errors import NonFiniteReport, NotPositiveDefinite
@@ -886,6 +886,27 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal bug"):
             main(["fit", "--model", linear22, "--data", data])
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 44.7 GiB for an array", "Unable to allocate 44.7 GiB for an array"),
+        ("", "MemoryError"),
+    ])
+    def test_out_of_memory_exit_3(self, tmp_path, linear22, message, line, monkeypatch,
+                                  capsys):
+        # a size that cannot be allocated is one error line, not a traceback;
+        # the generator raises, so nothing is allocated
+        def gen_series(recipe):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(logdetreg.simulate, "gen_series", gen_series)
+        expected = f"error: {line}\n"
+        argv = ["mc", "--experiment", "test-size", "--reps", "2", "--n", "50"]
+        assert run(argv, capsys) == (3, "", expected)
+        out = tmp_path / "d.csv"
+        argv = ["simulate", "--mode", "iid", "--model", linear22, "--gamma", "1,0;0,1",
+                "--n", "50", "--out", str(out)]
+        assert run(argv, capsys) == (3, "", expected)
+        assert not out.exists()
+
 
 class TestNonFiniteReports:
     """A report is strict JSON or absent: no Infinity or NaN token."""
@@ -942,6 +963,90 @@ class TestNonFiniteReports:
         assert _start_doc(kept) == {"start_index": 0, "final_cost": 0.5, "iterations": 3,
                                     "evaluations": 4, "grad_norm": 1e-7,
                                     "termination": "grad_tol"}
+
+
+class TestParserRoutes:
+    """``main`` builds only the subparser its first argument names; the
+    outputs must match those of the full parser on this interpreter."""
+
+    ARGV = {
+        "simulate": ["simulate", "--mode", "nar", "--model", "m.json", "--gamma", "1,0;0,1",
+                     "--n", "50", "--burn-in", "5", "--seed", "3", "--out", "d.csv"],
+        "fit": ["fit", "--cost", "gls", "--model", "m.json", "--data", "d.csv",
+                "--weight", "identity", "--standardize", "--starts", "2", "--max-iters", "9"],
+        "test": ["test", "--restricted", "r.json", "--full", "f.json", "--data", "d.csv",
+                 "--cost", "mse", "--alpha", "0.1", "--calibrate", "4", "--grad-tol", "1e-5"],
+        "prune": ["prune", "--model", "m.json", "--data", "d.csv", "--gate", "0.05",
+                  "--out", "p.json"],
+        "mc": ["mc", "--experiment", "test-size", "--reps", "3", "--n", "40", "--alpha", "0.1"],
+    }
+
+    @staticmethod
+    def exit_output(parser, argv, capsys):
+        """(exit code, stdout, stderr) of ``parser.parse_args(argv)``, which exits."""
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def test_every_command_has_an_argv(self):
+        assert list(self.ARGV) == list(COMMANDS)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_help_same_on_both_routes(self, name, capsys):
+        one = self.exit_output(build_parser(name), [name, "--help"], capsys)
+        assert one == self.exit_output(build_parser(), [name, "--help"], capsys)
+        assert one[0] == 0 and one[1].startswith(f"usage: logdetreg {name} ")
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_namespace_same_on_both_routes(self, name):
+        one, full = (vars(build_parser(c).parse_args(self.ARGV[name])) for c in (name, None))
+        assert one.pop("func") is full.pop("func")
+        assert one == full and one["command"] == name
+
+    def test_unrecognized_argument_usage_names_every_command(self, capsys):
+        argv = ["fit", "--model", "a", "--data", "b", "--bogus", "1"]
+        one = self.exit_output(build_parser("fit"), argv, capsys)
+        assert one == self.exit_output(build_parser(), argv, capsys)
+        assert one[0] == 2 and "{" + ",".join(COMMANDS) + "}" in one[2]
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().err == one[2]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]], ids=repr)
+    def test_unknown_first_argument_builds_every_command(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (out, err) == self.exit_output(build_parser(), argv, capsys)[1:]
+        # below the usage line, an error names the argument "command", not a metavar
+        assert "{" not in "".join(err.splitlines()[1:])
+
+    def test_main_builds_the_named_command_only(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(command=None):
+            calls.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(logdetreg.cli, "build_parser", spy)
+        for argv in (["mc", "--reps", "1", "--bogus"], ["bogus"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert calls == ["mc", "bogus"]
+        # the parser built for one command knows no other
+        assert self.exit_output(build_parser("mc"), self.ARGV["fit"], capsys)[0] == 2
+        assert build_parser().parse_args(self.ARGV["fit"]).command == "fit"
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["logdetreg", "fit", "--help"])
+        with pytest.raises(SystemExit):
+            main()
+        assert capsys.readouterr() == self.exit_output(build_parser(), ["fit", "--help"],
+                                                       capsys)[1:]
+        monkeypatch.setattr(sys, "argv",
+                            ["logdetreg", "mc", "--experiment", "test-size", "--reps", "1"])
+        assert run(None, capsys) == (2, "", "error: --reps must be >= 2\n")
 
 
 def run_python(code: str, *args: str, cwd) -> subprocess.CompletedProcess:

@@ -3,8 +3,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from logdetreg import ModelKind, ModelSpec
+from logdetreg.cli import COMMANDS, main
 from logdetreg.data import load_csv
 from logdetreg.model import _mlp_blocks
 
@@ -96,3 +98,17 @@ def test_nonidentifiable_and_negative_seed_commands():
     assert "mlp_nonident.json" in commands["fit_mlp_nonident_logdet"]
     argv = commands["fit_negative_seed"]
     assert argv[argv.index("--seed") + 1] == "-1" and "mlp.json" in argv
+
+
+@pytest.mark.parametrize("name, argv", cli_digest.usage_commands(), ids=repr)
+def test_usage_commands_exit_0_or_2(name, argv, capsys):
+    # argparse answers each itself: help exits 0, every other one 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    capsys.readouterr()
+    assert exc.value.code == (0 if "--help" in argv else 2)
+
+
+def test_usage_commands_cover_every_subcommand_help():
+    helps = {argv[0] for _, argv in cli_digest.usage_commands() if argv[1:] == ["--help"]}
+    assert helps == set(COMMANDS)

@@ -297,6 +297,22 @@ class TestModelFile:
         with pytest.raises(TypeError, match="^field 'params' must be a list of numbers, got "):
             spec_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("mask", [True, "false"], 'must be a list of booleans, got [true, "false"]'),
+         ("params", [1.0, None], "must be a list of numbers, got [1.0, null]"),
+         ("input_dim", None, "must be an integer, got null"),
+         ("output_dim", True, "must be an integer, got true"),
+         ("hidden_units", "3", 'must be an integer, got "3"')],
+        ids=["mask", "params", "input_dim", "output_dim", "hidden_units"],
+    )
+    def test_rejected_value_quoted_as_json(self, field, value, message):
+        # the value is quoted as the file spells it, not as a Python repr
+        doc = {"kind": "mlp", "input_dim": 2, "output_dim": 1, "hidden_units": 3, field: value}
+        with pytest.raises(TypeError) as exc:
+            spec_from_dict(doc)
+        assert str(exc.value) == f"field {field!r} {message}"
+
     def test_typed_fields_read(self):
         doc = {"kind": "masked_linear", "input_dim": 3, "output_dim": 1,
                "mask": [True, False, True], "params": [1, -2.5]}

@@ -31,7 +31,12 @@ has no output weight and the report's plug-in information takes the
 singular branch (``identifiable: false``, null ``info_hat``).
 ``fit_negative_seed`` pins the exit code 2 and error line of ``--seed
 -1``, and ``fit_bad_mask`` those of ``bad_mask.json``, whose mask holds
-the string ``"false"`` where a boolean belongs.  Compare two trees with ``diff``:
+the string ``"false"`` where a boolean belongs.  The ``usage_*`` commands
+pin argparse's own outputs (exit 0 or 2): the help of the program and of
+each subcommand, no arguments, an unknown command, a missing required flag,
+an invalid ``--cost`` and an unrecognized flag.  Every command runs with
+``COLUMNS=80``, so that help wraps the same on any terminal.  Compare two
+trees with ``diff``:
 
     python tools/cli_digest.py --src ../parent/src --out ../digest-parent > parent.txt
     python tools/cli_digest.py --src src --out ../digest-change > change.txt
@@ -132,6 +137,22 @@ def commands() -> list[tuple[str, list[str]]]:
         ("fit_negative_seed", [*fit, "nar.csv", "--model", "mlp.json", *MLP_OPTS, "--seed", "-1",
                                "--out", "fit_negative_seed.json"]),
         ("fit_bad_mask", [*fit, "iid.csv", "--model", "bad_mask.json"]),
+        *usage_commands(),
+    ]
+
+
+def usage_commands() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of the commands that argparse answers itself."""
+    fit = ["fit", "--model", "linear.json", "--data", "iid.csv"]
+    return [
+        ("usage_none", []),
+        ("usage_help", ["--help"]),
+        *((f"usage_help_{name}", [name, "--help"])
+          for name in ("simulate", "fit", "test", "prune", "mc")),
+        ("usage_unknown_command", ["bogus"]),
+        ("usage_missing_flag", fit[:3]),
+        ("usage_bad_cost", [*fit, "--cost", "nope"]),
+        ("usage_bogus_flag", [*fit, "--bogus", "1"]),
     ]
 
 
@@ -200,7 +221,7 @@ def run(src: Path, work: Path) -> list[str]:
     write_overflow_data(work)
     write_mlp_data(work)
     write_utf16_data(work)
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     lines = []
     for name, argv in commands():
         if name == "fit_ridge_mse":
